@@ -175,15 +175,26 @@ def _parse_point(model: online.ReducedModel, spec: dict) -> np.ndarray:
             f"parameter point must set exactly {list(model.axis_names)}; "
             f"missing {missing}, unknown {extra}"
         )
-    return np.array([float(spec[name]) for name in model.axis_names])
+    try:
+        point = np.array([float(spec[name]) for name in model.axis_names])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"parameter point {spec!r} is not numeric") from err
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"parameter point {spec!r} is not finite")
+    return point
 
 
 def cmd_online(args) -> int:
     model = store.load_model(args.model)
     specs: list[dict] = []
     if args.params_file:
-        payload = json.loads(Path(args.params_file).read_text())
-        if not isinstance(payload, list):
+        try:
+            payload = json.loads(Path(args.params_file).read_text())
+        except OSError as err:
+            raise ConfigError(f"cannot read params file: {err}") from err
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"params file is not valid JSON: {err}") from err
+        if not isinstance(payload, list) or not all(isinstance(p, dict) for p in payload):
             raise ConfigError("params file must hold a JSON list of objects")
         specs.extend(payload)
     for item in args.at or []:
@@ -192,7 +203,7 @@ def cmd_online(args) -> int:
             name, _, value = part.partition("=")
             if not _:
                 raise ConfigError(f"cannot parse --at component {part!r}")
-            spec[name.strip()] = float(value)
+            spec[name.strip()] = value
         specs.append(spec)
     if not specs:
         raise ConfigError("no evaluation points: pass --params-file and/or --at")

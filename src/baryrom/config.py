@@ -4,6 +4,12 @@ A config fixes the grid, boundary conditions and solver settings, and binds
 fluid/rock properties to the sweep axes. A bindable value is either a plain
 number or {"param": <axis name>, "scale": <factor>} resolved per parameter
 combination.
+
+The "qp" block sets the simplex least-squares solver of the greedy sweep
+(`simplexqp`): "tol" is the KKT tolerance, the largest amount by which an
+atom's gradient entry may undercut the support multiplier at the returned
+weights, and "max_iter" caps the active-set changes (atoms added plus atoms
+dropped) per solve.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ class GreedySettings:
 
 @dataclass(frozen=True)
 class QpSettings:
+    """KKT tolerance and active-set change cap of the simplex solver."""
+
     tol: float = 1e-10
     max_iter: int = 50_000
 

@@ -43,6 +43,9 @@ class GreedyReport:
     avg_error: list[float] = field(default_factory=list)
     condition: list[float] = field(default_factory=list)
     simplex_volume: list[float] = field(default_factory=list)
+    qp_iters_max: list[int] = field(default_factory=list)
+    n_unconverged: list[int] = field(default_factory=list)
+    kkt_max: list[float] = field(default_factory=list)
     termination: str = ""
     warnings: list[str] = field(default_factory=list)
 
@@ -54,6 +57,8 @@ class StepResult:
     errors: np.ndarray  # (K,) per-snapshot W2 error
     weights: np.ndarray  # (n, K) optimal weights of this sweep
     converged: np.ndarray  # (K,) bool
+    iterations: np.ndarray  # (K,) active-set changes per solve
+    kkt: np.ndarray  # (K,) KKT residual per solve
 
 
 def init_pair(train: np.ndarray) -> tuple[int, int]:
@@ -103,15 +108,11 @@ def greedy_step(
     """One residual sweep: solve all per-snapshot QPs, pick the worst snapshot.
 
     Snapshots whose parameter point is already in the dictionary are excluded
-    from the argmax. Warm starts are guarded against stalls by letting each
-    column fall back to the inverse-distance start when that one scores
-    better.
+    from the argmax.
     """
     if dictionary.size < 2:
         raise ValueError("dictionary must hold at least 2 atoms")
-    res = simplexqp.solve_batch(
-        dictionary.atoms, train, warm, tol, max_iter, also_try_default=warm is not None
-    )
+    res = simplexqp.solve_batch(dictionary.atoms, train, warm, tol, max_iter)
     errors = np.sqrt(np.maximum(res.objective, 0.0))
     masked = errors.copy()
     masked[_selected_mask(params, dictionary.atom_params)] = -np.inf
@@ -122,6 +123,8 @@ def greedy_step(
         errors=errors,
         weights=res.weights,
         converged=res.converged,
+        iterations=res.iterations,
+        kkt=res.kkt,
     )
 
 
@@ -197,6 +200,9 @@ def run(
         report.condition.append(simplexqp.condition_of_gram(dictionary.gram))
         report.simplex_volume.append(cayley_menger_volume(dictionary.atoms))
         bad = int(np.count_nonzero(~step.converged))
+        report.qp_iters_max.append(int(step.iterations.max()))
+        report.n_unconverged.append(bad)
+        report.kkt_max.append(float(step.kkt.max()))
         if bad:
             report.warnings.append(
                 f"n={n}: {bad} of {train.shape[1]} weight solves did not converge"

@@ -5,10 +5,28 @@ columns of A are discrete icdf atoms and the norm carries the same 1/M
 rectangle-rule weight as the W2 distance, so the optimal objective is
 exactly the squared W2 error of the best barycenter.
 
-The solver is projected gradient descent with Nesterov acceleration,
-function-value adaptive restart and a fixed step 1/L. Many targets against
-one atom matrix are solved in a single batched run; the greedy sweep relies
-on this.
+The solver is an exact primal active-set method in the style of Lawson and
+Hanson (1974), run once per target column:
+
+- On the current support it solves the equality-constrained least squares
+  in data form, by `lstsq` on the support atoms in null-space coordinates
+  of 1^T. The Gram matrix A^T A is never formed: on nearly dependent icdfs
+  its squared condition number cancels catastrophically. One thin QR of
+  the atom matrix per batch, A = QR, replaces A and f by R and Q^T f, which
+  changes the objective by a constant only, so every fit runs on n rows
+  instead of M.
+- When a support weight would turn nonpositive, the iterate steps back
+  along the segment to the first boundary point and that atom leaves the
+  support.
+- When the fit is interior, the outside atom whose gradient entry most
+  undercuts the support multiplier mu = w^T grad joins the support.
+- The solve stops when no atom undercuts mu by more than `tol`. That is
+  the KKT condition of the problem, so the weights are the exact optimum
+  up to `tol`.
+
+Every step lowers the objective, so an atom never re-enters a support it
+left at the same objective value and the method terminates. `max_iter`
+caps the number of active-set changes (atoms added plus atoms dropped).
 """
 
 from __future__ import annotations
@@ -19,8 +37,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
-
-ZERO_DISTANCE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,8 +73,9 @@ class BatchResult:
 
     weights: np.ndarray  # (n, T)
     objective: np.ndarray  # (T,)
-    iterations: np.ndarray  # (T,)
+    iterations: np.ndarray  # (T,) active-set changes
     converged: np.ndarray  # (T,) bool
+    kkt: np.ndarray  # (T,) KKT residual: multiplier gap and support spread
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -85,23 +102,6 @@ def project_columns_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau[None, :], 0.0)
 
 
-def init_weights(distances: np.ndarray) -> np.ndarray:
-    """Weights inversely proportional to the W2 distance from each atom.
-
-    Atoms at exactly zero distance take all the weight (uniformly among
-    themselves if there are several).
-    """
-    d = np.asarray(distances, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("distances must be nonnegative")
-    zero = d == 0.0
-    if zero.any():
-        w = zero.astype(float)
-    else:
-        w = 1.0 / (d + ZERO_DISTANCE_EPS)
-    return w / w.sum()
-
-
 def condition_of_gram(gram: np.ndarray) -> float:
     """Eigenvalue ratio of a symmetric PSD Gram matrix.
 
@@ -123,44 +123,70 @@ def gram_condition(problem: QpProblem) -> float:
     return condition_of_gram(problem.atoms.T @ problem.atoms)
 
 
-def _largest_eigenvalue(gram: np.ndarray) -> float:
-    """Power iteration for the top eigenvalue of a PSD Gram matrix.
+def _support_fit(atoms, target, support):
+    """Least squares on the support under sum(w) = 1, in data form.
 
-    The Gram of nonnegative atoms is entrywise nonnegative, so the all-ones
-    start has a component on the Perron eigenvector.
+    The first support atom is the pivot: w_pivot = 1 - sum(rest), which
+    turns the constrained fit into an unconstrained one on the differences
+    A_rest - a_pivot (null-space coordinates of 1^T).
     """
-    n = gram.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(10_000):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= 1e-14 * max(1.0, lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+    pivot, rest = support[0], support[1:]
+    z = np.zeros(atoms.shape[1])
+    z[pivot] = 1.0
+    if rest.size:
+        base = atoms[:, pivot]
+        y = np.linalg.lstsq(atoms[:, rest] - base[:, None], target - base, rcond=None)[0]
+        z[rest] = y
+        z[pivot] -= y.sum()
+    return z
 
 
-def _gram_objective(gram, cross, const, w):
-    # ||A w - f||^2 in quadratic form; may dip epsilon-negative near zero
-    quad = np.einsum("it,ij,jt->t", w, gram, w)
-    return quad - 2.0 * np.sum(cross * w, axis=0) + const
+def _solve_column(atoms, target, w, m, tol, max_iter):
+    """Active-set iterations from the feasible point w; m is the row count
+    of the rectangle rule that weights the objective.
 
-
-def default_init(gram, cross, const) -> np.ndarray:
-    """Column-wise inverse-distance initial weights in Gram form."""
-    dist = np.sqrt(
-        np.maximum(np.diag(gram)[:, None] + const[None, :] - 2.0 * cross, 0.0)
-    )
-    w = 1.0 / (dist + ZERO_DISTANCE_EPS)
-    exact = dist == 0.0
-    hit = exact.any(axis=0)
-    w[:, hit] = exact[:, hit].astype(float)
-    return w / w.sum(axis=0, keepdims=True)
+    Returns (weights, active-set changes, converged, KKT residual).
+    """
+    support = w > 0.0
+    changes = 0
+    entering = -1
+    converged = False
+    while True:
+        # optimal fit on the support, backing off to the boundary of the
+        # simplex whenever a support weight would turn nonpositive
+        while True:
+            idx = np.flatnonzero(support)
+            z = _support_fit(atoms, target, idx)
+            if entering >= 0 and z[entering] <= 0.0:
+                # the entering atom brings no decrease at working precision
+                support[entering] = False
+                break
+            blocking = idx[z[idx] <= 0.0]
+            if blocking.size == 0:
+                w = z
+                break
+            ratio = w[blocking] / (w[blocking] - z[blocking])
+            k = int(np.argmin(ratio))
+            w = np.maximum(w + ratio[k] * (z - w), 0.0)
+            w[blocking[k]] = 0.0
+            w /= w.sum()
+            support = w > 0.0
+            changes += 1
+            entering = -1
+        grad = 2.0 * atoms.T @ (atoms @ w - target) / m
+        mu = float(w @ grad)
+        gap = np.where(support, -np.inf, mu - grad)
+        j = int(np.argmax(gap))
+        kkt = max(float(np.abs(grad[support] - mu).max()), float(gap[j]), 0.0)
+        if gap[j] <= tol:
+            converged = True
+            break
+        if j == entering or changes >= max_iter:
+            break
+        support[j] = True
+        entering = j
+        changes += 1
+    return w, changes, converged, kkt
 
 
 def solve_batch(
@@ -169,17 +195,16 @@ def solve_batch(
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    also_try_default: bool = False,
 ) -> BatchResult:
     """Solve the simplex least-squares problem for many targets at once.
 
-    atoms is (M, n), targets (M, T), init (n, T) or None for the
-    inverse-distance default. A column converges when the gradient-mapping
-    norm L * ||prox_step - point|| falls below tol; an objective-decrease
-    test alone turns out to fire far from the optimum on ill-conditioned
-    Grams (momentum rebuilds make per-iteration decrease arbitrarily small),
-    so it is not used. Non-converged columns keep their best iterate and
-    report converged=False.
+    atoms is (M, n), targets (M, T), init (n, T) or None. Each column starts
+    from the support of its init column projected onto the simplex, or from
+    the nearest atom when init is None. A column converges when no gradient
+    entry undercuts the support multiplier by more than tol; a column that
+    reaches max_iter active-set changes, or whose entering atom brings no
+    decrease at working precision, keeps its last iterate and reports
+    converged=False.
     """
     atoms = np.asarray(atoms, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -191,111 +216,34 @@ def solve_batch(
     if targets.shape[0] != m:
         raise ValueError(f"targets have {targets.shape[0]} rows, atoms have {m}")
     t_count = targets.shape[1]
-
-    gram = atoms.T @ atoms / m
-    cross = atoms.T @ targets / m
-    const = np.mean(targets**2, axis=0)
-
+    q, r = np.linalg.qr(atoms)
+    projected = q.T @ targets
     if init is None:
-        init = project_columns_to_simplex(default_init(gram, cross, const))
+        start = np.zeros((n, t_count))
+        for t in range(t_count):
+            nearest = np.sum((r - projected[:, [t]]) ** 2, axis=0)
+            start[int(np.argmin(nearest)), t] = 1.0
     else:
         init = np.asarray(init, dtype=float)
         if init.shape != (n, t_count):
             raise ValueError(f"init shape {init.shape} != {(n, t_count)}")
-        init = project_columns_to_simplex(init)
-        if also_try_default:
-            # per-column better of the provided start and the
-            # inverse-distance start (cheap stall insurance for warm starts)
-            alt = project_columns_to_simplex(default_init(gram, cross, const))
-            f_init = _gram_objective(gram, cross, const, init)
-            f_alt = _gram_objective(gram, cross, const, alt)
-            take = f_alt < f_init
-            init[:, take] = alt[:, take]
+        start = project_columns_to_simplex(init)
 
-    lam_max = _largest_eigenvalue(gram)
-    if lam_max <= 0.0:
-        # zero atom matrix: objective constant, any feasible point optimal
-        w = project_columns_to_simplex(init)
-        return BatchResult(
-            weights=w,
-            objective=_data_objective(atoms, targets, w),
-            iterations=np.zeros(t_count, dtype=int),
-            converged=np.ones(t_count, dtype=bool),
+    weights = np.empty((n, t_count))
+    iterations = np.empty(t_count, dtype=int)
+    converged = np.empty(t_count, dtype=bool)
+    kkt = np.empty(t_count)
+    for t in range(t_count):
+        weights[:, t], iterations[t], converged[t], kkt[t] = _solve_column(
+            r, projected[:, t], start[:, t], m, tol, max_iter
         )
-    lip = 2.0 * lam_max * (1.0 + 1e-6)
-
-    x = init
-    x_prev = x.copy()
-    y = x.copy()
-    tmom = np.ones(t_count)
-    fx = _gram_objective(gram, cross, const, x)
-    iters = np.zeros(t_count, dtype=int)
-    converged = np.zeros(t_count, dtype=bool)
-    active = np.ones(t_count, dtype=bool)
-    # stagnation window: freeze columns whose objective stops improving at
-    # machine level so hopeless ill-conditioned columns do not burn the
-    # full iteration budget
-    window = 512
-    f_ckpt = fx.copy()
-
-    for k in range(1, max_iter + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        ya = y[:, idx]
-        grad = 2.0 * (gram @ ya - cross[:, idx])
-        xn = project_columns_to_simplex(ya - grad / lip)
-        # gradient mapping at the momentum point: near-stationarity there
-        # bounds the optimality gap of the accepted iterate
-        gm = lip * np.linalg.norm(xn - ya, axis=0)
-        fn = _gram_objective(gram, cross[:, idx], const[idx], xn)
-
-        stalled = np.zeros(idx.size, dtype=bool)
-        worse = fn > fx[idx]
-        if worse.any():
-            # function-value restart: plain projected-gradient step from the
-            # best accepted point, which is a guaranteed-descent step
-            ridx = idx[worse]
-            grad_x = 2.0 * (gram @ x[:, ridx] - cross[:, ridx])
-            xr = project_columns_to_simplex(x[:, ridx] - grad_x / lip)
-            fr = _gram_objective(gram, cross[:, ridx], const[ridx], xr)
-            gm[worse] = lip * np.linalg.norm(xr - x[:, ridx], axis=0)
-            still = fr > fx[ridx]
-            if still.any():
-                # only possible if the Lipschitz estimate was low; keep the
-                # previous iterate for those columns and freeze them
-                xr[:, still] = x[:, ridx[still]]
-                fr[still] = fx[ridx[still]]
-                stalled[worse] |= still
-            xn[:, worse] = xr
-            fn[worse] = fr
-            tmom[ridx] = 1.0
-
-        done = gm < tol
-
-        x_prev[:, idx] = x[:, idx]
-        x[:, idx] = xn
-        fx[idx] = fn
-        iters[idx] = k
-
-        tmom_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tmom[idx] ** 2))
-        beta = (tmom[idx] - 1.0) / tmom_new
-        y[:, idx] = xn + beta[None, :] * (xn - x_prev[:, idx])
-        tmom[idx] = tmom_new
-
-        if done.any():
-            converged[idx[done & ~stalled]] = True
-            active[idx[done]] = False
-        if stalled.any():
-            active[idx[stalled]] = False
-        if k % window == 0:
-            stale = (f_ckpt[idx] - fx[idx]) < 1e-12 * np.maximum(fx[idx], 1e-20)
-            if stale.any():
-                active[idx[stale & ~done]] = False
-            f_ckpt[idx] = fx[idx]
-
-    objective = _data_objective(atoms, targets, x)
-    return BatchResult(weights=x, objective=objective, iterations=iters, converged=converged)
+    return BatchResult(
+        weights=weights,
+        objective=_data_objective(atoms, targets, weights),
+        iterations=iterations,
+        converged=converged,
+        kkt=kkt,
+    )
 
 
 def _data_objective(atoms, targets, w):

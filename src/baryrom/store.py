@@ -122,12 +122,15 @@ def consolidate_store(directory, combo_count: int) -> None:
             raise StoreError(f"store incomplete: missing chunk {path.name}")
         with np.load(path) as data:
             parts.append((data["params"], data["values"], data["masses"]))
+    final = directory / SNAPSHOTS_NAME
+    tmp = final.with_suffix(".tmp.npz")
     np.savez(
-        directory / SNAPSHOTS_NAME,
+        tmp,
         params=np.concatenate([p[0] for p in parts]),
         values=np.concatenate([p[1] for p in parts]),
         masses=np.concatenate([p[2] for p in parts]),
     )
+    tmp.replace(final)
     for idx in range(combo_count):
         chunk_path(directory, idx).unlink()
 
@@ -159,28 +162,8 @@ def load_store(directory) -> SnapshotStore:
     )
 
 
-def save_dictionary(path, dictionary: Dictionary):
-    np.savez(
-        path,
-        atoms=dictionary.atoms,
-        atom_params=dictionary.atom_params,
-        atom_indices=dictionary.atom_indices,
-        gram=dictionary.gram,
-    )
-
-
-def load_dictionary(path) -> Dictionary:
-    with np.load(path) as data:
-        return Dictionary(
-            atoms=data["atoms"],
-            atom_params=data["atom_params"],
-            atom_indices=data["atom_indices"],
-            gram=data["gram"],
-        )
-
-
 REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",
-                  "l1_mean", "l1_max")
+                  "l1_mean", "l1_max", "qp_iters_max", "n_unconverged", "kkt_max")
 
 
 def save_report(path, report: GreedyReport, l1_mean, l1_max):
@@ -197,6 +180,9 @@ def save_report(path, report: GreedyReport, l1_mean, l1_max):
                 report.termination if i == last else "",
                 l1_mean[i],
                 l1_max[i],
+                report.qp_iters_max[i],
+                report.n_unconverged[i],
+                report.kkt_max[i],
             )
         )
     write_csv(path, REPORT_COLUMNS, rows)
@@ -218,6 +204,9 @@ def load_report(path) -> tuple[GreedyReport, np.ndarray, np.ndarray]:
             report.termination = row[5]
         l1_mean.append(float(row[6]))
         l1_max.append(float(row[7]))
+        report.qp_iters_max.append(int(row[8]))
+        report.n_unconverged.append(int(row[9]))
+        report.kkt_max.append(float(row[10]))
     return report, np.asarray(l1_mean), np.asarray(l1_max)
 
 
@@ -249,7 +238,6 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
             "warnings": report.warnings,
         },
     )
-    save_dictionary(directory / "dictionary.npz", model.dictionary)
     save_report(directory / "greedy_report.csv", report, l1_mean, l1_max)
 
 

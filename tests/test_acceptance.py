@@ -4,6 +4,8 @@ Criteria 1 and 6 are self-contained; the rest consume the session-scoped
 example datasets from conftest (generated with the bundled presets).
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -321,3 +323,11 @@ class TestPaperBehaviors:
             finite = cond[np.isfinite(cond)]
             ratios = finite[1:] / finite[:-1]
             assert np.median(ratios) >= 1.0
+
+
+def test_example1_weight_solves_converge(example1):
+    # every greedy sweep solves its simplex least squares to the KKT tolerance
+    meta = json.loads((example1.model_dir / "model.json").read_text())
+    assert meta["warnings"] == []
+    assert example1.report.n_unconverged == [0] * len(example1.report.sizes)
+    assert max(example1.report.kkt_max) <= 1e-10

@@ -170,7 +170,7 @@ class TestOffline:
         report, l1_mean, l1_max = store.load_model_report(model_dir)
         assert report.termination in ("absolute", "relative", "max_atoms", "exhausted")
         assert len(l1_mean) == len(report.sizes)
-        assert (model_dir / "dictionary.npz").exists()
+        assert not (model_dir / "dictionary.npz").exists()
 
     def test_degenerate_two_snapshot_store(self, tmp_path):
         cfg = mini_config(times=(1.0, 3.0))
@@ -191,6 +191,11 @@ class TestOffline:
         assert header[:6] == ["n", "delta", "mean_w2", "condition", "volume", "criterion"]
         assert rows[-1][5] == "max_atoms"
         assert all(r[5] == "" for r in rows[:-1])
+        assert header[8:] == ["qp_iters_max", "n_unconverged", "kkt_max"]
+        report, _, _ = store.load_model_report(model_dir)
+        assert report.n_unconverged == [0] * len(rows)
+        assert max(report.kkt_max) <= 1e-10
+        assert min(report.qp_iters_max) >= 0
 
 
 class TestOnline:
@@ -242,6 +247,44 @@ class TestOnline:
             ["online", "--model", str(model_dir), "--out", str(root / "y"), "--at", "mu=1"]
         )
         assert rc == cli.EXIT_CONFIG
+
+
+    def test_non_numeric_point_value(self, mini_run):
+        root, _, _, model_dir = mini_run
+        rc = cli.main(
+            ["online", "--model", str(model_dir), "--out", str(root / "abc"),
+             "--at", "t=abc,mu=3,beta=3"]
+        )
+        assert rc == cli.EXIT_CONFIG
+
+    def test_missing_params_file(self, mini_run, tmp_path):
+        _, _, _, model_dir = mini_run
+        rc = cli.main(
+            ["online", "--model", str(model_dir), "--out", str(tmp_path / "out"),
+             "--params-file", str(tmp_path / "absent.json")]
+        )
+        assert rc == cli.EXIT_CONFIG
+
+    def test_malformed_params_file(self, mini_run, tmp_path):
+        _, _, _, model_dir = mini_run
+        for text in ("{not json", "[1, 2]"):
+            path = tmp_path / "points.json"
+            path.write_text(text)
+            rc = cli.main(
+                ["online", "--model", str(model_dir), "--out", str(tmp_path / "out"),
+                 "--params-file", str(path)]
+            )
+            assert rc == cli.EXIT_CONFIG
+
+    def test_nan_point_rejected(self, mini_run, tmp_path):
+        _, _, _, model_dir = mini_run
+        out = tmp_path / "nan"
+        rc = cli.main(
+            ["online", "--model", str(model_dir), "--out", str(out),
+             "--at", "t=nan,mu=3,beta=3"]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert not (out / "reconstructions.npz").exists()
 
 
 class TestTablesAndDiag:

@@ -17,6 +17,31 @@ def random_icdf_atoms(rng, m, n):
     return atoms
 
 
+def random_feasible(rng, n, t, sparse=False):
+    """Random simplex columns; with sparse, each on a random nonempty support."""
+    w = rng.dirichlet(np.ones(n), size=t).T
+    if sparse:
+        w *= rng.random((n, t)) < 0.5
+        w[rng.integers(0, n, t), np.arange(t)] += 1e-3
+        w /= w.sum(axis=0)
+    return w
+
+
+def assert_kkt(atoms, targets, res, tol=1e-10):
+    """Every column converged and satisfies the simplex KKT conditions at tol."""
+    assert res.converged.all()
+    assert np.all(res.kkt <= tol)
+    m = atoms.shape[0]
+    for t in range(targets.shape[1]):
+        w = res.weights[:, t]
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+        grad = 2.0 * atoms.T @ (atoms @ w - targets[:, t]) / m
+        act = w > 1e-8
+        assert grad[act].max() - grad[act].min() < 10 * tol
+        if (~act).any():
+            assert np.all(grad[~act] >= grad[act].mean() - 10 * tol)
+
+
 class TestProjection:
     def test_idempotent_on_simplex(self):
         v = np.array([0.2, 0.5, 0.3])
@@ -57,26 +82,6 @@ class TestProjection:
         p = sq.project_columns_to_simplex(v)
         assert np.all(p >= -1e-10)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-10)
-
-
-class TestInitWeights:
-    def test_zero_distance_vertex(self):
-        w = sq.init_weights(np.array([0.3, 0.1, 0.0, 0.4]))
-        assert w.tolist() == [0.0, 0.0, 1.0, 0.0]
-
-    def test_equal_distances_uniform(self):
-        np.testing.assert_allclose(
-            sq.init_weights(np.array([2.0, 2.0, 2.0, 2.0])), np.full(4, 0.25)
-        )
-
-    def test_inverse_proportional(self):
-        np.testing.assert_allclose(
-            sq.init_weights(np.array([1.0, 3.0])), [0.75, 0.25], atol=1e-10
-        )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sq.init_weights(np.array([-1.0, 2.0]))
 
 
 class TestSolve:
@@ -124,24 +129,48 @@ class TestSolve:
             _, f_star = simplex_ls_active_set(atoms, target)
             assert res.objective <= f_star + 1e-8
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_matches_oracle_cold_and_warm(self, n):
+        rng = np.random.default_rng(100 + n)
+        atoms = random_icdf_atoms(rng, 80, n)
+        targets = np.stack(
+            [tr.snapshot_to_icdf(rng.random(78), 80) for _ in range(12)], axis=1
+        )
+        want = np.array([simplex_ls_active_set(atoms, f)[1] for f in targets.T])
+        starts = [None] + [random_feasible(rng, n, 12, sparse=True) for _ in range(3)]
+        for init in starts:
+            res = sq.solve_batch(atoms, targets, init=init)
+            np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10)
+            assert_kkt(atoms, targets, res)
+
+    def test_degenerate_inputs(self):
+        rng = np.random.default_rng(73)
+        base = random_icdf_atoms(rng, 90, 3)
+        targets = np.stack(
+            [tr.snapshot_to_icdf(rng.random(88), 90) for _ in range(8)], axis=1
+        )
+        cases = {
+            "duplicate atoms": np.column_stack([base, base[:, [1, 1]]]),
+            "target atoms": base,
+            "zero atoms": np.zeros((90, 3)),
+            "single atom": base[:, :1],
+        }
+        for name, atoms in cases.items():
+            tgt = base if name == "target atoms" else targets
+            want = np.array([simplex_ls_active_set(atoms, f)[1] for f in tgt.T])
+            for init in (None, random_feasible(rng, atoms.shape[1], tgt.shape[1])):
+                res = sq.solve_batch(atoms, tgt, init=init)
+                np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10, err_msg=name)
+                assert_kkt(atoms, tgt, res)
+                if name == "target atoms":
+                    assert np.all(res.objective <= 1e-20)
+
     def test_kkt_at_convergence(self):
         rng = np.random.default_rng(59)
-        tol = 1e-10
-        checked = 0
         for _ in range(40):
             atoms = random_icdf_atoms(rng, 100, 3)
-            target = tr.snapshot_to_icdf(rng.random(98), 100)
-            res = sq.solve(sq.QpProblem(atoms, target), tol=tol)
-            if not res.converged:
-                continue
-            checked += 1
-            m = atoms.shape[0]
-            grad = 2.0 * atoms.T @ (atoms @ res.weights - target) / m
-            act = res.weights > 1e-8
-            assert grad[act].max() - grad[act].min() < 10 * tol
-            if (~act).any():
-                assert np.all(grad[~act] >= grad[act].mean() - 10 * tol)
-        assert checked >= 30
+            target = tr.snapshot_to_icdf(rng.random(98), 100)[:, None]
+            assert_kkt(atoms, target, sq.solve_batch(atoms, target, tol=1e-10))
 
     def test_nonconvergence_reported_not_raised(self):
         rng = np.random.default_rng(61)
@@ -150,15 +179,24 @@ class TestSolve:
         res = sq.solve(sq.QpProblem(atoms, target), max_iter=2)
         assert isinstance(res.converged, bool)
 
-    def test_warm_start_batch_monotone_vs_default(self):
+    def test_warm_start_reaches_cold_optimum(self):
+        # any feasible start, whatever its support, ends at the cold-start
+        # optimum
         rng = np.random.default_rng(67)
-        atoms = random_icdf_atoms(rng, 100, 3)
+        atoms = random_icdf_atoms(rng, 100, 5)
         targets = np.stack(
-            [tr.snapshot_to_icdf(rng.random(98), 100) for _ in range(5)], axis=1
+            [tr.snapshot_to_icdf(rng.random(98), 100) for _ in range(6)], axis=1
         )
-        base = sq.solve_batch(atoms, targets)
-        warm = sq.solve_batch(atoms, targets, init=base.weights, also_try_default=True)
-        assert np.all(warm.objective <= base.objective + 1e-12)
+        cold = sq.solve_batch(atoms, targets)
+        for _ in range(10):
+            init = random_feasible(rng, 5, 6)
+            warm = sq.solve_batch(atoms, targets, init=init)
+            assert warm.converged.all()
+            np.testing.assert_allclose(warm.objective, cold.objective, rtol=0, atol=1e-12)
+        # the optimum itself is a fixed point
+        again = sq.solve_batch(atoms, targets, init=cold.weights)
+        np.testing.assert_array_equal(again.iterations, 0)
+        np.testing.assert_allclose(again.weights, cold.weights, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
