@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,63 +36,52 @@ def _load_config_arg(spec: str) -> ExperimentConfig:
     raise ConfigError(f"config {spec!r}: no such file and not a bundled preset")
 
 
-def _simulate_combo(raw_config: dict, combo: dict):
-    """One full simulation for a parameter combination; returns store rows."""
-    cfg = parse_config(raw_config)
-    snaps = flow.run_simulation(
-        grid=cfg.grid,
-        rock=cfg.rock_at(combo),
-        fluids=cfg.fluids_at(combo),
-        bc=cfg.boundary,
-        snapshot_times_yr=cfg.snapshot_times_yr,
-        y_params=tuple(combo[ax.name] for ax in cfg.axes),
-        safety=cfg.cfl_safety,
-    )
-    params = np.array([snap.z for snap in snaps])
-    values = np.array([snap.values for snap in snaps])
-    masses = np.array([snap.mass for snap in snaps])
-    return params, values, masses
-
-
 def cmd_generate(args) -> int:
     cfg = _load_config_arg(args.config)
     combos = cfg.combos()
-    manifest = store.store_manifest(
-        cfg.raw, cfg.axis_names, len(combos), len(cfg.snapshot_times_yr)
-    )
+    times = cfg.snapshot_times_yr
+    manifest = store.store_manifest(cfg.raw, cfg.axis_names, len(combos), len(times))
     out = store.init_store_dir(args.out, manifest, force=args.force)
     todo = [i for i in range(len(combos)) if not store.chunk_path(out, i).exists()]
     print(
-        f"{cfg.name}: {len(combos)} simulations x {len(cfg.snapshot_times_yr)} "
+        f"{cfg.name}: {len(combos)} simulations x {len(times)} "
         f"snapshot times ({len(todo)} to run, {len(combos) - len(todo)} resumed)"
     )
     failures = []
-    if args.jobs > 1 and todo:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {i: pool.submit(_simulate_combo, cfg.raw, combos[i]) for i in todo}
-            for i in todo:
-                try:
-                    params, values, masses = futures[i].result()
-                except flow.FlowError as err:
-                    failures.append((combos[i], str(err)))
-                    continue
-                store.write_chunk(out, i, params, values, masses)
-    else:
-        for i in todo:
-            try:
-                params, values, masses = _simulate_combo(cfg.raw, combos[i])
-            except flow.FlowError as err:
-                failures.append((combos[i], str(err)))
-                continue
-            store.write_chunk(out, i, params, values, masses)
+
+    def write(row: int, outcome) -> None:
+        i = todo[row]
+        if isinstance(outcome, flow.FlowError):
+            failures.append((i, str(outcome)))
+            return
+        y_params = tuple(combos[i][ax.name] for ax in cfg.axes)
+        params = np.array([(t, *y_params) for t in times])
+        store.write_chunk(
+            out, i, params, outcome.values, outcome.masses, steps=outcome.steps,
+            min_dt_s=outcome.min_dt_s, mass_residual=outcome.mass_residual,
+        )
+
+    flow.simulate_batch(
+        cfg.grid,
+        [cfg.rock_at(combos[i]) for i in todo],
+        [cfg.fluids_at(combos[i]) for i in todo],
+        cfg.boundary,
+        times,
+        safety=cfg.cfl_safety,
+        on_finish=write,
+    )
     if failures:
-        for combo, msg in failures:
-            print(f"FAILED {combo}: {msg}", file=sys.stderr)
+        for i, msg in sorted(failures):
+            print(f"FAILED {combos[i]}: {msg}", file=sys.stderr)
         print(f"{len(failures)} simulations failed; store left resumable", file=sys.stderr)
         return EXIT_COMPUTE
-    store.consolidate_store(out, len(combos))
+    store.consolidate_store(out, manifest)
     loaded = store.load_store(out)
-    print(f"store complete: {loaded.count} snapshots in {out}")
+    print(
+        f"store complete: {loaded.count} snapshots in {out}; at most "
+        f"{int(loaded.steps.max())} IMPES steps per simulation, worst mass-balance "
+        f"residual {loaded.mass_residual.max():.2e} of the pore volume"
+    )
     return EXIT_OK
 
 
@@ -349,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="run the parametric snapshot sweep")
     p.add_argument("--config", required=True, help="config JSON path or preset name")
     p.add_argument("--out", required=True, help="snapshot store directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel simulations")
     p.add_argument("--force", action="store_true", help="overwrite a mismatching store")
     p.set_defaults(func=cmd_generate)
 

@@ -108,6 +108,8 @@ def _cell_coords(axes, z, clamp: bool):
     coords = []
     for ax, name_val in zip(axes, z):
         val = float(name_val)
+        if not np.isfinite(val):
+            raise OutOfRangeError(f"value {val} is not a finite parameter")
         if val < ax[0] or val > ax[-1]:
             if not clamp:
                 raise OutOfRangeError(

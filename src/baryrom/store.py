@@ -2,8 +2,10 @@
 
 A snapshot store is a directory with a manifest.json describing the sweep
 and a snapshots.npz holding one row per snapshot (parameter components,
-saturation values, mass). Generation writes one chunk file per simulated
-parameter combination so interrupted sweeps resume where they stopped.
+saturation values, mass) and one entry per simulation (IMPES step count,
+smallest CFL step, relative mass-balance residual). Generation writes one
+chunk file per simulated parameter combination so interrupted sweeps
+resume where they stopped.
 All floats are written with shortest round-trip formatting so reruns are
 byte-identical.
 """
@@ -11,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +25,10 @@ from .online import ReducedModel
 MANIFEST_NAME = "manifest.json"
 SNAPSHOTS_NAME = "snapshots.npz"
 CHUNK_DIR = "chunks"
+STORE_KIND = "snapshot_store"
+STORE_SCHEMA = 1
+# one row per snapshot, then one entry per simulation
+STORE_ARRAYS = ("params", "values", "masses", "steps", "min_dt_s", "mass_residual")
 
 
 class StoreError(RuntimeError):
@@ -35,6 +42,9 @@ class SnapshotStore:
     params: np.ndarray  # (K, d)
     values: np.ndarray  # (K, N)
     masses: np.ndarray  # (K,)
+    steps: np.ndarray  # (combos,) IMPES steps per simulation
+    min_dt_s: np.ndarray  # (combos,) smallest CFL step [s]
+    mass_residual: np.ndarray  # (combos,) mass-balance residual / pore volume
     x_min: float
     x_max: float
     n_cells: int
@@ -72,8 +82,8 @@ def _write_json(path, payload: dict):
 
 def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) -> dict:
     return {
-        "kind": "snapshot_store",
-        "schema_version": 1,
+        "kind": STORE_KIND,
+        "schema_version": STORE_SCHEMA,
         "axis_names": list(axis_names),
         "combo_count": combo_count,
         "time_count": time_count,
@@ -105,61 +115,99 @@ def chunk_path(directory, index: int) -> Path:
     return Path(directory) / CHUNK_DIR / f"sim_{index:05d}.npz"
 
 
-def write_chunk(directory, index: int, params, values, masses):
+def write_chunk(directory, index: int, params, values, masses, *, steps, min_dt_s,
+                mass_residual):
+    """Store the snapshots of one simulation and its run statistics."""
     path = chunk_path(directory, index)
     tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, params=params, values=values, masses=masses)
+    np.savez(tmp, params=params, values=values, masses=masses, steps=np.array([steps]),
+             min_dt_s=np.array([min_dt_s]), mass_residual=np.array([mass_residual]))
     tmp.replace(path)
 
 
-def consolidate_store(directory, combo_count: int) -> None:
+def _read_npz(path, names) -> dict:
+    """The named arrays of an npz file; StoreError when it is unreadable."""
+    try:
+        # an own handle: np.load leaks its handle when the archive is corrupt
+        with open(path, "rb") as handle, np.load(handle) as data:
+            return {name: data[name] for name in names}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as err:
+        raise StoreError(f"unreadable {Path(path).name}: {err}") from err
+
+
+def _check_shapes(arrays: dict, manifest: dict) -> None:
+    combos, times = manifest["combo_count"], manifest["time_count"]
+    n_cells = int(manifest["config"]["grid"]["n_cells"])
+    rows = combos * times
+    expected = dict(
+        params=(rows, len(manifest["axis_names"])), values=(rows, n_cells), masses=(rows,),
+        steps=(combos,), min_dt_s=(combos,), mass_residual=(combos,),
+    )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise StoreError(
+                f"store array {name!r} has shape {arrays[name].shape}, expected {shape} "
+                f"for {combos} simulations x {times} times x {n_cells} cells"
+            )
+
+
+def consolidate_store(directory, manifest: dict) -> None:
     """Merge all chunks into snapshots.npz and drop them."""
     directory = Path(directory)
+    combo_count = manifest["combo_count"]
     parts = []
     for idx in range(combo_count):
         path = chunk_path(directory, idx)
         if not path.exists():
             raise StoreError(f"store incomplete: missing chunk {path.name}")
-        with np.load(path) as data:
-            parts.append((data["params"], data["values"], data["masses"]))
+        parts.append(_read_npz(path, STORE_ARRAYS))
+    try:
+        merged = {name: np.concatenate([p[name] for p in parts]) for name in STORE_ARRAYS}
+    except ValueError as err:
+        raise StoreError(f"chunks do not fit together: {err}") from err
+    _check_shapes(merged, manifest)
     final = directory / SNAPSHOTS_NAME
     tmp = final.with_suffix(".tmp.npz")
-    np.savez(
-        tmp,
-        params=np.concatenate([p[0] for p in parts]),
-        values=np.concatenate([p[1] for p in parts]),
-        masses=np.concatenate([p[2] for p in parts]),
-    )
+    np.savez(tmp, **merged)
     tmp.replace(final)
     for idx in range(combo_count):
         chunk_path(directory, idx).unlink()
 
 
 def load_store(directory) -> SnapshotStore:
+    """Read and validate a complete store; StoreError on any inconsistency."""
     directory = Path(directory)
     man_path = directory / MANIFEST_NAME
     npz_path = directory / SNAPSHOTS_NAME
     if not man_path.exists():
         raise StoreError(f"not a snapshot store (no {MANIFEST_NAME}): {directory}")
-    manifest = json.loads(man_path.read_text())
+    try:
+        manifest = json.loads(man_path.read_text())
+    except (OSError, ValueError) as err:
+        raise StoreError(f"unreadable {MANIFEST_NAME} in {directory}: {err}") from err
+    if not isinstance(manifest, dict) or manifest.get("kind") != STORE_KIND:
+        raise StoreError(f"{man_path} does not describe a {STORE_KIND}")
+    if manifest.get("schema_version") != STORE_SCHEMA:
+        raise StoreError(
+            f"store schema_version {manifest.get('schema_version')!r} is not {STORE_SCHEMA}"
+        )
     if not npz_path.exists():
         raise StoreError(f"store incomplete (no {SNAPSHOTS_NAME}); rerun generate")
-    with np.load(npz_path) as data:
-        params = data["params"]
-        values = data["values"]
-        masses = data["masses"]
-    cfg = manifest["config"]
-    return SnapshotStore(
-        name=cfg["name"],
-        axis_names=tuple(manifest["axis_names"]),
-        params=params,
-        values=values,
-        masses=masses,
-        x_min=float(cfg["grid"]["x_min_km"]),
-        x_max=float(cfg["grid"]["x_max_km"]),
-        n_cells=int(cfg["grid"]["n_cells"]),
-        config=cfg,
-    )
+    try:
+        cfg = manifest["config"]
+        arrays = _read_npz(npz_path, STORE_ARRAYS)
+        _check_shapes(arrays, manifest)
+        return SnapshotStore(
+            name=cfg["name"],
+            axis_names=tuple(manifest["axis_names"]),
+            **arrays,
+            x_min=float(cfg["grid"]["x_min_km"]),
+            x_max=float(cfg["grid"]["x_max_km"]),
+            n_cells=int(cfg["grid"]["n_cells"]),
+            config=cfg,
+        )
+    except (KeyError, TypeError) as err:
+        raise StoreError(f"{man_path} lacks a field: {err}") from err
 
 
 REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",

@@ -53,7 +53,7 @@ def _build(cache: Path, name: str) -> ExampleData:
     store_dir = cache / f"{name}_store"
     model_dir = cache / f"{name}_model"
     if not (store_dir / "snapshots.npz").exists():
-        rc = cli.main(["generate", "--config", name, "--out", str(store_dir), "--jobs", "2"])
+        rc = cli.main(["generate", "--config", name, "--out", str(store_dir)])
         assert rc == 0, f"snapshot generation failed for {name}"
     if not (model_dir / "model.json").exists():
         rc = cli.main(["offline", "--store", str(store_dir), "--out", str(model_dir)])

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -102,6 +103,10 @@ class TestGenerate:
         np.testing.assert_allclose(
             st.masses, st.values.sum(axis=1) / 102, rtol=1e-12
         )
+        # one run record per simulation: steps taken, CFL bound, mass balance
+        assert st.steps.shape == (4,) and np.all(st.steps > 0)
+        assert np.all((st.min_dt_s > 0) & np.isfinite(st.min_dt_s))
+        assert np.all(st.mass_residual < 1e-12)
 
     def test_deterministic_rerun(self, mini_run, tmp_path):
         _, cfg_path, store_dir, _ = mini_run
@@ -133,10 +138,12 @@ class TestGenerate:
         fake_params = np.full((n_t, 3), 7.25)
         fake_values = np.full((n_t, cfg.grid.n_cells), 0.125)
         fake_masses = np.full(n_t, 0.125)
-        store.write_chunk(target, 0, fake_params, fake_values, fake_masses)
+        store.write_chunk(target, 0, fake_params, fake_values, fake_masses,
+                          steps=7, min_dt_s=0.5, mass_residual=0.25)
         assert cli.main(["generate", "--config", str(cfg_path), "--out", str(target)]) == 0
         st = store.load_store(target)
         np.testing.assert_array_equal(st.values[:n_t], fake_values)
+        assert (st.steps[0], st.min_dt_s[0], st.mass_residual[0]) == (7, 0.5, 0.25)
         assert st.count == len(cfg.combos()) * n_t
 
     def test_mismatching_store_rejected(self, mini_run, capsys):
@@ -149,15 +156,85 @@ class TestGenerate:
             == cli.EXIT_STORE
         )
 
-    def test_parallel_generate_identical(self, mini_run, tmp_path):
-        _, cfg_path, store_dir, _ = mini_run
-        par = tmp_path / "par"
-        assert cli.main(
-            ["generate", "--config", str(cfg_path), "--out", str(par), "--jobs", "2"]
-        ) == 0
-        a = store.load_store(store_dir)
-        b = store.load_store(par)
-        np.testing.assert_array_equal(a.values, b.values)
+
+class TestStoreValidation:
+    """load_store refuses every malformed store with StoreError (exit 3)."""
+
+    @pytest.fixture
+    def copy(self, mini_run, tmp_path):
+        _, _, store_dir, _ = mini_run
+        target = tmp_path / "store"
+        shutil.copytree(store_dir, target)
+        return target
+
+    def _edit_manifest(self, directory, **changes):
+        path = directory / store.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest.update(changes)
+        path.write_text(json.dumps(manifest))
+
+    def _edit_arrays(self, directory, name, value):
+        path = directory / store.SNAPSHOTS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[name] = value(arrays[name])
+        np.savez(path, **arrays)
+
+    def test_valid_copy_loads(self, copy):
+        st = store.load_store(copy)
+        assert st.steps.shape == st.min_dt_s.shape == st.mass_residual.shape == (4,)
+
+    def test_wrong_kind(self, copy):
+        self._edit_manifest(copy, kind="reduced_model")
+        with pytest.raises(store.StoreError, match="snapshot_store"):
+            store.load_store(copy)
+
+    def test_wrong_schema_version(self, copy):
+        self._edit_manifest(copy, schema_version=2)
+        with pytest.raises(store.StoreError, match="schema_version"):
+            store.load_store(copy)
+
+    @pytest.mark.parametrize(
+        "name", ["params", "values", "masses", "steps", "min_dt_s", "mass_residual"]
+    )
+    def test_array_shape_mismatch(self, copy, name):
+        self._edit_arrays(copy, name, lambda arr: arr[:-1])
+        with pytest.raises(store.StoreError, match=name):
+            store.load_store(copy)
+
+    def test_values_of_other_grid(self, copy):
+        self._edit_arrays(copy, "values", lambda arr: arr[:, :-1])
+        with pytest.raises(store.StoreError, match="values"):
+            store.load_store(copy)
+
+    def test_missing_stats_array(self, copy):
+        path = copy / store.SNAPSHOTS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "steps"}
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match="steps"):
+            store.load_store(copy)
+
+    def test_manifest_not_json(self, copy):
+        (copy / store.MANIFEST_NAME).write_text("{not json")
+        with pytest.raises(store.StoreError, match="manifest"):
+            store.load_store(copy)
+
+    def test_truncated_npz(self, copy):
+        path = copy / store.SNAPSHOTS_NAME
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(store.StoreError, match="snapshots.npz"):
+            store.load_store(copy)
+
+    def test_npz_not_a_zip(self, copy):
+        (copy / store.SNAPSHOTS_NAME).write_text("not an archive\n")
+        with pytest.raises(store.StoreError, match="snapshots.npz"):
+            store.load_store(copy)
+
+    def test_cli_exit_code(self, copy, tmp_path):
+        self._edit_manifest(copy, schema_version=0)
+        argv = ["offline", "--store", str(copy), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_STORE
 
 
 class TestOffline:

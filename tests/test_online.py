@@ -107,6 +107,14 @@ class TestEvaluateRaw:
         lam2, mass2 = online.evaluate_raw(model, [2.0, 0.75])
         np.testing.assert_allclose(lam, lam2, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_non_finite_coordinate_rejected(self, fitted, bad, clamp):
+        *_, model = fitted
+        for z in ([bad, 0.75], [1.0, bad]):
+            with pytest.raises(online.OutOfRangeError):
+                online.reconstruct(model, z, clamp=clamp)
+
 
 class TestReconstruct:
     def test_atom_vertex_accuracy(self, fitted):
