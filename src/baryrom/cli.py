@@ -8,6 +8,7 @@ error, 4 computation failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
@@ -85,27 +86,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _training_icdfs(snapshot_store: store.SnapshotStore) -> np.ndarray:
-    m = snapshot_store.n_cells + 2
-    train = np.empty((m, snapshot_store.count))
-    for k in range(snapshot_store.count):
-        train[:, k] = transport.snapshot_to_icdf(
-            snapshot_store.values[k], m, snapshot_store.x_min, snapshot_store.x_max
-        )
-    return train
+def _offline_config(raw: dict, args) -> ExperimentConfig:
+    """The store's config with the command-line overrides applied, validated
+    as a whole."""
+    raw = copy.deepcopy(raw)
+    overrides = {
+        ("greedy", "n_max"): args.n_max,
+        ("greedy", "eps_abs"): args.eps_abs,
+        ("greedy", "eps_rel"): args.eps_rel,
+        ("qp", "tol"): args.qp_tol,
+        ("qp", "max_iter"): args.qp_max_iter,
+    }
+    for (block, key), value in overrides.items():
+        if value is not None:
+            raw.setdefault(block, {})[key] = value
+    return parse_config(raw)
 
 
 def cmd_offline(args) -> int:
     st = store.load_store(args.store)
-    cfg = parse_config(st.config)
-    eps_abs = cfg.greedy.eps_abs if args.eps_abs is None else args.eps_abs
-    eps_rel = cfg.greedy.eps_rel if args.eps_rel is None else args.eps_rel
-    n_max = cfg.greedy.n_max if args.n_max is None else args.n_max
-    qp_tol = cfg.qp.tol if args.qp_tol is None else args.qp_tol
-    qp_max_iter = cfg.qp.max_iter if args.qp_max_iter is None else args.qp_max_iter
+    cfg = _offline_config(st.config, args)
 
     print(f"{st.name}: building {st.count} training icdfs")
-    train = _training_icdfs(st)
+    train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
     l1_mean, l1_max = [], []
 
     def track_l1(n, indices, weights, errors):
@@ -115,9 +118,7 @@ def cmd_offline(args) -> int:
             rec = online.profile_from_weights(
                 atoms, weights[:, k], st.masses[k], st.n_cells, st.x_min, st.x_max
             )
-            truth = st.values[k]
-            denom = np.abs(truth).sum()
-            rels[k] = np.abs(rec - truth).sum() / denom if denom > 0 else 0.0
+            rels[k] = online.relative_l1_error(rec, st.values[k])
         l1_mean.append(float(rels.mean()))
         l1_max.append(float(rels.max()))
         print(
@@ -128,11 +129,11 @@ def cmd_offline(args) -> int:
     dictionary, report, final_weights = greedy.run(
         train,
         st.params,
-        eps_abs=eps_abs,
-        eps_rel=eps_rel,
-        n_max=n_max,
-        tol=qp_tol,
-        max_iter=qp_max_iter,
+        eps_abs=cfg.greedy.eps_abs,
+        eps_rel=cfg.greedy.eps_rel,
+        n_max=cfg.greedy.n_max,
+        tol=cfg.qp.tol,
+        max_iter=cfg.qp.max_iter,
         on_iteration=track_l1,
     )
     for warning in report.warnings:
@@ -211,9 +212,7 @@ def cmd_online(args) -> int:
             match = np.flatnonzero(np.all(st.params == z[None, :], axis=1))
             if match.size == 0:
                 continue
-            truth = st.values[match[0]]
-            denom = np.abs(truth).sum()
-            err = np.abs(profiles[q] - truth).sum() / denom if denom > 0 else 0.0
+            err = online.relative_l1_error(profiles[q], st.values[match[0]])
             rows.append(tuple(z) + (err,))
         store.write_csv(
             out / "errors.csv",
@@ -231,9 +230,13 @@ def _parse_eps(text: str | None):
         eps = tuple(float(part) for part in text.split(","))
     except ValueError as err:
         raise ConfigError(f"cannot parse epsilon list {text!r}") from err
-    if not eps or any(e <= 0 for e in eps):
-        raise ConfigError("epsilon list must hold positive numbers")
+    if not eps or not all(np.isfinite(e) and e > 0 for e in eps):
+        raise ConfigError("epsilon list must hold positive finite numbers")
     return eps
+
+
+def _table_cell(size: int | None):
+    return UNREACHED if size is None else size
 
 
 def _pod_artifacts(st: store.SnapshotStore):
@@ -257,10 +260,7 @@ def cmd_pod(args) -> int:
         ("n", "mean_rel_l1", "max_rel_l1"),
         [(n + 1, means[n], maxes[n]) for n in range(basis.rank)],
     )
-    rows = []
-    for eps in eps_list:
-        hits = np.flatnonzero(means < eps)
-        rows.append((eps, int(hits[0]) + 1 if hits.size else UNREACHED))
+    rows = [(eps, _table_cell(pod.size_for_tolerance(means, eps))) for eps in eps_list]
     store.write_csv(out / "pod_table.csv", ("epsilon", "n_pod"), rows)
     print(f"POD table written to {out} (rank {basis.rank})")
     return EXIT_OK
@@ -272,18 +272,14 @@ def cmd_tables(args) -> int:
     eps_list = _parse_eps(args.eps)
     _, pod_errors = _pod_artifacts(st)
     pod_means = pod_errors.mean(axis=1)
-    sizes = np.asarray(report.sizes)
-    rows = []
-    for eps in eps_list:
-        gbar_hits = np.flatnonzero(l1_mean < eps)
-        pod_hits = np.flatnonzero(pod_means < eps)
-        rows.append(
-            (
-                eps,
-                int(sizes[gbar_hits[0]]) if gbar_hits.size else UNREACHED,
-                int(pod_hits[0]) + 1 if pod_hits.size else UNREACHED,
-            )
+    rows = [
+        (
+            eps,
+            _table_cell(pod.size_for_tolerance(l1_mean, eps, report.sizes)),
+            _table_cell(pod.size_for_tolerance(pod_means, eps)),
         )
+        for eps in eps_list
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     store.write_csv(out / "tables.csv", ("epsilon", "n_gbar", "n_pod"), rows)
@@ -295,8 +291,8 @@ def cmd_diag(args) -> int:
     report, _, _ = store.load_model_report(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    store.write_csv(out / "condition.csv", ("n", "condition"), diagnostics.condition_curve(report))
-    store.write_csv(out / "volume.csv", ("n", "volume"), diagnostics.volume_curve(report))
+    store.write_csv(out / "condition.csv", ("n", "condition"), zip(report.sizes, report.condition))
+    store.write_csv(out / "volume.csv", ("n", "volume"), zip(report.sizes, report.simplex_volume))
     print(f"diagnostic curves written to {out}")
     return EXIT_OK
 
@@ -309,8 +305,10 @@ def cmd_landscape(args) -> int:
         raise ConfigError(f"landscape needs 3 <= n <= {model.n_atoms} atoms, got {n}")
     if not 0 <= args.target_index < st.count:
         raise ConfigError(f"target index outside store (0..{st.count - 1})")
+    if args.resolution < 2:
+        raise ConfigError(f"landscape resolution must be at least 2, got {args.resolution}")
     target = transport.snapshot_to_icdf(
-        st.values[args.target_index], st.n_cells + 2, st.x_min, st.x_max
+        st.values[args.target_index], x_min=st.x_min, x_max=st.x_max
     )
     grid = diagnostics.energy_landscape(
         model.dictionary.atoms[:, :n], target, resolution=args.resolution

@@ -229,11 +229,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         eps_rel=float(gr.get("eps_rel", 0.0)),
         n_max=int(gr.get("n_max", 30)),
     )
-    if greedy.eps_abs < 0 or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
+    if not 0 <= greedy.eps_abs < np.inf or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
         raise ConfigError("invalid greedy settings (eps_abs >= 0, eps_rel in [0,1), n_max >= 2)")
     q = raw.get("qp", {})
     qp = QpSettings(tol=float(q.get("tol", 1e-10)), max_iter=int(q.get("max_iter", 50_000)))
-    if qp.tol <= 0 or qp.max_iter < 1:
+    if not 0 < qp.tol < np.inf or qp.max_iter < 1:
         raise ConfigError("invalid qp settings (tol > 0, max_iter >= 1)")
 
     return ExperimentConfig(

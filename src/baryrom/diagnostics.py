@@ -143,16 +143,3 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
         n=n, resolution=resolution, xy=pts, pixel=pix, weights=w, log10_w2=log10
     )
 
-
-def condition_curve(report) -> list[tuple[int, float]]:
-    """(dictionary size, Gram condition) series from a greedy report."""
-    if not report.sizes:
-        raise ValueError("empty greedy report")
-    return list(zip(report.sizes, report.condition))
-
-
-def volume_curve(report) -> list[tuple[int, float]]:
-    """(dictionary size, normalized simplex volume) series from a greedy report."""
-    if not report.sizes:
-        raise ValueError("empty greedy report")
-    return list(zip(report.sizes, report.simplex_volume))

@@ -176,7 +176,9 @@ def fractional_flow_derivative(s, fluids: FluidParams):
 @lru_cache(maxsize=64)
 def _max_flux_derivative(fluids: FluidParams) -> float:
     grid = np.linspace(0.0, 1.0, 1001)
-    lf = float(np.max(np.abs(fractional_flow_derivative(grid, fluids))))
+    # beta < 1 puts poles at s = 0 and s = 1; the FlowError below is the one signal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lf = float(np.max(np.abs(fractional_flow_derivative(grid, fluids))))
     if not np.isfinite(lf):
         raise FlowError("fractional-flow derivative unbounded on [0, 1]")
     return lf

@@ -164,17 +164,15 @@ def profile_from_weights(
     """Saturation profile from barycentric weights and a physical mass.
 
     Projects the weights onto the simplex, clamps the mass at zero, forms
-    the barycenter icdf, inverts and differentiates it, strips the two
-    augmentation cells and rescales the rest so that the profile carries the
-    given mass on the original N-cell grid.
+    the barycenter icdf, maps it back to a density on the original N-cell
+    grid and rescales it so that the profile carries the given mass.
     """
     lam = project_to_simplex(np.asarray(weights, dtype=float))
     mass = max(float(mass), 0.0)
     if mass == 0.0:
         return np.zeros(n_raw)
     ic = transport.barycenter(atoms, lam)
-    dens = transport.icdf_to_density(ic, n_raw + 2, x_min, x_max)
-    body = np.maximum(dens[2:], 0.0)
+    body = np.maximum(transport.icdf_to_density(ic, n_raw, x_min, x_max), 0.0)
     total = body.sum()
     if total <= 0.0:
         return np.zeros(n_raw)
@@ -188,3 +186,11 @@ def reconstruct(model: ReducedModel, z, clamp: bool = False) -> np.ndarray:
     return profile_from_weights(
         model.dictionary.atoms, lam_tilde, m_tilde, model.n_raw, model.x_min, model.x_max
     )
+
+
+def relative_l1_error(profile: np.ndarray, truth: np.ndarray) -> float:
+    """L1 distance of a reconstructed profile to the truth over the L1 norm
+    of the truth; 0 when the truth is all zero."""
+    truth = np.asarray(truth, dtype=float)
+    denom = np.abs(truth).sum()
+    return float(np.abs(profile - truth).sum() / denom) if denom > 0 else 0.0

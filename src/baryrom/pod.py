@@ -1,4 +1,5 @@
-"""POD baseline: snapshot-method modes, projection and modes-to-tolerance.
+"""POD baseline: snapshot-method modes, projection and error curves, plus
+the size-for-tolerance lookup that both the POD and the dictionary tables use.
 
 Snapshots enter as the columns of an N x K matrix, uncentered. Modes come
 from the symmetric eigen-decomposition of the K x K Gram (method of
@@ -76,13 +77,17 @@ def relative_l1_errors(basis: PodBasis, snapshots: np.ndarray) -> np.ndarray:
     return out
 
 
-def modes_for_tolerance(basis: PodBasis, snapshots: np.ndarray, eps: float) -> int | None:
-    """Smallest mode count whose mean relative L1 error over the set is
-    below eps; None when even the full basis cannot reach it."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    means = relative_l1_errors(basis, snapshots).mean(axis=1)
-    hits = np.flatnonzero(means < eps)
+def size_for_tolerance(mean_errors, eps: float, sizes=None) -> int | None:
+    """Smallest model size whose mean error is below eps; None when no size
+    reaches it.
+
+    mean_errors[i] belongs to the model of size sizes[i]. sizes defaults to
+    the mode counts 1, 2, ... of a POD error curve; the greedy dictionary
+    passes its report sizes.
+    """
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    hits = np.flatnonzero(np.asarray(mean_errors) < eps)
     if hits.size == 0:
         return None
-    return int(hits[0]) + 1
+    return int(hits[0]) + 1 if sizes is None else int(sizes[hits[0]])

@@ -40,34 +40,6 @@ DEFAULT_MAX_ITER = 50_000
 
 
 @dataclass(frozen=True)
-class QpProblem:
-    """Atom matrix (M x n, columns = icdfs) and one target icdf (M,)."""
-
-    atoms: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        target = np.asarray(self.target, dtype=float)
-        if atoms.ndim != 2:
-            raise ValueError("atoms must be an M x n matrix")
-        if target.shape != (atoms.shape[0],):
-            raise ValueError(
-                f"target length {target.shape} does not match atom rows {atoms.shape[0]}"
-            )
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "target", target)
-
-
-@dataclass(frozen=True)
-class QpResult:
-    weights: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class BatchResult:
     """Per-column results of a batched simplex solve."""
 
@@ -116,11 +88,6 @@ def condition_of_gram(gram: np.ndarray) -> float:
     if lo <= max(1e-300, hi * 1e-15):
         return float("inf")
     return float(hi / lo)
-
-
-def gram_condition(problem: QpProblem) -> float:
-    """Condition number of A^T A via full symmetric eigen-decomposition."""
-    return condition_of_gram(problem.atoms.T @ problem.atoms)
 
 
 def _support_fit(atoms, target, support):
@@ -198,13 +165,13 @@ def solve_batch(
 ) -> BatchResult:
     """Solve the simplex least-squares problem for many targets at once.
 
-    atoms is (M, n), targets (M, T), init (n, T) or None. Each column starts
-    from the support of its init column projected onto the simplex, or from
-    the nearest atom when init is None. A column converges when no gradient
-    entry undercuts the support multiplier by more than tol; a column that
-    reaches max_iter active-set changes, or whose entering atom brings no
-    decrease at working precision, keeps its last iterate and reports
-    converged=False.
+    atoms is (M, n), targets (M, T) or a single (M,) target, init (n, T)
+    or None. Each column starts from the support of its init column
+    projected onto the simplex, or from the nearest atom when init is None.
+    A column converges when no gradient entry undercuts the support
+    multiplier by more than tol; a column that reaches max_iter active-set
+    changes, or whose entering atom brings no decrease at working precision,
+    keeps its last iterate and reports converged=False.
     """
     atoms = np.asarray(atoms, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -212,6 +179,8 @@ def solve_batch(
         targets = targets[:, None]
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if atoms.ndim != 2:
+        raise ValueError("atoms must be an M x n matrix")
     m, n = atoms.shape
     if targets.shape[0] != m:
         raise ValueError(f"targets have {targets.shape[0]} rows, atoms have {m}")
@@ -250,19 +219,3 @@ def _data_objective(atoms, targets, w):
     resid = atoms @ w - targets
     return np.mean(resid**2, axis=0)
 
-
-def solve(
-    problem: QpProblem,
-    init: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> QpResult:
-    """Optimal barycentric weights for a single target icdf."""
-    init_mat = None if init is None else np.asarray(init, dtype=float)[:, None]
-    res = solve_batch(problem.atoms, problem.target[:, None], init_mat, tol, max_iter)
-    return QpResult(
-        weights=res.weights[:, 0],
-        objective=float(res.objective[0]),
-        iterations=int(res.iterations[0]),
-        converged=bool(res.converged[0]),
-    )

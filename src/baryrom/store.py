@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import transport
 from .greedy import Dictionary, GreedyReport
 from .online import ReducedModel
 
@@ -29,6 +30,12 @@ STORE_KIND = "snapshot_store"
 STORE_SCHEMA = 1
 # one row per snapshot, then one entry per simulation
 STORE_ARRAYS = ("params", "values", "masses", "steps", "min_dt_s", "mass_residual")
+MODEL_META_NAME = "model.json"
+MODEL_ARRAYS_NAME = "model.npz"
+REPORT_NAME = "greedy_report.csv"
+MODEL_KIND = "reduced_model"
+MODEL_SCHEMA = 1
+MODEL_ARRAYS = ("atoms", "atom_params", "atom_indices", "gram", "weight_table", "mass_table")
 
 
 class StoreError(RuntimeError):
@@ -80,6 +87,32 @@ def _write_json(path, payload: dict):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path):
+    """Parsed JSON of a file; StoreError when it is unreadable."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:
+        raise StoreError(f"unreadable {Path(path).name} in {Path(path).parent}: {err}") from err
+
+
+def _check_kind(payload, path, kind: str, schema: int) -> None:
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise StoreError(f"{path} does not describe a {kind}")
+    if payload.get("schema_version") != schema:
+        raise StoreError(
+            f"{kind} schema_version {payload.get('schema_version')!r} is not {schema}"
+        )
+
+
+def _savez_atomic(path, **arrays) -> None:
+    """Write an npz file through a temporary file and a rename, so a reader
+    never sees a partial file."""
+    path = Path(path)
+    tmp = path.with_suffix(".tmp.npz")
+    np.savez(tmp, **arrays)
+    tmp.replace(path)
+
+
 def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) -> dict:
     return {
         "kind": STORE_KIND,
@@ -118,11 +151,11 @@ def chunk_path(directory, index: int) -> Path:
 def write_chunk(directory, index: int, params, values, masses, *, steps, min_dt_s,
                 mass_residual):
     """Store the snapshots of one simulation and its run statistics."""
-    path = chunk_path(directory, index)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, params=params, values=values, masses=masses, steps=np.array([steps]),
-             min_dt_s=np.array([min_dt_s]), mass_residual=np.array([mass_residual]))
-    tmp.replace(path)
+    _savez_atomic(
+        chunk_path(directory, index), params=params, values=values, masses=masses,
+        steps=np.array([steps]), min_dt_s=np.array([min_dt_s]),
+        mass_residual=np.array([mass_residual]),
+    )
 
 
 def _read_npz(path, names) -> dict:
@@ -135,7 +168,15 @@ def _read_npz(path, names) -> dict:
         raise StoreError(f"unreadable {Path(path).name}: {err}") from err
 
 
-def _check_shapes(arrays: dict, manifest: dict) -> None:
+def _check_shapes(arrays: dict, expected: dict, context: str) -> None:
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise StoreError(
+                f"array {name!r} has shape {arrays[name].shape}, expected {shape} for {context}"
+            )
+
+
+def _check_store_shapes(arrays: dict, manifest: dict) -> None:
     combos, times = manifest["combo_count"], manifest["time_count"]
     n_cells = int(manifest["config"]["grid"]["n_cells"])
     rows = combos * times
@@ -143,12 +184,9 @@ def _check_shapes(arrays: dict, manifest: dict) -> None:
         params=(rows, len(manifest["axis_names"])), values=(rows, n_cells), masses=(rows,),
         steps=(combos,), min_dt_s=(combos,), mass_residual=(combos,),
     )
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise StoreError(
-                f"store array {name!r} has shape {arrays[name].shape}, expected {shape} "
-                f"for {combos} simulations x {times} times x {n_cells} cells"
-            )
+    _check_shapes(
+        arrays, expected, f"{combos} simulations x {times} times x {n_cells} cells"
+    )
 
 
 def consolidate_store(directory, manifest: dict) -> None:
@@ -165,11 +203,8 @@ def consolidate_store(directory, manifest: dict) -> None:
         merged = {name: np.concatenate([p[name] for p in parts]) for name in STORE_ARRAYS}
     except ValueError as err:
         raise StoreError(f"chunks do not fit together: {err}") from err
-    _check_shapes(merged, manifest)
-    final = directory / SNAPSHOTS_NAME
-    tmp = final.with_suffix(".tmp.npz")
-    np.savez(tmp, **merged)
-    tmp.replace(final)
+    _check_store_shapes(merged, manifest)
+    _savez_atomic(directory / SNAPSHOTS_NAME, **merged)
     for idx in range(combo_count):
         chunk_path(directory, idx).unlink()
 
@@ -181,22 +216,14 @@ def load_store(directory) -> SnapshotStore:
     npz_path = directory / SNAPSHOTS_NAME
     if not man_path.exists():
         raise StoreError(f"not a snapshot store (no {MANIFEST_NAME}): {directory}")
-    try:
-        manifest = json.loads(man_path.read_text())
-    except (OSError, ValueError) as err:
-        raise StoreError(f"unreadable {MANIFEST_NAME} in {directory}: {err}") from err
-    if not isinstance(manifest, dict) or manifest.get("kind") != STORE_KIND:
-        raise StoreError(f"{man_path} does not describe a {STORE_KIND}")
-    if manifest.get("schema_version") != STORE_SCHEMA:
-        raise StoreError(
-            f"store schema_version {manifest.get('schema_version')!r} is not {STORE_SCHEMA}"
-        )
+    manifest = _read_json(man_path)
+    _check_kind(manifest, man_path, STORE_KIND, STORE_SCHEMA)
     if not npz_path.exists():
         raise StoreError(f"store incomplete (no {SNAPSHOTS_NAME}); rerun generate")
     try:
         cfg = manifest["config"]
         arrays = _read_npz(npz_path, STORE_ARRAYS)
-        _check_shapes(arrays, manifest)
+        _check_store_shapes(arrays, manifest)
         return SnapshotStore(
             name=cfg["name"],
             axis_names=tuple(manifest["axis_names"]),
@@ -237,25 +264,33 @@ def save_report(path, report: GreedyReport, l1_mean, l1_max):
 
 
 def load_report(path) -> tuple[GreedyReport, np.ndarray, np.ndarray]:
-    header, rows = read_csv(path)
+    """Read a greedy report; StoreError when it is missing or malformed."""
+    try:
+        header, rows = read_csv(path)
+    except (OSError, IndexError) as err:
+        raise StoreError(f"unreadable report {path}: {err}") from err
     if tuple(header) != REPORT_COLUMNS:
         raise StoreError(f"unexpected report columns in {path}")
-    report = GreedyReport()
-    l1_mean, l1_max = [], []
-    for row in rows:
-        report.sizes.append(int(row[0]))
-        report.delta.append(float(row[1]))
-        report.avg_error.append(float(row[2]))
-        report.condition.append(float(row[3]))
-        report.simplex_volume.append(float(row[4]))
-        if row[5]:
-            report.termination = row[5]
-        l1_mean.append(float(row[6]))
-        l1_max.append(float(row[7]))
-        report.qp_iters_max.append(int(row[8]))
-        report.n_unconverged.append(int(row[9]))
-        report.kkt_max.append(float(row[10]))
-    return report, np.asarray(l1_mean), np.asarray(l1_max)
+    if not rows:
+        raise StoreError(f"report {path} holds no iterations")
+    if any(len(row) != len(REPORT_COLUMNS) for row in rows):
+        raise StoreError(f"report {path} has a row without {len(REPORT_COLUMNS)} cells")
+    cols = dict(zip(REPORT_COLUMNS, zip(*rows)))
+    counts = ("n", "qp_iters_max", "n_unconverged")
+    try:
+        num = {
+            name: [(int if name in counts else float)(cell) for cell in cells]
+            for name, cells in cols.items() if name != "criterion"
+        }
+    except ValueError as err:
+        raise StoreError(f"report {path}: {err}") from err
+    report = GreedyReport(
+        sizes=num["n"], delta=num["delta"], avg_error=num["mean_w2"],
+        condition=num["condition"], simplex_volume=num["volume"],
+        qp_iters_max=num["qp_iters_max"], n_unconverged=num["n_unconverged"],
+        kkt_max=num["kkt_max"], termination=cols["criterion"][-1],
+    )
+    return report, np.asarray(num["l1_mean"]), np.asarray(num["l1_max"])
 
 
 def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1_max):
@@ -271,12 +306,12 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
     }
     for i, ax in enumerate(model.axes):
         arrays[f"axis_{i}"] = ax
-    np.savez(directory / "model.npz", **arrays)
+    _savez_atomic(directory / MODEL_ARRAYS_NAME, **arrays)
     _write_json(
-        directory / "model.json",
+        directory / MODEL_META_NAME,
         {
-            "kind": "reduced_model",
-            "schema_version": 1,
+            "kind": MODEL_KIND,
+            "schema_version": MODEL_SCHEMA,
             "axis_names": list(model.axis_names),
             "n_raw": model.n_raw,
             "x_min_km": model.x_min,
@@ -286,35 +321,51 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
             "warnings": report.warnings,
         },
     )
-    save_report(directory / "greedy_report.csv", report, l1_mean, l1_max)
+    save_report(directory / REPORT_NAME, report, l1_mean, l1_max)
 
 
 def load_model(directory) -> ReducedModel:
+    """Read and validate a model directory; StoreError on any inconsistency."""
     directory = Path(directory)
-    meta_path = directory / "model.json"
+    meta_path = directory / MODEL_META_NAME
     if not meta_path.exists():
-        raise StoreError(f"not a model directory (no model.json): {directory}")
-    meta = json.loads(meta_path.read_text())
-    with np.load(directory / "model.npz") as data:
-        dictionary = Dictionary(
-            atoms=data["atoms"],
-            atom_params=data["atom_params"],
-            atom_indices=data["atom_indices"],
-            gram=data["gram"],
-        )
+        raise StoreError(f"not a model directory (no {MODEL_META_NAME}): {directory}")
+    meta = _read_json(meta_path)
+    _check_kind(meta, meta_path, MODEL_KIND, MODEL_SCHEMA)
+    try:
         axis_names = tuple(meta["axis_names"])
-        axes = tuple(data[f"axis_{i}"] for i in range(len(axis_names)))
-        return ReducedModel(
-            dictionary=dictionary,
-            axis_names=axis_names,
-            axes=axes,
-            weight_table=data["weight_table"],
-            mass_table=data["mass_table"],
-            n_raw=int(meta["n_raw"]),
-            x_min=float(meta["x_min_km"]),
-            x_max=float(meta["x_max_km"]),
-        )
+        n_atoms = int(meta["n_atoms"])
+        n_raw = int(meta["n_raw"])
+        x_min, x_max = float(meta["x_min_km"]), float(meta["x_max_km"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise StoreError(f"{meta_path} lacks a valid field: {err}") from err
+    axis_keys = tuple(f"axis_{i}" for i in range(len(axis_names)))
+    data = _read_npz(directory / MODEL_ARRAYS_NAME, MODEL_ARRAYS + axis_keys)
+    axes = tuple(data[key] for key in axis_keys)
+    shape = tuple(ax.size for ax in axes)
+    expected = dict(
+        atoms=(transport.icdf_size(n_raw), n_atoms), atom_params=(n_atoms, len(axis_names)),
+        atom_indices=(n_atoms,), gram=(n_atoms, n_atoms), weight_table=shape + (n_atoms,),
+        mass_table=shape,
+    )
+    _check_shapes(data, expected, f"{n_atoms} atoms of {n_raw} cells on a {shape} grid")
+    dictionary = Dictionary(
+        atoms=data["atoms"],
+        atom_params=data["atom_params"],
+        atom_indices=data["atom_indices"],
+        gram=data["gram"],
+    )
+    return ReducedModel(
+        dictionary=dictionary,
+        axis_names=axis_names,
+        axes=axes,
+        weight_table=data["weight_table"],
+        mass_table=data["mass_table"],
+        n_raw=n_raw,
+        x_min=x_min,
+        x_max=x_max,
+    )
 
 
 def load_model_report(directory):
-    return load_report(Path(directory) / "greedy_report.csv")
+    return load_report(Path(directory) / REPORT_NAME)

@@ -1,28 +1,29 @@
 """Exact 1D optimal transport on discrete profiles.
 
 Everything runs through the pdf -> cdf -> icdf pipeline: a nonnegative
-profile is augmented with two boundary cells, normalized to a probability
-vector, accumulated into a cdf on a uniform spatial grid, and inverted onto
-a uniform probability grid. W2 distances and barycenters are then plain L2
-operations on the icdf vectors.
+profile of N cells is augmented with two boundary cells, normalized to a
+probability vector, accumulated into a cdf on a uniform spatial grid, and
+inverted onto a uniform probability grid of M = N + 2 nodes. W2 distances
+and barycenters are then plain L2 operations on the icdf vectors. The
+augmentation lives here only: `icdf_size` gives M, `snapshot_to_icdf` and
+`snapshots_to_icdfs` add the two cells, and `icdf_to_density` strips them
+again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+# the two boundary cells (0.0 and 1.0) prepended to every raw profile
+AUGMENTATION_CELLS = 2
 
 # Quadrature for the L2([0,1]) norm of icdf vectors: rectangle rule with
 # uniform weight 1/M per node. The QP objective must use the same rule.
 
 
-@dataclass(frozen=True)
-class AugmentedDensity:
-    """Normalized augmented profile plus the physical mass it came from."""
-
-    values: np.ndarray
-    mass_original: float
+def icdf_size(n_raw: int) -> int:
+    """Nodes of the icdf grid of an n_raw-cell profile, one per augmented cell."""
+    return n_raw + AUGMENTATION_CELLS
 
 
 def augment(raw: np.ndarray) -> np.ndarray:
@@ -32,24 +33,20 @@ def augment(raw: np.ndarray) -> np.ndarray:
         raise ValueError("raw profile must be one-dimensional")
     if np.any(raw < 0.0):
         raise ValueError("raw profile has negative entries")
-    out = np.empty(raw.size + 2)
+    out = np.empty(icdf_size(raw.size))
     out[0] = 0.0
     out[1] = 1.0
-    out[2:] = raw
+    out[AUGMENTATION_CELLS:] = raw
     return out
 
 
-def normalize(aug: np.ndarray, cell_width: float = 1.0) -> AugmentedDensity:
-    """Scale an augmented profile to unit sum.
-
-    The mass of the pre-augmentation snapshot is recovered from the augmented
-    sum (the injected cells contribute exactly 1) and stored alongside.
-    """
+def normalize(aug: np.ndarray) -> np.ndarray:
+    """Scale an augmented profile to unit sum."""
     aug = np.asarray(aug, dtype=float)
     total = aug.sum()
     if total <= 0.0:
         raise ValueError("cannot normalize a zero-mass profile")
-    return AugmentedDensity(values=aug / total, mass_original=(total - 1.0) * cell_width)
+    return aug / total
 
 
 def cdf(u: np.ndarray) -> np.ndarray:
@@ -139,20 +136,31 @@ def snapshot_to_icdf(
     x_min: float = 0.0,
     x_max: float = 1.0,
 ) -> np.ndarray:
-    """Full augment -> normalize -> cdf -> icdf chain for one raw snapshot."""
-    aug = augment(raw)
-    dens = normalize(aug)
-    c = cdf(dens.values)
-    if m is None:
-        m = c.size
-    return icdf(c, m, x_min=x_min, x_max=x_max)
+    """Full augment -> normalize -> cdf -> icdf chain for one raw snapshot.
+
+    The icdf has M = N + 2 nodes, one per augmented cell. `m` is accepted
+    for callers that spell the grid out and must equal N + 2.
+    """
+    c = cdf(normalize(augment(raw)))
+    if m is not None and m != c.size:
+        raise ValueError(f"icdf grid of a {c.size - AUGMENTATION_CELLS}-cell profile "
+                         f"has {c.size} nodes, not {m}")
+    return icdf(c, c.size, x_min=x_min, x_max=x_max)
+
+
+def snapshots_to_icdfs(values: np.ndarray, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
+    """Training matrix of a (K, N) snapshot array: one icdf column per
+    snapshot, (N + 2, K)."""
+    return np.column_stack([snapshot_to_icdf(raw, x_min=x_min, x_max=x_max) for raw in values])
 
 
 def icdf_to_density(
     ic: np.ndarray,
-    n_points: int,
+    n_raw: int,
     x_min: float = 0.0,
     x_max: float = 1.0,
 ) -> np.ndarray:
-    """Invert an icdf and differentiate: recovers a probability vector."""
-    return pdf_from_cdf(invert_icdf(ic, n_points, x_min=x_min, x_max=x_max))
+    """Invert an icdf of an augmented profile, differentiate, and strip the
+    two boundary cells: the probability of each of the n_raw original cells."""
+    c = invert_icdf(ic, icdf_size(n_raw), x_min=x_min, x_max=x_max)
+    return pdf_from_cdf(c)[AUGMENTATION_CELLS:]

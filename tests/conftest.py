@@ -32,21 +32,13 @@ class ExampleData:
     model_dir: Path
 
     def training_icdfs(self) -> np.ndarray:
-        m = self.store.n_cells + 2
-        out = np.empty((m, self.store.count))
-        for k in range(self.store.count):
-            out[:, k] = transport.snapshot_to_icdf(
-                self.store.values[k], m, self.store.x_min, self.store.x_max
-            )
-        return out
+        return transport.snapshots_to_icdfs(self.store.values, self.store.x_min, self.store.x_max)
 
     def n_gbar(self, eps: float):
-        hits = np.flatnonzero(self.l1_mean < eps)
-        return int(self.report.sizes[hits[0]]) if hits.size else None
+        return pod.size_for_tolerance(self.l1_mean, eps, self.report.sizes)
 
     def n_pod(self, eps: float):
-        hits = np.flatnonzero(self.pod_mean_errors < eps)
-        return int(hits[0]) + 1 if hits.size else None
+        return pod.size_for_tolerance(self.pod_mean_errors, eps)
 
 
 def _build(cache: Path, name: str) -> ExampleData:

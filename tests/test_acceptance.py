@@ -46,12 +46,10 @@ def test_criterion_1_w2_reference_values():
 
 def test_criterion_2_pipeline_round_trip(example1):
     st = example1.store
-    m = st.n_cells + 2
     errs = np.empty(st.count)
     for k in range(st.count):
-        dens = tr.normalize(tr.augment(st.values[k]))
-        c = tr.cdf(dens.values)
-        iic = tr.invert_icdf(tr.icdf(c, m), m)
+        c = tr.cdf(tr.normalize(tr.augment(st.values[k])))
+        iic = tr.invert_icdf(tr.icdf(c, c.size), c.size)
         errs[k] = np.linalg.norm(iic - c)
     mean = float(errs.mean())
     assert 5e-5 <= mean <= 5e-3
@@ -126,13 +124,13 @@ def test_criterion_6_property_suite():
         n = int(rng.integers(1, 4))
         widths = np.sort(rng.uniform(0.05, 1.0, n))
         atoms = np.stack(
-            [tr.snapshot_to_icdf(np.where(cells <= w, 1.0 / w, 0.0), 60) for w in widths],
+            [tr.snapshot_to_icdf(np.where(cells <= w, 1.0 / w, 0.0)) for w in widths],
             axis=1,
         )
-        target = tr.snapshot_to_icdf(rng.random(58) + 0.01, 60)
-        res = sq.solve(sq.QpProblem(atoms, target))
+        target = tr.snapshot_to_icdf(rng.random(58) + 0.01)
+        res = sq.solve_batch(atoms, target)
         _, f_star = simplex_ls_active_set(atoms, target)
-        assert res.objective <= f_star + 1e-8
+        assert res.objective[0] <= f_star + 1e-8
 
     # barycenter vertex identity
     atoms = np.stack([tr.snapshot_to_icdf(rng.random(40) + 0.01) for _ in range(4)], axis=1)
@@ -193,7 +191,7 @@ def test_criterion_6_property_suite():
 def test_criterion_7_landscape_sanity(example1):
     st = example1.store
     atoms = example1.model.dictionary.atoms[:, :3]
-    m = st.n_cells + 2
+    m = atoms.shape[0]
     verts = dg.polygon_vertices(3)
     resolution = 201
     cell = 2.0 / (resolution - 1)
@@ -207,13 +205,13 @@ def test_criterion_7_landscape_sanity(example1):
 
     worst_dist = 0.0
     for k in (50, 175, 300, 425, 620):
-        target = tr.snapshot_to_icdf(st.values[k], m, st.x_min, st.x_max)
-        qp = sq.solve(sq.QpProblem(atoms, target))
+        target = tr.snapshot_to_icdf(st.values[k], x_min=st.x_min, x_max=st.x_max)
+        qp = sq.solve_batch(atoms, target)
         grid = dg.energy_landscape(atoms, target, resolution=resolution)
         w2_sq = 10.0 ** (2.0 * grid.log10_w2)
-        assert np.all(w2_sq >= qp.objective - 1e-12)  # QP is a true lower bound
+        assert np.all(w2_sq >= qp.objective[0] - 1e-12)  # QP is a true lower bound
         x_grid = grid.xy[int(np.argmin(grid.log10_w2))]
-        x_qp = qp.weights @ verts
+        x_qp = qp.weights[:, 0] @ verts
         dist = float(np.linalg.norm(x_grid - x_qp))
         assert dist <= radius
         worst_dist = max(worst_dist, dist)
@@ -310,11 +308,10 @@ class TestPaperBehaviors:
         # snapshot of both examples
         for data in (example1, example2):
             st = data.store
-            m = st.n_cells + 2
             for k in range(st.count):
-                u = tr.normalize(tr.augment(st.values[k])).values
+                u = tr.normalize(tr.augment(st.values[k]))
                 c = tr.cdf(u)
-                u2 = tr.pdf_from_cdf(tr.invert_icdf(tr.icdf(c, m), m))
+                u2 = tr.pdf_from_cdf(tr.invert_icdf(tr.icdf(c, c.size), c.size))
                 assert np.linalg.norm(u2 - u) <= 5e-3
 
     def test_condition_trend_nondecreasing(self, example1, example2):

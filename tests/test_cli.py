@@ -237,6 +237,98 @@ class TestStoreValidation:
         assert cli.main(argv) == cli.EXIT_STORE
 
 
+
+class TestModelValidation:
+    """load_model and load_model_report refuse every malformed model
+    directory with StoreError (exit 3)."""
+
+    @pytest.fixture
+    def copy(self, mini_run, tmp_path):
+        *_, model_dir = mini_run
+        target = tmp_path / "model"
+        shutil.copytree(model_dir, target)
+        return target
+
+    def _edit_meta(self, directory, **changes):
+        path = directory / store.MODEL_META_NAME
+        meta = json.loads(path.read_text())
+        meta.update(changes)
+        path.write_text(json.dumps(meta))
+
+    def _edit_report(self, directory, edit):
+        path = directory / store.REPORT_NAME
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+
+    def test_valid_copy_loads(self, copy):
+        assert store.load_model(copy).n_atoms == 5
+        assert len(store.load_model_report(copy)[0].sizes) == 4
+
+    def test_missing_npz(self, copy):
+        (copy / store.MODEL_ARRAYS_NAME).unlink()
+        with pytest.raises(store.StoreError, match="model.npz"):
+            store.load_model(copy)
+
+    def test_truncated_npz(self, copy):
+        path = copy / store.MODEL_ARRAYS_NAME
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(store.StoreError, match="model.npz"):
+            store.load_model(copy)
+
+    def test_meta_not_json(self, copy):
+        (copy / store.MODEL_META_NAME).write_text("{not json")
+        with pytest.raises(store.StoreError, match="model.json"):
+            store.load_model(copy)
+
+    def test_wrong_kind(self, copy):
+        self._edit_meta(copy, kind="snapshot_store")
+        with pytest.raises(store.StoreError, match="reduced_model"):
+            store.load_model(copy)
+
+    def test_wrong_schema_version(self, copy):
+        self._edit_meta(copy, schema_version=2)
+        with pytest.raises(store.StoreError, match="schema_version"):
+            store.load_model(copy)
+
+    @pytest.mark.parametrize("name", ["weight_table", "mass_table", "atoms"])
+    def test_array_shape_mismatch(self, copy, name):
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[name] = arrays[name][..., :-1]
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match=name):
+            store.load_model(copy)
+
+    def test_missing_report(self, copy):
+        (copy / store.REPORT_NAME).unlink()
+        with pytest.raises(store.StoreError, match="greedy_report.csv"):
+            store.load_model_report(copy)
+
+    def test_short_report_row(self, copy):
+        self._edit_report(copy, lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]])
+        with pytest.raises(store.StoreError, match="11 cells"):
+            store.load_model_report(copy)
+
+    def test_non_numeric_report_cell(self, copy):
+        self._edit_report(copy, lambda lines: lines[:1] + ["x" + lines[1]] + lines[2:])
+        with pytest.raises(store.StoreError, match="'x2'"):
+            store.load_model_report(copy)
+
+    def test_header_only_report(self, copy):
+        self._edit_report(copy, lambda lines: lines[:1])
+        with pytest.raises(store.StoreError, match="no iterations"):
+            store.load_model_report(copy)
+
+    def test_cli_exit_codes(self, copy, tmp_path):
+        self._edit_report(copy, lambda lines: lines[:1])
+        assert cli.main(["diag", "--model", str(copy), "--out", str(tmp_path / "d")]) == 3
+        (copy / store.MODEL_ARRAYS_NAME).unlink()
+        argv = ["online", "--model", str(copy), "--out", str(tmp_path / "o"),
+                "--at", "t=1,mu=1,beta=2"]
+        assert cli.main(argv) == cli.EXIT_STORE
+
+
 class TestOffline:
     def test_model_round_trip(self, mini_run):
         *_, model_dir = mini_run
@@ -261,6 +353,25 @@ class TestOffline:
         assert model.n_atoms == 2
         report, _, _ = store.load_model_report(model_dir)
         assert len(report.delta) >= 1
+
+    def test_override_applies(self, mini_run, tmp_path):
+        _, _, store_dir, _ = mini_run
+        out = tmp_path / "m3"
+        assert cli.main(["offline", "--store", str(store_dir), "--out", str(out),
+                         "--n-max", "3"]) == 0
+        assert store.load_model(out).n_atoms == 3
+        assert store.load_store(store_dir).config["greedy"]["n_max"] == 5
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-max", "1"), ("--qp-tol", "0"), ("--eps-rel", "1"), ("--qp-max-iter", "0"),
+        ("--qp-tol", "nan"), ("--eps-abs", "inf"),
+    ])
+    def test_invalid_override_exit(self, mini_run, tmp_path, flag, value):
+        _, _, store_dir, _ = mini_run
+        out = tmp_path / "bad"
+        argv = ["offline", "--store", str(store_dir), "--out", str(out), flag, value]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_report_csv_layout(self, mini_run):
         *_, model_dir = mini_run
@@ -390,6 +501,18 @@ class TestTablesAndDiag:
         assert header == ["epsilon", "n_gbar", "n_pod"]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize(
+        "command, eps", [("pod", "nan"), ("tables", "inf"), ("pod", "0.1,-inf")]
+    )
+    def test_non_finite_eps_rejected(self, mini_run, tmp_path, command, eps):
+        _, _, store_dir, model_dir = mini_run
+        out = tmp_path / "eps"
+        argv = [command, "--store", str(store_dir), "--out", str(out), "--eps", eps]
+        if command == "tables":
+            argv += ["--model", str(model_dir)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+
     def test_trivial_tolerance_needs_minimal_sizes(self, mini_run, tmp_path):
         root, _, store_dir, model_dir = mini_run
         out = tmp_path / "triv"
@@ -462,3 +585,13 @@ class TestTablesAndDiag:
             ]
         )
         assert rc == cli.EXIT_CONFIG
+
+    def test_landscape_resolution_too_small(self, mini_run, tmp_path):
+        _, _, store_dir, model_dir = mini_run
+        out = tmp_path / "res"
+        rc = cli.main(
+            ["landscape", "--model", str(model_dir), "--store", str(store_dir),
+             "--out", str(out), "--target-index", "0", "--resolution", "1"]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from baryrom import diagnostics as dg
-from baryrom import greedy, simplexqp as sq, transport as tr
+from baryrom import simplexqp as sq, transport as tr
 
 
 def triangle_barycentric(verts, x):
@@ -69,7 +69,7 @@ class TestWachspress:
 def synthetic_atoms(widths, m=80):
     cells = (np.arange(m - 2) + 0.5) / (m - 2)
     return np.stack(
-        [tr.snapshot_to_icdf(np.where(cells <= w, 1.0, 0.0), m) for w in widths], axis=1
+        [tr.snapshot_to_icdf(np.where(cells <= w, 1.0, 0.0)) for w in widths], axis=1
     )
 
 
@@ -81,7 +81,7 @@ def varied_atoms(m=80):
         np.exp(-((cells - 0.55) ** 2) / 2e-3),
         np.where(cells <= 0.4, 1.0, np.where(cells <= 0.9, 0.35, 0.0)),
     ]
-    return np.stack([tr.snapshot_to_icdf(p, m) for p in profiles], axis=1)
+    return np.stack([tr.snapshot_to_icdf(p) for p in profiles], axis=1)
 
 
 class TestLandscape:
@@ -98,15 +98,15 @@ class TestLandscape:
         atoms = varied_atoms()
         a, b, c = atoms[:, 0], atoms[:, 1], atoms[:, 2]
         target = 0.25 * a + 0.45 * b + 0.3 * c
-        res = sq.solve(sq.QpProblem(atoms, target))
+        res = sq.solve_batch(atoms, target)
         grid = dg.energy_landscape(atoms, target, resolution=201)
         p = np.argmin(grid.log10_w2)
         x_grid = grid.xy[p]
-        x_qp = res.weights @ dg.polygon_vertices(3)
+        x_qp = res.weights[:, 0] @ dg.polygon_vertices(3)
         cell = 2.0 / 200
         assert np.linalg.norm(x_grid - x_qp) <= np.sqrt(2) * cell * 1.5
         # landscape values never undercut the true optimum
-        assert 10 ** (2 * grid.log10_w2.min()) >= res.objective - 1e-12
+        assert 10 ** (2 * grid.log10_w2.min()) >= res.objective[0] - 1e-12
 
     def test_values_match_direct_w2(self):
         atoms = synthetic_atoms([0.2, 0.5, 0.9])
@@ -140,16 +140,3 @@ class TestLandscape:
         with pytest.raises(ValueError):
             dg.energy_landscape(atoms, atoms[:, 0])
 
-
-class TestCurves:
-    def test_reemit_series(self):
-        report = greedy.GreedyReport(
-            sizes=[2, 3], delta=[0.5, 0.2], avg_error=[0.3, 0.1],
-            condition=[1.0, 10.0], simplex_volume=[0.4, 0.1],
-        )
-        assert dg.condition_curve(report) == [(2, 1.0), (3, 10.0)]
-        assert dg.volume_curve(report) == [(2, 0.4), (3, 0.1)]
-
-    def test_empty_report_rejected(self):
-        with pytest.raises(ValueError):
-            dg.condition_curve(greedy.GreedyReport())

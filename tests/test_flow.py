@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,15 @@ class TestBatch:
             np.testing.assert_array_equal(out[c].values, [snap.values for snap in expected[c]])
         with pytest.raises(flow.FlowError, match="saturation left"):
             flow.run_simulation(grid, rock, fluids[0], bc, times)
+
+    def test_unbounded_flux_derivative_raises_without_warnings(self):
+        # beta < 1 makes the fractional-flow derivative blow up at s = 0 and
+        # s = 1; the FlowError is the one signal, no RuntimeWarning on the way
+        grid, rock, _, bc = example1_setup(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(flow.FlowError, match="unbounded"):
+                flow.run_simulation(grid, rock, flow.FluidParams(0.003, 0.003, 0.5), bc, [0.5])
 
     def test_failing_combo_leaves_store_resumable(self, monkeypatch, tmp_path, capsys):
         raw = {

@@ -9,7 +9,7 @@ from oracles import simplex_ls_active_set
 
 def block_icdf(width, m=60):
     cells = (np.arange(m - 2) + 0.5) / (m - 2)
-    return tr.snapshot_to_icdf(np.where(cells <= width, 1.0, 0.0), m)
+    return tr.snapshot_to_icdf(np.where(cells <= width, 1.0, 0.0))
 
 
 def block_family(widths, m=60):
@@ -32,7 +32,7 @@ class TestInitPair:
     def test_matches_pairwise_scan(self):
         rng = np.random.default_rng(3)
         train = np.stack(
-            [tr.snapshot_to_icdf(rng.random(38) + 0.01, 40) for _ in range(12)], axis=1
+            [tr.snapshot_to_icdf(rng.random(38) + 0.01) for _ in range(12)], axis=1
         )
         i, j = greedy.init_pair(train)
         best = max(

@@ -122,8 +122,12 @@ class TestReconstruct:
         for j, idx in enumerate(model.dictionary.atom_indices):
             rec = online.reconstruct(model, params[idx])
             truth = raws[idx]
-            rel = np.abs(rec - truth).sum() / np.abs(truth).sum()
-            assert rel <= 1e-2
+            assert online.relative_l1_error(rec, truth) <= 1e-2
+
+    def test_relative_l1_error(self):
+        truth = np.array([0.0, 2.0, 2.0])
+        assert online.relative_l1_error(np.array([1.0, 2.0, 1.0]), truth) == 0.5
+        assert online.relative_l1_error(np.ones(3), np.zeros(3)) == 0.0
 
     def test_negative_mass_clamps_to_zero_profile(self, fitted):
         *_, model = fitted

@@ -91,18 +91,22 @@ class TestReconstruct:
         assert np.sum(coeffs**2) == pytest.approx(np.sum(s**2), abs=1e-10)
 
 
+def mode_count(basis, snaps, eps):
+    return pod.size_for_tolerance(pod.relative_l1_errors(basis, snaps).mean(axis=1), eps)
+
+
 class TestModesForTolerance:
     def test_rank2_needs_two(self):
         snaps = rank2_snapshots(np.random.default_rng(8))
         basis = pod.compute(snaps)
-        assert pod.modes_for_tolerance(basis, snaps, 1e-6) == 2
+        assert mode_count(basis, snaps, 1e-6) == 2
 
     def test_loose_tolerance_single_mode(self):
         rng = np.random.default_rng(9)
         base = np.abs(np.sin(np.linspace(0, 3, 60))) + 0.5
         snaps = np.outer(base, rng.uniform(0.9, 1.1, 8))
         basis = pod.compute(snaps)
-        assert pod.modes_for_tolerance(basis, snaps, 1.0) == 1
+        assert mode_count(basis, snaps, 1.0) == 1
 
     def test_unreachable_returns_none(self):
         # a component below the retention cutoff cannot be reconstructed, so
@@ -112,7 +116,7 @@ class TestModesForTolerance:
         snaps += 1e-9 * np.outer(np.linspace(-1, 1, 30) ** 3, rng.uniform(1, 2, 5))
         basis = pod.compute(snaps)
         assert basis.rank == 2
-        assert pod.modes_for_tolerance(basis, snaps, 1e-12) is None
+        assert mode_count(basis, snaps, 1e-12) is None
 
     def test_matches_error_curve(self):
         rng = np.random.default_rng(11)
@@ -120,6 +124,15 @@ class TestModesForTolerance:
         basis = pod.compute(snaps)
         errs = pod.relative_l1_errors(basis, snaps).mean(axis=1)
         eps = float(errs[4] + 1e-9)
-        n = pod.modes_for_tolerance(basis, snaps, eps)
+        n = mode_count(basis, snaps, eps)
         assert errs[n - 1] < eps
         assert n == 1 or errs[n - 2] >= eps
+
+    def test_dictionary_sizes_and_bad_eps(self):
+        sizes = [2, 3, 5, 8]
+        errs = np.array([0.3, 0.1, 0.04, 0.01])
+        assert pod.size_for_tolerance(errs, 0.05, sizes) == 5
+        assert pod.size_for_tolerance(errs, 0.01, sizes) is None
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                pod.size_for_tolerance(errs, eps, sizes)

@@ -13,7 +13,7 @@ def random_icdf_atoms(rng, m, n):
     cells = (np.arange(m - 2) + 0.5) / (m - 2)
     atoms = np.empty((m, n))
     for j, w in enumerate(widths):
-        atoms[:, j] = tr.snapshot_to_icdf(np.where(cells <= w, 1.0 / w, 0.0), m)
+        atoms[:, j] = tr.snapshot_to_icdf(np.where(cells <= w, 1.0 / w, 0.0))
     return atoms
 
 
@@ -88,11 +88,11 @@ class TestSolve:
     def test_single_atom(self):
         rng = np.random.default_rng(41)
         atoms = random_icdf_atoms(rng, 100, 1)
-        target = tr.snapshot_to_icdf(rng.random(98), 100)
-        res = sq.solve(sq.QpProblem(atoms, target))
-        assert res.converged
-        assert res.weights.tolist() == [1.0]
-        assert res.objective == pytest.approx(
+        target = tr.snapshot_to_icdf(rng.random(98))
+        res = sq.solve_batch(atoms, target)
+        assert res.converged[0]
+        assert res.weights[:, 0].tolist() == [1.0]
+        assert res.objective[0] == pytest.approx(
             tr.w2_distance(atoms[:, 0], target) ** 2, rel=1e-12
         )
 
@@ -101,40 +101,40 @@ class TestSolve:
         atoms = random_icdf_atoms(rng, 120, 3)
         w0 = np.array([0.3, 0.45, 0.25])
         target = atoms @ w0
-        res = sq.solve(sq.QpProblem(atoms, target))
-        assert res.objective < 1e-10
+        res = sq.solve_batch(atoms, target)
+        assert res.objective[0] < 1e-10
 
     def test_dirac_atoms_interpolate_position(self):
         m = 80
         atoms = np.stack([np.full(m, 0.2), np.full(m, 0.8)], axis=1)
         target = np.full(m, 0.35)
-        res = sq.solve(sq.QpProblem(atoms, target))
-        np.testing.assert_allclose(res.weights, [0.75, 0.25], atol=1e-8)
+        res = sq.solve_batch(atoms, target)
+        np.testing.assert_allclose(res.weights[:, 0], [0.75, 0.25], atol=1e-8)
 
     def test_objective_matches_residual(self):
         rng = np.random.default_rng(47)
         atoms = random_icdf_atoms(rng, 90, 4)
-        target = tr.snapshot_to_icdf(rng.random(88), 90)
-        res = sq.solve(sq.QpProblem(atoms, target))
-        resid = atoms @ res.weights - target
-        assert res.objective == pytest.approx(np.mean(resid**2), rel=1e-12)
+        target = tr.snapshot_to_icdf(rng.random(88))
+        res = sq.solve_batch(atoms, target)
+        resid = atoms @ res.weights[:, 0] - target
+        assert res.objective[0] == pytest.approx(np.mean(resid**2), rel=1e-12)
 
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
             n = int(rng.integers(1, 4))
             atoms = random_icdf_atoms(rng, 60, n)
-            target = tr.snapshot_to_icdf(rng.random(58), 60)
-            res = sq.solve(sq.QpProblem(atoms, target))
+            target = tr.snapshot_to_icdf(rng.random(58))
+            res = sq.solve_batch(atoms, target)
             _, f_star = simplex_ls_active_set(atoms, target)
-            assert res.objective <= f_star + 1e-8
+            assert res.objective[0] <= f_star + 1e-8
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_matches_oracle_cold_and_warm(self, n):
         rng = np.random.default_rng(100 + n)
         atoms = random_icdf_atoms(rng, 80, n)
         targets = np.stack(
-            [tr.snapshot_to_icdf(rng.random(78), 80) for _ in range(12)], axis=1
+            [tr.snapshot_to_icdf(rng.random(78)) for _ in range(12)], axis=1
         )
         want = np.array([simplex_ls_active_set(atoms, f)[1] for f in targets.T])
         starts = [None] + [random_feasible(rng, n, 12, sparse=True) for _ in range(3)]
@@ -147,7 +147,7 @@ class TestSolve:
         rng = np.random.default_rng(73)
         base = random_icdf_atoms(rng, 90, 3)
         targets = np.stack(
-            [tr.snapshot_to_icdf(rng.random(88), 90) for _ in range(8)], axis=1
+            [tr.snapshot_to_icdf(rng.random(88)) for _ in range(8)], axis=1
         )
         cases = {
             "duplicate atoms": np.column_stack([base, base[:, [1, 1]]]),
@@ -169,15 +169,15 @@ class TestSolve:
         rng = np.random.default_rng(59)
         for _ in range(40):
             atoms = random_icdf_atoms(rng, 100, 3)
-            target = tr.snapshot_to_icdf(rng.random(98), 100)[:, None]
+            target = tr.snapshot_to_icdf(rng.random(98))[:, None]
             assert_kkt(atoms, target, sq.solve_batch(atoms, target, tol=1e-10))
 
     def test_nonconvergence_reported_not_raised(self):
         rng = np.random.default_rng(61)
         atoms = random_icdf_atoms(rng, 100, 3)
-        target = tr.snapshot_to_icdf(rng.random(98), 100)
-        res = sq.solve(sq.QpProblem(atoms, target), max_iter=2)
-        assert isinstance(res.converged, bool)
+        target = tr.snapshot_to_icdf(rng.random(98))
+        res = sq.solve_batch(atoms, target, max_iter=2)
+        assert res.converged.shape == (1,) and res.converged.dtype == bool
 
     def test_warm_start_reaches_cold_optimum(self):
         # any feasible start, whatever its support, ends at the cold-start
@@ -185,7 +185,7 @@ class TestSolve:
         rng = np.random.default_rng(67)
         atoms = random_icdf_atoms(rng, 100, 5)
         targets = np.stack(
-            [tr.snapshot_to_icdf(rng.random(98), 100) for _ in range(6)], axis=1
+            [tr.snapshot_to_icdf(rng.random(98)) for _ in range(6)], axis=1
         )
         cold = sq.solve_batch(atoms, targets)
         for _ in range(10):
@@ -200,7 +200,9 @@ class TestSolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sq.QpProblem(np.zeros((10, 2)), np.zeros(9))
+            sq.solve_batch(np.zeros((10, 2)), np.zeros(9))
+        with pytest.raises(ValueError):
+            sq.solve_batch(np.zeros(10), np.zeros(10))
         with pytest.raises(ValueError):
             sq.solve_batch(np.zeros((10, 2)), np.zeros((9, 1)))
 
@@ -208,24 +210,24 @@ class TestSolve:
 class TestGramCondition:
     def test_single_atom_is_one(self):
         atoms = np.linspace(0, 1, 50)[:, None]
-        assert sq.gram_condition(sq.QpProblem(atoms, np.zeros(50))) == 1.0
+        assert sq.condition_of_gram(atoms.T @ atoms) == 1.0
 
     def test_duplicate_atoms_infinite(self):
         a = np.linspace(0, 1, 50)
         atoms = np.stack([a, a], axis=1)
-        assert sq.gram_condition(sq.QpProblem(atoms, np.zeros(50))) == np.inf
+        assert sq.condition_of_gram(atoms.T @ atoms) == np.inf
 
     def test_constant_icdf_pair_matches_eigen_ratio(self):
         # proportional constant columns: the 2x2 Gram is rank one, so the
         # eigenvalue ratio (and the sentinel) is +inf
         atoms = np.stack([np.full(40, 0.2), np.full(40, 0.7)], axis=1)
-        cond = sq.gram_condition(sq.QpProblem(atoms, np.zeros(40)))
+        cond = sq.condition_of_gram(atoms.T @ atoms)
         assert cond == np.inf
 
     def test_well_conditioned_pair(self):
         rng = np.random.default_rng(71)
         atoms = random_icdf_atoms(rng, 80, 2)
-        cond = sq.gram_condition(sq.QpProblem(atoms, np.zeros(80)))
         gram = atoms.T @ atoms
+        cond = sq.condition_of_gram(gram)
         eigs = np.linalg.eigvalsh(gram)
         assert cond == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)

@@ -24,26 +24,21 @@ class TestAugmentNormalize:
 
     def test_normalize_unit_sum(self):
         dens = tr.normalize(tr.augment(np.linspace(0, 1, 50)))
-        assert dens.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dens.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_scale_invariant(self):
         aug = tr.augment(np.linspace(0, 1, 20))
         a = tr.normalize(aug)
-        np.testing.assert_array_equal(a.values, tr.normalize(8.0 * aug).values)
-        np.testing.assert_allclose(a.values, tr.normalize(7.0 * aug).values, rtol=5e-16)
+        np.testing.assert_array_equal(a, tr.normalize(8.0 * aug))
+        np.testing.assert_allclose(a, tr.normalize(7.0 * aug), rtol=5e-16)
 
     def test_normalize_indicator(self):
         dens = tr.normalize(np.array([0.0, 1.0, 0.0, 0.0]))
-        assert dens.values.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert dens.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_normalize_zero_mass_error(self):
         with pytest.raises(ValueError):
             tr.normalize(np.zeros(4))
-
-    def test_normalize_records_raw_mass(self):
-        raw = np.full(10, 0.5)
-        dens = tr.normalize(tr.augment(raw), cell_width=0.1)
-        assert dens.mass_original == pytest.approx(0.5)
 
 
 class TestCdfIcdf:
@@ -57,12 +52,12 @@ class TestCdfIcdf:
 
     def test_cdf_endpoint(self):
         dens = tr.normalize(tr.augment(np.random.default_rng(3).random(100)))
-        assert tr.cdf(dens.values)[-1] == pytest.approx(1.0, abs=1e-12)
+        assert tr.cdf(dens)[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_icdf_uniform_identity(self):
         n = 200
         dens = tr.normalize(tr.augment(np.ones(n)))
-        ic = tr.icdf(tr.cdf(dens.values), n + 2)
+        ic = tr.icdf(tr.cdf(dens), n + 2)
         p = np.linspace(0, 1, n + 2)
         assert np.max(np.abs(ic - p)) <= 2.0 / (n + 1)
 
@@ -80,7 +75,7 @@ class TestCdfIcdf:
         # density 10 on [0, 0.1]: icdf(p) = 0.1 p
         n = 1002
         dens = tr.normalize(tr.augment(uniform_block(n, 0.1, 10.0)))
-        ic = tr.icdf(tr.cdf(dens.values), n + 2)
+        ic = tr.icdf(tr.cdf(dens), n + 2)
         p = np.linspace(0, 1, n + 2)
         assert np.max(np.abs(ic - 0.1 * p)) < 5e-3
 
@@ -88,7 +83,7 @@ class TestCdfIcdf:
         rng = np.random.default_rng(11)
         for _ in range(20):
             dens = tr.normalize(tr.augment(rng.random(57)))
-            ic = tr.icdf(tr.cdf(dens.values), 80)
+            ic = tr.icdf(tr.cdf(dens), 80)
             assert np.all(np.diff(ic) >= 0.0)
 
     def test_icdf_flat_segment_left_limit(self):
@@ -110,7 +105,7 @@ class TestInversion:
     def test_invert_uniform_ramp(self):
         n = 150
         dens = tr.normalize(tr.augment(np.ones(n)))
-        c = tr.cdf(dens.values)
+        c = tr.cdf(dens)
         ic = tr.icdf(c, n + 2)
         iic = tr.invert_icdf(ic, n + 2)
         np.testing.assert_allclose(iic, c, atol=1e-10)
@@ -119,7 +114,7 @@ class TestInversion:
         rng = np.random.default_rng(5)
         for _ in range(10):
             dens = tr.normalize(tr.augment(rng.random(64)))
-            ic = tr.icdf(tr.cdf(dens.values), 66)
+            ic = tr.icdf(tr.cdf(dens), 66)
             iic = tr.invert_icdf(ic, 66)
             assert np.all(np.diff(iic) >= 0.0)
             assert iic[0] >= 0.0 and iic[-1] <= 1.0
@@ -136,7 +131,7 @@ class TestInversion:
     def test_pdf_sums_to_one(self):
         rng = np.random.default_rng(7)
         dens = tr.normalize(tr.augment(rng.random(200)))
-        ic = tr.icdf(tr.cdf(dens.values), 202)
+        ic = tr.icdf(tr.cdf(dens), 202)
         u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, 202))
         assert u2.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -144,10 +139,38 @@ class TestInversion:
         rng = np.random.default_rng(13)
         raw = np.clip(np.cumsum(rng.standard_normal(300)) + 10.0, 0.0, None)
         dens = tr.normalize(tr.augment(raw))
-        c = tr.cdf(dens.values)
+        c = tr.cdf(dens)
         ic = tr.icdf(c, 302)
         u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, 302))
-        assert np.sqrt(np.mean((u2 - dens.values) ** 2)) < 1e-3
+        assert np.sqrt(np.mean((u2 - dens) ** 2)) < 1e-3
+
+
+
+class TestSnapshotPipeline:
+    def test_icdf_grid_adds_the_two_cells(self):
+        raw = np.random.default_rng(17).random(30)
+        ic = tr.snapshot_to_icdf(raw)
+        assert ic.shape == (32,)
+        np.testing.assert_array_equal(ic, tr.snapshot_to_icdf(raw, 32))
+        with pytest.raises(ValueError):
+            tr.snapshot_to_icdf(raw, 64)
+
+    def test_training_matrix_columns(self):
+        values = np.random.default_rng(19).random((5, 30))
+        train = tr.snapshots_to_icdfs(values, 0.0, 2.0)
+        assert train.shape == (32, 5)
+        for k in range(5):
+            np.testing.assert_array_equal(
+                train[:, k], tr.snapshot_to_icdf(values[k], x_min=0.0, x_max=2.0)
+            )
+
+    def test_density_strips_the_two_cells(self):
+        rng = np.random.default_rng(21)
+        raw = np.clip(np.cumsum(rng.standard_normal(300)) + 10.0, 0.0, None)
+        body = tr.icdf_to_density(tr.snapshot_to_icdf(raw), raw.size)
+        assert body.shape == raw.shape
+        want = tr.normalize(tr.augment(raw))[2:]
+        assert np.sqrt(np.mean((body - want) ** 2)) < 1e-3
 
 
 class TestW2:
@@ -198,9 +221,8 @@ class TestBarycenter:
         n = 400
         cells = (np.arange(n) + 0.5) / n
         hump = lambda c: np.exp(-((cells - c) ** 2) / 2e-4)
-        a = tr.snapshot_to_icdf(hump(0.3), 64)
-        b = tr.snapshot_to_icdf(hump(0.5), 64)
-        mid = tr.snapshot_to_icdf(hump(0.4), 64)
+        coarse = lambda c: tr.icdf(tr.cdf(tr.normalize(tr.augment(hump(c)))), 64)
+        a, b, mid = coarse(0.3), coarse(0.5), coarse(0.4)
         bar = tr.barycenter(np.stack([a, b], axis=1), np.array([0.5, 0.5]))
         assert tr.w2_distance(bar, mid) < 2e-3
 
