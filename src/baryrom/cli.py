@@ -98,8 +98,9 @@ def _offline_config(raw: dict, args) -> ExperimentConfig:
         ("qp", "max_iter"): args.qp_max_iter,
     }
     for (block, key), value in overrides.items():
-        if value is not None:
-            raw.setdefault(block, {})[key] = value
+        # a block that is not an object is left for parse_config to reject
+        if value is not None and isinstance(raw.setdefault(block, {}), dict):
+            raw[block][key] = value
     return parse_config(raw)
 
 
@@ -112,13 +113,10 @@ def cmd_offline(args) -> int:
     l1_mean, l1_max = [], []
 
     def track_l1(n, indices, weights, errors):
-        atoms = train[:, indices]
-        rels = np.empty(st.count)
-        for k in range(st.count):
-            rec = online.profile_from_weights(
-                atoms, weights[:, k], st.masses[k], st.n_cells, st.x_min, st.x_max
-            )
-            rels[k] = online.relative_l1_error(rec, st.values[k])
+        rec = online.profile_from_weights(
+            train[:, indices], weights, st.masses, st.n_cells, st.x_min, st.x_max
+        )
+        rels = online.relative_l1_error(rec, st.values)
         l1_mean.append(float(rels.mean()))
         l1_max.append(float(rels.max()))
         print(
@@ -198,9 +196,7 @@ def cmd_online(args) -> int:
         raise ConfigError("no evaluation points: pass --params-file and/or --at")
     points = np.array([_parse_point(model, spec) for spec in specs])
 
-    profiles = np.array(
-        [online.reconstruct(model, z, clamp=args.clamp) for z in points]
-    )
+    profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savez(out / "reconstructions.npz", params=points, profiles=profiles)
@@ -316,11 +312,8 @@ def cmd_landscape(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ("x", "y") + tuple(f"lam_{i + 1}" for i in range(n)) + ("log10_w2",)
-    rows = [
-        tuple(grid.xy[p]) + tuple(grid.weights[p]) + (grid.log10_w2[p],)
-        for p in range(grid.xy.shape[0])
-    ]
-    store.write_csv(out / "landscape.csv", header, rows)
+    table = np.column_stack([grid.xy, grid.weights, grid.log10_w2])
+    store.write_csv(out / "landscape.csv", header, table)
     print(f"landscape ({grid.xy.shape[0]} pixels) written to {out / 'landscape.csv'}")
     return EXIT_OK
 

@@ -139,6 +139,26 @@ def _bindable(raw, where: str, axis_names: set[str]):
     return raw
 
 
+def _settings_block(raw: dict, key: str) -> dict:
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} must be an object, got {block!r}")
+    return block
+
+
+def _setting(block: dict, key: str, default, where: str, integer: bool = False):
+    """A numeric solver setting: a float, or an int when integer is set; a
+    string, a bool or a fractional count is a ConfigError."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and build the typed configuration."""
     if not isinstance(raw, dict):
@@ -223,16 +243,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not 0.0 < safety <= 1.0:
         raise ConfigError("cfl_safety must lie in (0, 1]")
 
-    gr = raw.get("greedy", {})
+    gr = _settings_block(raw, "greedy")
     greedy = GreedySettings(
-        eps_abs=float(gr.get("eps_abs", 0.0)),
-        eps_rel=float(gr.get("eps_rel", 0.0)),
-        n_max=int(gr.get("n_max", 30)),
+        eps_abs=_setting(gr, "eps_abs", 0.0, "greedy"),
+        eps_rel=_setting(gr, "eps_rel", 0.0, "greedy"),
+        n_max=_setting(gr, "n_max", 30, "greedy", integer=True),
     )
     if not 0 <= greedy.eps_abs < np.inf or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
         raise ConfigError("invalid greedy settings (eps_abs >= 0, eps_rel in [0,1), n_max >= 2)")
-    q = raw.get("qp", {})
-    qp = QpSettings(tol=float(q.get("tol", 1e-10)), max_iter=int(q.get("max_iter", 50_000)))
+    q = _settings_block(raw, "qp")
+    qp = QpSettings(
+        tol=_setting(q, "tol", 1e-10, "qp"),
+        max_iter=_setting(q, "max_iter", 50_000, "qp", integer=True),
+    )
     if not 0 < qp.tol < np.inf or qp.max_iter < 1:
         raise ConfigError("invalid qp settings (tol > 0, max_iter >= 1)")
 

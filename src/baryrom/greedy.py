@@ -78,14 +78,6 @@ def init_pair(train: np.ndarray) -> tuple[int, int]:
     return flat // k, flat % k
 
 
-def _selected_mask(params: np.ndarray, atom_params: np.ndarray) -> np.ndarray:
-    """True for training rows whose parameter point is already an atom."""
-    mask = np.zeros(params.shape[0], dtype=bool)
-    for row in atom_params:
-        mask |= np.all(params == row[None, :], axis=1)
-    return mask
-
-
 def make_dictionary(train: np.ndarray, params: np.ndarray, indices) -> Dictionary:
     indices = np.asarray(indices, dtype=int)
     atoms = train[:, indices]
@@ -100,22 +92,21 @@ def make_dictionary(train: np.ndarray, params: np.ndarray, indices) -> Dictionar
 def greedy_step(
     dictionary: Dictionary,
     train: np.ndarray,
-    params: np.ndarray,
     warm: np.ndarray | None = None,
     tol: float = simplexqp.DEFAULT_TOL,
     max_iter: int = simplexqp.DEFAULT_MAX_ITER,
 ) -> StepResult:
     """One residual sweep: solve all per-snapshot QPs, pick the worst snapshot.
 
-    Snapshots whose parameter point is already in the dictionary are excluded
-    from the argmax.
+    Training columns already in the dictionary (its `atom_indices`) are
+    excluded from the argmax.
     """
     if dictionary.size < 2:
         raise ValueError("dictionary must hold at least 2 atoms")
     res = simplexqp.solve_batch(dictionary.atoms, train, warm, tol, max_iter)
     errors = np.sqrt(np.maximum(res.objective, 0.0))
     masked = errors.copy()
-    masked[_selected_mask(params, dictionary.atom_params)] = -np.inf
+    masked[dictionary.atom_indices] = -np.inf
     next_index = int(np.argmax(masked)) if np.isfinite(masked.max()) else -1
     return StepResult(
         next_index=next_index,
@@ -192,7 +183,7 @@ def run(
 
     while True:
         dictionary = make_dictionary(train, params, selected)
-        step = greedy_step(dictionary, train, params, warm, tol, max_iter)
+        step = greedy_step(dictionary, train, warm, tol, max_iter)
         n = dictionary.size
         report.sizes.append(n)
         report.delta.append(step.delta)

@@ -1,4 +1,7 @@
-"""Online phase: parameter point -> interpolated weights and mass -> profile.
+"""Online phase: parameter points -> interpolated weights and mass -> profiles.
+
+One point is the one-row case of a batch: every step runs on all points at
+once.
 
 The training parameters must form a full tensor grid; weights and masses are
 interpolated multilinearly per component (exact at the nodes), the weight
@@ -17,6 +20,12 @@ import numpy as np
 from . import transport
 from .greedy import Dictionary
 from .simplexqp import project_to_simplex
+
+
+# weight columns per block of the profile pipeline: its (M, _BLOCK)
+# temporaries stay near 0.25 MB for a 1002-cell grid, below the memory peaks
+# of the other stages; larger blocks ran no faster
+_BLOCK = 32
 
 
 class NotOnTensorGridError(ValueError):
@@ -103,94 +112,126 @@ def fit(
     )
 
 
-def _cell_coords(axes, z, clamp: bool):
-    """Per-axis (lower index, fraction) of the multilinear cell containing z."""
-    coords = []
-    for ax, name_val in zip(axes, z):
-        val = float(name_val)
-        if not np.isfinite(val):
+def _cell_coords(axes, points: np.ndarray, clamp: bool):
+    """Per-axis lower indices (P, d) and fractions (P, d) of the multilinear
+    cells containing the rows of points (P, d).
+
+    Raises OutOfRangeError naming the first offending value, in row-major
+    order: a non-finite one always, one outside the training range unless
+    clamp is set.
+    """
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    non_finite = ~np.isfinite(points)
+    bad = non_finite if clamp else non_finite | (points < lo) | (points > hi)
+    if bad.any():
+        first = int(np.argmax(bad.ravel()))
+        val = points.flat[first]
+        if non_finite.flat[first]:
             raise OutOfRangeError(f"value {val} is not a finite parameter")
-        if val < ax[0] or val > ax[-1]:
-            if not clamp:
-                raise OutOfRangeError(
-                    f"value {val} outside training range [{ax[0]}, {ax[-1]}]"
-                )
-            val = float(np.clip(val, ax[0], ax[-1]))
+        j = first % len(axes)
+        raise OutOfRangeError(f"value {val} outside training range [{lo[j]}, {hi[j]}]")
+    points = np.clip(points, lo, hi)
+    lower = np.zeros(points.shape, dtype=np.intp)
+    frac = np.zeros(points.shape)
+    for j, ax in enumerate(axes):
         if ax.size == 1:
-            coords.append((0, 0.0))
             continue
-        i = int(np.clip(np.searchsorted(ax, val), 1, ax.size - 1))
-        frac = (val - ax[i - 1]) / (ax[i] - ax[i - 1])
-        coords.append((i - 1, frac))
-    return coords
+        i = np.clip(np.searchsorted(ax, points[:, j]), 1, ax.size - 1)
+        lower[:, j] = i - 1
+        frac[:, j] = (points[:, j] - ax[i - 1]) / (ax[i] - ax[i - 1])
+    return lower, frac
 
 
-def _multilinear(table: np.ndarray, coords):
-    out = 0.0
-    for corner in product((0, 1), repeat=len(coords)):
-        weight = 1.0
+def _multilinear(table: np.ndarray, lower: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Multilinear interpolant of a table (*grid_shape, k) at P points,
+    given their cells: one gather of P rows per corner, (P, k)."""
+    out = np.zeros((lower.shape[0], table.shape[-1]))
+    for corner in product((0, 1), repeat=lower.shape[1]):
+        weight = np.ones(lower.shape[0])
         idx = []
-        for bit, (i0, frac) in zip(corner, coords):
-            weight *= frac if bit else (1.0 - frac)
-            idx.append(min(i0 + bit, table.shape[len(idx)] - 1))
-        if weight != 0.0:
-            out = out + weight * table[tuple(idx)]
+        for j, bit in enumerate(corner):
+            weight *= frac[:, j] if bit else 1.0 - frac[:, j]
+            idx.append(np.minimum(lower[:, j] + bit, table.shape[j] - 1))
+        out += weight[:, None] * table[tuple(idx)]
     return out
 
 
 def evaluate_raw(model: ReducedModel, z, clamp: bool = False):
-    """Multilinear interpolants of the weight components and the mass at z.
+    """Multilinear interpolants of the weight components and the mass.
 
-    The interpolated weight vector sums to 1 (affine combination of simplex
-    points) but is not guaranteed to be on the simplex.
+    z is one point (d,), giving weights (n,) and a float mass, or a batch
+    (P, d), giving weights (P, n) and masses (P,). The interpolated weight
+    vectors sum to 1 (affine combinations of simplex points) but are not
+    guaranteed to be on the simplex.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (len(model.axes),):
-        raise ValueError(f"parameter point must have {len(model.axes)} components")
-    coords = _cell_coords(model.axes, z, clamp)
-    lam = np.asarray(_multilinear(model.weight_table, coords), dtype=float)
-    mass = float(_multilinear(model.mass_table, coords))
-    return lam, mass
+    z = np.asarray(z, dtype=float)
+    d = len(model.axes)
+    points = z if z.ndim == 2 else np.atleast_1d(z)[None, :]
+    if points.shape[1:] != (d,):
+        raise ValueError(f"parameter point must have {d} components")
+    lower, frac = _cell_coords(model.axes, points, clamp)
+    lam = _multilinear(model.weight_table, lower, frac)
+    mass = _multilinear(model.mass_table[..., None], lower, frac)[:, 0]
+    if z.ndim == 2:
+        return lam, mass
+    return lam[0], float(mass[0])
 
 
 def profile_from_weights(
     atoms: np.ndarray,
     weights: np.ndarray,
-    mass: float,
+    masses,
     n_raw: int,
     x_min: float = 0.0,
     x_max: float = 1.0,
 ) -> np.ndarray:
-    """Saturation profile from barycentric weights and a physical mass.
+    """Saturation profiles from barycentric weights and physical masses.
 
-    Projects the weights onto the simplex, clamps the mass at zero, forms
-    the barycenter icdf, maps it back to a density on the original N-cell
-    grid and rescales it so that the profile carries the given mass.
+    weights is (n,) with a scalar mass, giving one profile (n_raw,), or
+    (n, P) with a scalar or (P,) masses, giving (P, n_raw). Each weight
+    column is projected onto the simplex and each mass clamped at zero; the
+    barycenter icdf is mapped back to a density on the original N-cell grid
+    and rescaled so that the profile carries its mass. The columns run in
+    blocks of _BLOCK, which bounds the size of the (M, block) temporaries.
     """
-    lam = project_to_simplex(np.asarray(weights, dtype=float))
-    mass = max(float(mass), 0.0)
-    if mass == 0.0:
-        return np.zeros(n_raw)
-    ic = transport.barycenter(atoms, lam)
-    body = np.maximum(transport.icdf_to_density(ic, n_raw, x_min, x_max), 0.0)
-    total = body.sum()
-    if total <= 0.0:
-        return np.zeros(n_raw)
+    weights = np.asarray(weights, dtype=float)
+    cols = weights.reshape(weights.shape[0], -1)
+    count = cols.shape[1]
+    masses = np.maximum(np.broadcast_to(np.asarray(masses, dtype=float), (count,)), 0.0)
     dx = (x_max - x_min) / n_raw
-    return body * (mass / (total * dx))
+    out = np.zeros((count, n_raw))
+    for start in range(0, count, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        lam = project_to_simplex(cols[:, block])
+        ic = transport.barycenter(atoms, lam)
+        body = np.maximum(transport.icdf_to_density(ic, n_raw, x_min, x_max), 0.0).T
+        total = body.sum(axis=1)
+        mass = masses[block]
+        scale = np.zeros(total.shape)  # a zero mass or an empty body gives zeros
+        np.divide(mass, total * dx, out=scale, where=(mass > 0.0) & (total > 0.0))
+        np.multiply(body, scale[:, None], out=out[block])
+    return out if weights.ndim == 2 else out[0]
 
 
 def reconstruct(model: ReducedModel, z, clamp: bool = False) -> np.ndarray:
-    """Approximate saturation profile at a new parameter point."""
+    """Approximate saturation profile at one parameter point (d,), giving
+    (N,), or at each row of a batch (P, d), giving (P, N)."""
     lam_tilde, m_tilde = evaluate_raw(model, z, clamp=clamp)
     return profile_from_weights(
-        model.dictionary.atoms, lam_tilde, m_tilde, model.n_raw, model.x_min, model.x_max
+        model.dictionary.atoms, lam_tilde.T, m_tilde, model.n_raw, model.x_min, model.x_max
     )
 
 
-def relative_l1_error(profile: np.ndarray, truth: np.ndarray) -> float:
+def relative_l1_error(profile: np.ndarray, truth: np.ndarray):
     """L1 distance of a reconstructed profile to the truth over the L1 norm
-    of the truth; 0 when the truth is all zero."""
+    of the truth, 0 when the truth is all zero. Profiles (P, N) against
+    truths (P, N) give one error per row, (P,)."""
     truth = np.asarray(truth, dtype=float)
-    denom = np.abs(truth).sum()
-    return float(np.abs(profile - truth).sum() / denom) if denom > 0 else 0.0
+    denom = np.abs(truth).sum(axis=-1)
+    resid = profile - truth
+    num = np.abs(resid, out=resid).sum(axis=-1)
+    live = denom > 0.0
+    err = np.zeros(denom.shape)
+    err[live] = num[live] / denom[live]
+    return err if err.ndim else float(err)

@@ -51,27 +51,22 @@ class BatchResult:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex.
+    """Euclidean projection onto the probability simplex of a vector (n,),
+    or of each column of an (n, T) array.
 
     Sort-based thresholding: with the entries sorted in decreasing order,
     rho = max{k : v_(k) - (sum_{j<=k} v_(j) - 1)/k > 0} and the projection is
     max(v - tau, 0) with tau = (sum_{j<=rho} v_(j) - 1)/rho.
     """
     v = np.asarray(v, dtype=float)
-    return project_columns_to_simplex(v[:, None])[:, 0]
-
-
-def project_columns_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Column-wise simplex projection of an (n, T) array."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    u = -np.sort(-v, axis=0)
+    cols = v.reshape(v.shape[0], -1)
+    u = -np.sort(-cols, axis=0)
     css = np.cumsum(u, axis=0)
-    k = np.arange(1, n + 1, dtype=float)[:, None]
+    k = np.arange(1, cols.shape[0] + 1, dtype=float)[:, None]
     # the positivity set is always {1..rho}, so counting works
     rho = np.count_nonzero(u - (css - 1.0) / k > 0.0, axis=0)
-    tau = (css[rho - 1, np.arange(v.shape[1])] - 1.0) / rho
-    return np.maximum(v - tau[None, :], 0.0)
+    tau = (css[rho - 1, np.arange(cols.shape[1])] - 1.0) / rho
+    return np.maximum(cols - tau[None, :], 0.0).reshape(v.shape)
 
 
 def condition_of_gram(gram: np.ndarray) -> float:
@@ -196,7 +191,7 @@ def solve_batch(
         init = np.asarray(init, dtype=float)
         if init.shape != (n, t_count):
             raise ValueError(f"init shape {init.shape} != {(n, t_count)}")
-        start = project_columns_to_simplex(init)
+        start = project_to_simplex(init)
 
     weights = np.empty((n, t_count))
     iterations = np.empty(t_count, dtype=int)

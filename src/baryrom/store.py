@@ -70,9 +70,15 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows):
+    """CSV of a header and rows of cells; a 2-D float array as rows is
+    written through Python floats, the same text as `fmt`, without a call
+    per cell."""
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

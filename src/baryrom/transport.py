@@ -86,29 +86,47 @@ def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1
 
     Same interpolation as :func:`icdf` with the roles of x and p swapped.
     Spatial nodes beyond the last icdf value sit past the support and get
-    cdf value 1.
+    cdf value 1. `ic` is one icdf (M,) or a column per icdf (M, P); the
+    result is (n_out,) or (n_out, P).
     """
     ic = np.asarray(ic, dtype=float)
-    p = np.linspace(0.0, 1.0, ic.size)
+    m = ic.shape[0]
+    p = np.linspace(0.0, 1.0, m)
     x = np.linspace(x_min, x_max, n_out)
-    j = np.searchsorted(ic, x, side="left")
-    past_support = j >= ic.size
-    j = np.clip(j, 1, ic.size - 1)
-    denom = ic[j] - ic[j - 1]
+    rows = np.ascontiguousarray(ic.reshape(m, -1).T)  # (P, M), one icdf per row
+    # one exact searchsorted per icdf: the rows need not share a grid
+    j = np.empty((rows.shape[0], n_out), dtype=np.intp)
+    for r, row in enumerate(rows):
+        j[r] = row.searchsorted(x, side="left")
+    past_support = j >= m
+    # in place from here on: a block of icdfs holds several (P, n_out) arrays
+    np.clip(j, 1, m - 1, out=j)
+    j -= 1  # lower node of each interval, as a flat index into rows below
+    out = np.take(p, j)
+    step = np.take(np.diff(p), j)
+    j += (m * np.arange(rows.shape[0]))[:, None]
+    lo = np.take(rows, j)
+    j += 1
+    denom = np.take(rows, j)
+    denom -= lo
+    frac = np.subtract(x, lo, out=lo)
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = (x - ic[j - 1]) / denom
-    frac = np.where(denom > 0.0, frac, 0.0)
-    out = p[j - 1] + (p[j] - p[j - 1]) * np.clip(frac, 0.0, 1.0)
+        frac /= denom
+    frac[~(denom > 0.0)] = 0.0
+    step *= np.clip(frac, 0.0, 1.0, out=frac)
+    out += step
     out[past_support] = 1.0
-    return np.clip(out, 0.0, 1.0)
+    out = np.clip(out, 0.0, 1.0, out=out).T
+    return out if ic.ndim == 2 else out[:, 0]
 
 
 def pdf_from_cdf(c: np.ndarray) -> np.ndarray:
-    """First-order backward differences; the result sums to the final cdf value."""
+    """First-order backward differences down axis 0; each column sums to
+    its final cdf value."""
     c = np.asarray(c, dtype=float)
     out = np.empty_like(c)
     out[0] = c[0]
-    out[1:] = np.diff(c)
+    out[1:] = np.diff(c, axis=0)
     return out
 
 
@@ -122,12 +140,15 @@ def w2_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def barycenter(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Pointwise convex combination of icdf columns."""
+    """Pointwise convex combination of icdf columns: weights (n,) give one
+    icdf (M,), weights (n, P) one icdf column per weight column (M, P)."""
     atoms = np.asarray(atoms, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if atoms.ndim != 2 or atoms.shape[1] != weights.size:
-        raise ValueError(f"{atoms.shape[1]} atoms but {weights.size} weights")
-    return atoms @ weights
+    if atoms.ndim != 2 or atoms.shape[1] != weights.shape[0]:
+        raise ValueError(f"{atoms.shape[1]} atoms but {weights.shape[0]} weights")
+    # row-major per icdf, so that the columns of an (M, P) result are the
+    # contiguous rows that invert_icdf searches
+    return (weights.T @ atoms.T).T
 
 
 def snapshot_to_icdf(
@@ -161,6 +182,7 @@ def icdf_to_density(
     x_max: float = 1.0,
 ) -> np.ndarray:
     """Invert an icdf of an augmented profile, differentiate, and strip the
-    two boundary cells: the probability of each of the n_raw original cells."""
+    two boundary cells: the probability of each of the n_raw original cells.
+    An (M, P) array of icdf columns gives an (n_raw, P) array."""
     c = invert_icdf(ic, icdf_size(n_raw), x_min=x_min, x_max=x_max)
     return pdf_from_cdf(c)[AUGMENTATION_CELLS:]

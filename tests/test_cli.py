@@ -89,6 +89,35 @@ class TestConfig:
         with pytest.raises(config.ConfigError, match="nope"):
             config.parse_config(bad)
 
+    @pytest.mark.parametrize("block, value, override", [
+        ("greedy", 3, ["--n-max", "3"]),
+        ("qp", 3, ["--qp-tol", "1e-9"]),
+        ("greedy", {"n_max": "abc"}, ["--eps-abs", "0"]),
+        ("qp", {"tol": "x"}, ["--qp-max-iter", "10"]),
+        ("greedy", {"n_max": 2.7}, ["--eps-rel", "0"]),
+        ("qp", {"max_iter": 2.5}, ["--qp-tol", "1e-9"]),
+    ])
+    def test_malformed_solver_block(self, mini_run, tmp_path, block, value, override):
+        bad = mini_config()
+        bad[block] = value
+        with pytest.raises(config.ConfigError, match=block):
+            config.parse_config(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        argv = ["generate", "--config", str(path), "--out", str(tmp_path / "s")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        # a store whose recorded config carries the block, with and without
+        # an override of another key of the same block
+        _, _, store_dir, _ = mini_run
+        copied = tmp_path / "store"
+        shutil.copytree(store_dir, copied)
+        manifest = json.loads((copied / "manifest.json").read_text())
+        manifest["config"][block] = value
+        (copied / "manifest.json").write_text(json.dumps(manifest))
+        for extra in ([], override):
+            argv = ["offline", "--store", str(copied), "--out", str(tmp_path / "m"), *extra]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+
     def test_unknown_config_exit_code(self, capsys):
         assert cli.main(["generate", "--config", "nope.json", "--out", "x"]) == cli.EXIT_CONFIG
 
@@ -473,6 +502,29 @@ class TestOnline:
         )
         assert rc == cli.EXIT_CONFIG
         assert not (out / "reconstructions.npz").exists()
+
+
+    def test_batch_equals_points_one_at_a_time(self, mini_run, tmp_path):
+        _, _, store_dir, model_dir = mini_run
+        rng = np.random.default_rng(3)
+        points = [{"t": float(rng.uniform(1.0, 4.0)), "mu": float(rng.uniform(1, 6)),
+                   "beta": float(rng.uniform(2, 4))} for _ in range(6)]
+        points.append({"t": 2.5, "mu": 6, "beta": 2})  # a training node
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(points))
+        base = ["online", "--model", str(model_dir), "--store", str(store_dir)]
+        assert cli.main(base + ["--out", str(tmp_path / "batch"), "--params-file", str(path)]) == 0
+        batch = np.load(tmp_path / "batch" / "reconstructions.npz")
+        assert batch["profiles"].shape == (7, 102)
+        for q, point in enumerate(points):
+            spec = ",".join(f"{name}={value!r}" for name, value in point.items())
+            out = tmp_path / f"one{q}"
+            assert cli.main(base + ["--out", str(out), "--at", spec]) == 0
+            one = np.load(out / "reconstructions.npz")
+            np.testing.assert_array_equal(one["params"][0], batch["params"][q])
+            np.testing.assert_allclose(one["profiles"][0], batch["profiles"][q], rtol=0, atol=1e-12)
+        _, rows = store.read_csv(tmp_path / "batch" / "errors.csv")
+        assert [row[:3] for row in rows] == [["2.5", "6.0", "2.0"]]
 
 
 class TestTablesAndDiag:

@@ -50,19 +50,19 @@ class TestGreedyStep:
     def test_train_equals_atoms_small_delta(self):
         train, params = block_family([0.2, 0.5, 0.9])
         d = greedy.make_dictionary(train, params, [0, 1, 2])
-        step = greedy.greedy_step(d, train, params)
+        step = greedy.greedy_step(d, train)
         assert step.delta <= 1e-8
 
     def test_far_snapshot_selected(self):
         train, params = block_family([0.2, 0.25, 0.3, 0.9])
         d = greedy.make_dictionary(train, params, [0, 1])
-        step = greedy.greedy_step(d, train, params)
+        step = greedy.greedy_step(d, train)
         assert step.next_index == 3
 
     def test_never_reselects_atoms(self):
         train, params = block_family([0.2, 0.5, 0.9])
         d = greedy.make_dictionary(train, params, [0, 2])
-        step = greedy.greedy_step(d, train, params)
+        step = greedy.greedy_step(d, train)
         assert step.next_index == 1
 
     def test_against_active_set_oracle(self):
@@ -70,7 +70,7 @@ class TestGreedyStep:
         widths = np.sort(rng.uniform(0.05, 0.95, 7))
         train, params = block_family(widths.tolist())
         d = greedy.make_dictionary(train, params, [0, 6, 3])
-        step = greedy.greedy_step(d, train, params)
+        step = greedy.greedy_step(d, train)
         for k in range(train.shape[1]):
             _, f_star = simplex_ls_active_set(d.atoms, train[:, k])
             assert step.errors[k] ** 2 <= f_star + 1e-8

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,101 @@ class TestReconstruct:
             err_on = np.abs(rec_online - raws[row]).sum()
             err_off = np.abs(rec_offline - raws[row]).sum()
             assert err_on == pytest.approx(err_off, rel=1e-6, abs=1e-12)
+
+
+class TestBatch:
+    """A (P, d) batch equals the one-point calls row by row."""
+
+    @staticmethod
+    def assert_rows_match(model, points, clamp):
+        lam, mass = online.evaluate_raw(model, points, clamp=clamp)
+        profiles = online.reconstruct(model, points, clamp=clamp)
+        assert lam.shape == (points.shape[0], model.n_atoms)
+        assert mass.shape == (points.shape[0],)
+        assert profiles.shape == (points.shape[0], model.n_raw)
+        for q, z in enumerate(points):
+            lam_q, mass_q = online.evaluate_raw(model, z, clamp=clamp)
+            assert isinstance(mass_q, float)
+            np.testing.assert_allclose(lam[q], lam_q, rtol=0, atol=1e-12)
+            assert mass[q] == pytest.approx(mass_q, rel=0, abs=1e-12)
+            np.testing.assert_allclose(
+                profiles[q], online.reconstruct(model, z, clamp=clamp), rtol=0, atol=1e-12
+            )
+        return lam, mass, profiles
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_rows_equal_single_points(self, fitted, clamp):
+        params, *_, model = fitted
+        rng = np.random.default_rng(31)
+        # more rows than one block of the profile pipeline, plus every node
+        points = np.column_stack([rng.uniform(0, 2, 300), rng.uniform(0.5, 1.0, 300)])
+        points = np.vstack([points, params])
+        if clamp:
+            points[::7] += [3.0, -2.0]
+        self.assert_rows_match(model, points, clamp)
+
+    def test_size_one_axis(self):
+        params, raws, train, masses = make_training()
+        flat = params[:, 1] == 0.5
+        dictionary, _, weights = greedy.run(train[:, flat], params[flat], n_max=2)
+        model = online.fit(dictionary, params[flat], weights, masses[flat], ("t", "y"), 200)
+        assert model.weight_table.shape == (3, 1, 2)
+        points = np.column_stack([np.linspace(0, 2, 9), np.full(9, 0.5)])
+        self.assert_rows_match(model, points, clamp=False)
+        self.assert_rows_match(model, points + [0.0, 0.25], clamp=True)
+
+    def test_zero_mass_and_face_rows(self, fitted):
+        params, *_, model = fitted
+        # negative node masses and off-simplex node weights: some rows get a
+        # zero profile, others weights projected onto a face of the simplex
+        mass_table = model.mass_table.copy()
+        mass_table[0, :] = [-0.5, 0.0]
+        weight_table = model.weight_table.copy()
+        weight_table[2, 1] = [2.0, -0.5, -0.5]
+        skewed = replace(model, mass_table=mass_table, weight_table=weight_table)
+        points = np.column_stack([np.linspace(0, 2, 41), np.tile([0.5, 0.75, 1.0], 14)[:41]])
+        lam, mass, profiles = self.assert_rows_match(skewed, points, clamp=False)
+        dead = mass <= 0.0
+        assert dead.any() and not dead.all()
+        assert np.all(profiles[dead] == 0.0)
+        on_face = np.count_nonzero(sq.project_to_simplex(lam.T), axis=0) < model.n_atoms
+        assert on_face[~dead].any()
+        dx = (model.x_max - model.x_min) / model.n_raw
+        np.testing.assert_allclose(profiles[~dead].sum(axis=1) * dx, mass[~dead], rtol=1e-8)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_one_bad_row_rejects_the_batch(self, fitted, clamp):
+        *_, model = fitted
+        points = np.column_stack([np.linspace(0, 2, 20), np.full(20, 0.75)])
+        for row, col, bad in [(0, 0, np.nan), (7, 1, np.inf), (19, 0, -np.inf)]:
+            batch = points.copy()
+            batch[row, col] = bad
+            batch[row + 1:, 1] = np.nan  # later offenders are not the one named
+            with pytest.raises(online.OutOfRangeError, match=f"value {bad} is not"):
+                online.reconstruct(model, batch, clamp=clamp)
+        batch = points.copy()
+        batch[12, 0] = 5.0
+        batch[15, 1] = 9.0
+        if clamp:
+            self.assert_rows_match(model, batch, clamp=True)
+        else:
+            with pytest.raises(online.OutOfRangeError, match="value 5.0 outside"):
+                online.evaluate_raw(model, batch)
+
+    def test_profiles_from_weight_columns(self, fitted):
+        params, raws, train, masses, model = fitted
+        res = sq.solve_batch(model.dictionary.atoms, train)
+        got = online.profile_from_weights(model.dictionary.atoms, res.weights, masses, model.n_raw)
+        assert got.shape == (params.shape[0], model.n_raw)
+        for k in range(params.shape[0]):
+            one = online.profile_from_weights(
+                model.dictionary.atoms, res.weights[:, k], masses[k], model.n_raw
+            )
+            np.testing.assert_allclose(got[k], one, rtol=0, atol=1e-12)
+        errors = online.relative_l1_error(got, np.array(raws))
+        assert errors.shape == (params.shape[0],)
+        for k in range(params.shape[0]):
+            assert errors[k] == online.relative_l1_error(got[k], raws[k])
+        truth = np.array(raws)
+        truth[1] = 0.0
+        assert online.relative_l1_error(got, truth)[1] == 0.0

@@ -79,9 +79,21 @@ class TestProjection:
     def test_output_on_simplex(self):
         rng = np.random.default_rng(29)
         v = rng.uniform(-5, 5, (7, 40))
-        p = sq.project_columns_to_simplex(v)
+        p = sq.project_to_simplex(v)
         assert np.all(p >= -1e-10)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-10)
+
+    def test_columns_equal_column_loop(self):
+        rng = np.random.default_rng(31)
+        v = rng.uniform(-3, 3, (6, 25))
+        v[:, 3] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # a vertex
+        v[:, 4] = [0.5, 0.5, -1.0, -1.0, -1.0, -1.0]  # lands on an edge
+        got = sq.project_to_simplex(v)
+        assert got.shape == v.shape
+        want = np.column_stack([sq.project_to_simplex(v[:, t]) for t in range(v.shape[1])])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:, 3], v[:, 3])
+        assert np.count_nonzero(got[:, 4]) == 2
 
 
 class TestSolve:

@@ -164,6 +164,22 @@ class TestSnapshotPipeline:
                 train[:, k], tr.snapshot_to_icdf(values[k], x_min=0.0, x_max=2.0)
             )
 
+    def test_columns_equal_column_loop(self):
+        rng = np.random.default_rng(23)
+        values = rng.random((9, 40))
+        values[2, :20] = 0.0  # a flat stretch of the cdf
+        ic = tr.snapshots_to_icdfs(values)
+        ic[:, 5] = np.linspace(0.0, 0.5, ic.shape[0])  # support ends mid-domain
+        for n_out in (ic.shape[0], 17):
+            got = tr.invert_icdf(ic, n_out)
+            assert got.shape == (n_out, ic.shape[1])
+            want = np.column_stack([tr.invert_icdf(ic[:, k], n_out) for k in range(ic.shape[1])])
+            np.testing.assert_array_equal(got, want)
+        dens = tr.icdf_to_density(ic, 40)
+        assert dens.shape == (40, 9)
+        want = np.column_stack([tr.icdf_to_density(ic[:, k], 40) for k in range(9)])
+        np.testing.assert_array_equal(dens, want)
+
     def test_density_strips_the_two_cells(self):
         rng = np.random.default_rng(21)
         raw = np.clip(np.cumsum(rng.standard_normal(300)) + 10.0, 0.0, None)
