@@ -112,16 +112,17 @@ def cmd_offline(args) -> int:
     train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
     l1_mean, l1_max = [], []
 
-    def track_l1(n, indices, weights, errors):
+    def track_l1(n, indices, step):
         rec = online.profile_from_weights(
-            train[:, indices], weights, st.masses, st.n_cells, st.x_min, st.x_max
+            train[:, indices], step.weights, st.masses, st.n_cells, st.x_min, st.x_max
         )
         rels = online.relative_l1_error(rec, st.values)
         l1_mean.append(float(rels.mean()))
         l1_max.append(float(rels.max()))
         print(
-            f"  n={n}: max W2 {errors.max():.3e}, mean W2 {errors.mean():.3e}, "
-            f"mean rel L1 {rels.mean():.3e}"
+            f"  n={n}: max W2 {step.errors.max():.3e}, mean W2 {step.errors.mean():.3e}, "
+            f"mean rel L1 {rels.mean():.3e}, {int(step.screened.sum())} of "
+            f"{step.screened.size} solves screened"
         )
 
     dictionary, report, final_weights = greedy.run(
@@ -154,21 +155,38 @@ def cmd_offline(args) -> int:
     return EXIT_OK
 
 
-def _parse_point(model: online.ReducedModel, spec: dict) -> np.ndarray:
-    missing = [name for name in model.axis_names if name not in spec]
-    extra = [name for name in spec if name not in model.axis_names]
-    if missing or extra:
+def _point_values(names: tuple, spec: dict) -> list[float]:
+    if spec.keys() != set(names):
+        missing = [name for name in names if name not in spec]
+        extra = [name for name in spec if name not in names]
         raise ConfigError(
-            f"parameter point must set exactly {list(model.axis_names)}; "
+            f"parameter point must set exactly {list(names)}; "
             f"missing {missing}, unknown {extra}"
         )
     try:
-        point = np.array([float(spec[name]) for name in model.axis_names])
+        return [float(spec[name]) for name in names]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"parameter point {spec!r} is not numeric") from err
-    if not np.all(np.isfinite(point)):
-        raise ConfigError(f"parameter point {spec!r} is not finite")
-    return point
+
+
+def _parse_points(model: online.ReducedModel, specs: list[dict]) -> np.ndarray:
+    """The (P, d) array of the parameter points, checked for finiteness as
+    one array. The error names the first bad point in list order."""
+    names = tuple(model.axis_names)
+    rows, failure = [], None
+    for spec in specs:
+        try:
+            rows.append(_point_values(names, spec))
+        except ConfigError as err:
+            failure = err
+            break
+    points = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    finite = np.all(np.isfinite(points), axis=1)
+    if not finite.all():
+        raise ConfigError(f"parameter point {specs[int(np.argmin(finite))]!r} is not finite")
+    if failure is not None:
+        raise failure
+    return points
 
 
 def cmd_online(args) -> int:
@@ -194,7 +212,7 @@ def cmd_online(args) -> int:
         specs.append(spec)
     if not specs:
         raise ConfigError("no evaluation points: pass --params-file and/or --at")
-    points = np.array([_parse_point(model, spec) for spec in specs])
+    points = _parse_points(model, specs)
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = Path(args.out)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BOUNDARY_TOL = 1e-12
+LANDSCAPE_BLOCK = 256  # pixels per residual block: 2 MB for a 1000-node icdf
 
 
 class OutsidePolygonError(ValueError):
@@ -109,7 +110,7 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
     interior pixel of the n-gon raster."""
     atoms = np.asarray(atoms, dtype=float)
     target = np.asarray(target, dtype=float)
-    m, n = atoms.shape
+    _, n = atoms.shape
     if n < 3:
         raise ValueError("landscape needs at least 3 atoms")
     if resolution < 2:
@@ -131,13 +132,18 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
     w = w / w.sum(axis=1, keepdims=True)
 
     # data-form residuals: the quadratic Gram form cancels catastrophically
-    # near exact fits
-    w2_sq = np.empty(w.shape[0])
-    chunk = max(1, 8_000_000 // max(m, 1))
-    for lo in range(0, w.shape[0], chunk):
-        hi = min(lo + chunk, w.shape[0])
-        resid = atoms @ w[lo:hi].T - target[:, None]
-        w2_sq[lo:hi] = np.mean(resid**2, axis=0)
+    # near exact fits. A lone last pixel joins the block before it: numpy
+    # rounds a one-column product and sum differently from a wider block
+    count = w.shape[0]
+    starts = list(range(0, count, LANDSCAPE_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    w2_sq = np.empty(count)
+    for lo, hi in zip(starts, starts[1:] + [count]):
+        resid = atoms @ w[lo:hi].T
+        resid -= target[:, None]
+        np.square(resid, out=resid)
+        w2_sq[lo:hi] = resid.mean(axis=0)
     log10 = 0.5 * np.log10(np.maximum(w2_sq, 1e-300))
     return LandscapeGrid(
         n=n, resolution=resolution, xy=pts, pixel=pix, weights=w, log10_w2=log10

@@ -59,6 +59,7 @@ class StepResult:
     converged: np.ndarray  # (K,) bool
     iterations: np.ndarray  # (K,) active-set changes per solve
     kkt: np.ndarray  # (K,) KKT residual per solve
+    screened: np.ndarray  # (K,) bool, warm start already optimal and kept
 
 
 def init_pair(train: np.ndarray) -> tuple[int, int]:
@@ -116,6 +117,7 @@ def greedy_step(
         converged=res.converged,
         iterations=res.iterations,
         kkt=res.kkt,
+        screened=res.screened,
     )
 
 
@@ -163,8 +165,8 @@ def run(
     error, which the reference experiments are expected to ride through.
 
     Returns the dictionary, the per-iteration report, and the (n, K) weight
-    matrix of the final sweep. on_iteration(size, indices, weights, errors)
-    is called once per completed sweep.
+    matrix of the final sweep. on_iteration(size, indices, step) is called
+    with the StepResult of every completed sweep.
     """
     train = np.asarray(train, dtype=float)
     params = np.asarray(params, dtype=float)
@@ -199,7 +201,7 @@ def run(
                 f"n={n}: {bad} of {train.shape[1]} weight solves did not converge"
             )
         if on_iteration is not None:
-            on_iteration(n, list(selected), step.weights, step.errors)
+            on_iteration(n, list(selected), step)
 
         if step.delta < eps_abs:
             report.termination = TERM_ABSOLUTE

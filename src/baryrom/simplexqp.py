@@ -6,15 +6,15 @@ rectangle-rule weight as the W2 distance, so the optimal objective is
 exactly the squared W2 error of the best barycenter.
 
 The solver is an exact primal active-set method in the style of Lawson and
-Hanson (1974), run once per target column:
+Hanson (1974), run for all target columns at once:
 
 - On the current support it solves the equality-constrained least squares
-  in data form, by `lstsq` on the support atoms in null-space coordinates
-  of 1^T. The Gram matrix A^T A is never formed: on nearly dependent icdfs
-  its squared condition number cancels catastrophically. One thin QR of
-  the atom matrix per batch, A = QR, replaces A and f by R and Q^T f, which
-  changes the objective by a constant only, so every fit runs on n rows
-  instead of M.
+  in data form, in null-space coordinates of 1^T, by a minimum-norm SVD
+  solve with `lstsq`'s cutoff. The Gram matrix A^T A is never formed: on
+  nearly dependent icdfs its squared condition number cancels
+  catastrophically. One thin QR of the atom matrix per batch, A = QR,
+  replaces A and f by R and Q^T f, which changes the objective by a
+  constant only, so every fit runs on n rows instead of M.
 - When a support weight would turn nonpositive, the iterate steps back
   along the segment to the first boundary point and that atom leaves the
   support.
@@ -27,6 +27,14 @@ Hanson (1974), run once per target column:
 Every step lowers the objective, so an atom never re-enters a support it
 left at the same objective value and the method terminates. `max_iter`
 caps the number of active-set changes (atoms added plus atoms dropped).
+
+Two things make the batch cheap (Bro and De Jong, FNNLS, 1997; Van Benthem
+and Keenan, 2004). A warm start that is already optimal is screened out by
+one gradient product over all columns: when a greedy sweep appends an atom,
+most previous optima still pass the KKT test and keep their weights with
+zero changes. The other columns advance in lockstep, one active-set change
+per round, and a column leaves the batch as soon as it is done; the columns
+of a round that share a support size share one stacked solve.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
+# an init column counts as on the simplex when it is nonnegative and sums to
+# 1 within this, far above the rounding of the solver's own weights
+SIMPLEX_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,7 @@ class BatchResult:
     iterations: np.ndarray  # (T,) active-set changes
     converged: np.ndarray  # (T,) bool
     kkt: np.ndarray  # (T,) KKT residual: multiplier gap and support spread
+    screened: np.ndarray  # (T,) bool, init column already optimal and kept
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -85,70 +97,78 @@ def condition_of_gram(gram: np.ndarray) -> float:
     return float(hi / lo)
 
 
-def _support_fit(atoms, target, support):
-    """Least squares on the support under sum(w) = 1, in data form.
+def _rowwise(x, mat):
+    """x @ mat with every row of x as its own vector-matrix product.
 
-    The first support atom is the pivot: w_pivot = 1 - sum(rest), which
-    turns the constrained fit into an unconstrained one on the differences
-    A_rest - a_pivot (null-space coordinates of 1^T).
+    One matrix product over the whole batch would round a row differently
+    from a one-row batch, so a solve would depend on the rest of its batch.
     """
-    pivot, rest = support[0], support[1:]
-    z = np.zeros(atoms.shape[1])
-    z[pivot] = 1.0
-    if rest.size:
-        base = atoms[:, pivot]
-        y = np.linalg.lstsq(atoms[:, rest] - base[:, None], target - base, rcond=None)[0]
-        z[rest] = y
-        z[pivot] -= y.sum()
+    return (x[:, None, :] @ mat)[:, 0, :]
+
+
+def _lstsq_stack(mats, rhs):
+    """Minimum-norm least squares of a stack of systems, mats (G, r, k) and
+    rhs (G, r): the SVD with `lstsq`'s default cutoff, singular values at or
+    below eps * max(r, k) of the largest count as zero."""
+    u, sv, vt = np.linalg.svd(mats, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(mats.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+    coef = (rhs[:, None, :] @ u)[:, 0, :] * inv
+    return (coef[:, None, :] @ vt)[:, 0, :]
+
+
+def _support_fits(r, p, support):
+    """Least squares of every row's target p on its support under
+    sum(w) = 1, in data form; support is (C, n) bool.
+
+    The first support atom of a row is its pivot: w_pivot = 1 - sum(rest),
+    which turns the constrained fit into an unconstrained one on the
+    differences A_rest - a_pivot (null-space coordinates of 1^T). Rows with
+    the same support size share one stacked solve.
+    """
+    z = np.zeros(support.shape)
+    sizes = np.count_nonzero(support, axis=1)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        idx = np.nonzero(support[rows])[1].reshape(rows.size, size)
+        pivot, rest = idx[:, 0], idx[:, 1:]
+        z[rows, pivot] = 1.0
+        if size > 1:
+            base = r[:, pivot].T  # (G, K)
+            diffs = r[:, rest].transpose(1, 0, 2) - base[:, :, None]  # (G, K, size - 1)
+            y = _lstsq_stack(diffs, p[rows] - base)
+            z[rows[:, None], rest] = y
+            z[rows, pivot] -= y.sum(axis=1)
     return z
 
 
-def _solve_column(atoms, target, w, m, tol, max_iter):
-    """Active-set iterations from the feasible point w; m is the row count
-    of the rectangle rule that weights the objective.
+def _kkt_check(r, p, w, support, m):
+    """Gradient test of the rows w on their supports.
 
-    Returns (weights, active-set changes, converged, KKT residual).
+    Returns, per row, the outside atom whose gradient entry most undercuts
+    the multiplier mu = w^T grad, by how much it does (-inf when every atom
+    is in the support), and the KKT residual: the larger of that gap and the
+    spread of the support's gradient entries around mu.
     """
-    support = w > 0.0
-    changes = 0
-    entering = -1
-    converged = False
-    while True:
-        # optimal fit on the support, backing off to the boundary of the
-        # simplex whenever a support weight would turn nonpositive
-        while True:
-            idx = np.flatnonzero(support)
-            z = _support_fit(atoms, target, idx)
-            if entering >= 0 and z[entering] <= 0.0:
-                # the entering atom brings no decrease at working precision
-                support[entering] = False
-                break
-            blocking = idx[z[idx] <= 0.0]
-            if blocking.size == 0:
-                w = z
-                break
-            ratio = w[blocking] / (w[blocking] - z[blocking])
-            k = int(np.argmin(ratio))
-            w = np.maximum(w + ratio[k] * (z - w), 0.0)
-            w[blocking[k]] = 0.0
-            w /= w.sum()
-            support = w > 0.0
-            changes += 1
-            entering = -1
-        grad = 2.0 * atoms.T @ (atoms @ w - target) / m
-        mu = float(w @ grad)
-        gap = np.where(support, -np.inf, mu - grad)
-        j = int(np.argmax(gap))
-        kkt = max(float(np.abs(grad[support] - mu).max()), float(gap[j]), 0.0)
-        if gap[j] <= tol:
-            converged = True
-            break
-        if j == entering or changes >= max_iter:
-            break
-        support[j] = True
-        entering = j
-        changes += 1
-    return w, changes, converged, kkt
+    grad = 2.0 * _rowwise(_rowwise(w, r.T) - p, r) / m
+    mu = np.sum(w * grad, axis=1)[:, None]
+    gaps = np.where(support, -np.inf, mu - grad)
+    entering = np.argmax(gaps, axis=1)
+    gap = gaps[np.arange(w.shape[0]), entering]
+    spread = np.where(support, np.abs(grad - mu), 0.0).max(axis=1)
+    return entering, gap, np.maximum(spread, np.maximum(gap, 0.0))
+
+
+def _step_back(w, z, support):
+    """Move each row from w toward its fit z up to the first support weight
+    that reaches zero; that atom leaves the support."""
+    blocking = support & (z <= 0.0)
+    ratio = np.divide(w, w - z, out=np.full(w.shape, np.inf), where=blocking)
+    first = np.argmin(ratio, axis=1)
+    rows = np.arange(w.shape[0])
+    w = np.maximum(w + ratio[rows, first][:, None] * (z - w), 0.0)
+    w[rows, first] = 0.0
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def solve_batch(
@@ -161,12 +181,16 @@ def solve_batch(
     """Solve the simplex least-squares problem for many targets at once.
 
     atoms is (M, n), targets (M, T) or a single (M,) target, init (n, T)
-    or None. Each column starts from the support of its init column
-    projected onto the simplex, or from the nearest atom when init is None.
+    or None. An init column that is already on the simplex and passes the
+    KKT test at tol on its own support is returned as it is (screened).
+    Every other column starts from its init column when that is on the
+    simplex, from its projection onto the simplex when it is not, or from
+    the nearest atom when init is None.
     A column converges when no gradient entry undercuts the support
     multiplier by more than tol; a column that reaches max_iter active-set
     changes, or whose entering atom brings no decrease at working precision,
-    keeps its last iterate and reports converged=False.
+    keeps its last iterate and reports converged=False. A column's weights,
+    changes and KKT residual do not depend on the other columns of the batch.
     """
     atoms = np.asarray(atoms, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -180,33 +204,84 @@ def solve_batch(
     if targets.shape[0] != m:
         raise ValueError(f"targets have {targets.shape[0]} rows, atoms have {m}")
     t_count = targets.shape[1]
+    # the solver works on rows: one row per target column
     q, r = np.linalg.qr(atoms)
-    projected = q.T @ targets
+    projected = _rowwise(targets.T, q)
+    weights = np.zeros((t_count, n))
+    iterations = np.zeros(t_count, dtype=int)
+    converged = np.zeros(t_count, dtype=bool)
+    screened = np.zeros(t_count, dtype=bool)
+    kkt = np.zeros(t_count)
     if init is None:
-        start = np.zeros((n, t_count))
-        for t in range(t_count):
-            nearest = np.sum((r - projected[:, [t]]) ** 2, axis=0)
-            start[int(np.argmin(nearest)), t] = 1.0
+        start = np.zeros((t_count, n))
+        nearest = np.sum((r[None, :, :] - projected[:, :, None]) ** 2, axis=1)
+        start[np.arange(t_count), np.argmin(nearest, axis=1)] = 1.0
     else:
         init = np.asarray(init, dtype=float)
         if init.shape != (n, t_count):
             raise ValueError(f"init shape {init.shape} != {(n, t_count)}")
-        start = project_to_simplex(init)
-
-    weights = np.empty((n, t_count))
-    iterations = np.empty(t_count, dtype=int)
-    converged = np.empty(t_count, dtype=bool)
-    kkt = np.empty(t_count)
-    for t in range(t_count):
-        weights[:, t], iterations[t], converged[t], kkt[t] = _solve_column(
-            r, projected[:, t], start[:, t], m, tol, max_iter
+        start = project_to_simplex(init).T
+        # a start already on the simplex is used as it is: projecting an
+        # exact simplex column can turn its zeros into rounding-level weights
+        feasible = np.flatnonzero(
+            np.all(init >= 0.0, axis=0) & (np.abs(init.sum(axis=0) - 1.0) <= SIMPLEX_SUM_TOL)
         )
+        start[feasible] = w0 = init.T[feasible]
+        _, _, res = _kkt_check(r, projected[feasible], w0, w0 > 0.0, m)
+        keep = res <= tol
+        done = feasible[keep]
+        weights[done] = w0[keep]
+        kkt[done] = res[keep]
+        converged[done] = screened[done] = True
+
+    # lockstep active-set rounds over the open rows: each round fits every
+    # open row on its support, then steps back to the boundary or runs the
+    # gradient test; a row leaves as soon as it is done
+    rows = np.flatnonzero(~screened)
+    w = start[rows]
+    support = w > 0.0
+    changes = np.zeros(rows.size, dtype=int)
+    entering = np.full(rows.size, -1)
+    while rows.size:
+        z = _support_fits(r, projected[rows], support)
+        here = np.arange(rows.size)
+        # the entering atom brings no decrease at working precision
+        no_gain = (entering >= 0) & (z[here, entering] <= 0.0)
+        support[here[no_gain], entering[no_gain]] = False
+        back = ~no_gain & np.any(support & (z <= 0.0), axis=1)
+        if back.any():
+            w[back] = _step_back(w[back], z[back], support[back])
+            support[back] = w[back] > 0.0
+            changes[back] += 1
+            entering[back] = -1
+        fitted = ~no_gain & ~back
+        w[fitted] = z[fitted]
+
+        test = np.flatnonzero(~back)
+        j, gap, res = _kkt_check(r, projected[rows[test]], w[test], support[test], m)
+        ok = gap <= tol
+        stop = ok | (j == entering[test]) | (changes[test] >= max_iter)
+        grow = test[~stop]
+        support[grow, j[~stop]] = True
+        entering[grow] = j[~stop]
+        changes[grow] += 1
+
+        done, out = test[stop], rows[test[stop]]
+        weights[out] = w[done]
+        iterations[out] = changes[done]
+        converged[out] = ok[stop]
+        kkt[out] = res[stop]
+        live = np.ones(rows.size, dtype=bool)
+        live[done] = False
+        rows, w, support = rows[live], w[live], support[live]
+        changes, entering = changes[live], entering[live]
     return BatchResult(
-        weights=weights,
-        objective=_data_objective(atoms, targets, weights),
+        weights=weights.T,
+        objective=_data_objective(atoms, targets, weights.T),
         iterations=iterations,
         converged=converged,
         kkt=kkt,
+        screened=screened,
     )
 
 

@@ -178,7 +178,7 @@ class TestRun:
     def test_callback_called_per_iteration(self):
         train, params = block_family([0.1, 0.3, 0.5, 0.7, 0.9])
         seen = []
-        greedy.run(train, params, n_max=4, on_iteration=lambda n, i, w, e: seen.append(n))
+        greedy.run(train, params, n_max=4, on_iteration=lambda n, i, step: seen.append(n))
         assert seen == [2, 3, 4]
 
     def test_exhausted_training_set(self):

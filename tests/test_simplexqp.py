@@ -210,6 +210,91 @@ class TestSolve:
         np.testing.assert_array_equal(again.iterations, 0)
         np.testing.assert_allclose(again.weights, cold.weights, atol=1e-12)
 
+    def test_optimal_init_is_screened_unchanged(self):
+        # an optimum with zero weights passes the screen on the support of
+        # init itself and comes back bit for bit, with no active-set change
+        rng = np.random.default_rng(79)
+        atoms = random_icdf_atoms(rng, 100, 5)
+        targets = np.stack(
+            [tr.snapshot_to_icdf(rng.random(98)) for _ in range(10)], axis=1
+        )
+        opt = sq.solve_batch(atoms, targets).weights
+        assert np.all(np.any(opt == 0.0, axis=0))
+        # a rounding-level mass deficit, which the simplex projection spreads
+        # over the zero weights
+        short = opt * (1.0 - 2.0**-52)
+        assert np.all(sq.project_to_simplex(short) > 0.0)
+        for init in (opt, short):
+            res = sq.solve_batch(atoms, targets, init=init)
+            assert res.screened.all() and res.converged.all()
+            np.testing.assert_array_equal(res.weights, init)
+            np.testing.assert_array_equal(res.iterations, 0)
+            assert np.all(res.kkt <= sq.DEFAULT_TOL)
+
+    def test_appended_atom_screens_the_optima_it_cannot_improve(self):
+        # the greedy warm start: the optima over the first n - 1 atoms, with
+        # a zero weight for the appended atom
+        rng = np.random.default_rng(83)
+        atoms = random_icdf_atoms(rng, 100, 6)[:, [0, 1, 2, 4, 5, 3]]
+        cells = (np.arange(98) + 0.5) / 98
+        targets = np.stack(
+            [
+                tr.snapshot_to_icdf(np.where(cells <= w, 1.0 + 0.5 * rng.random(98), 0.0))
+                for w in rng.uniform(0.05, 1.0, 16)
+            ],
+            axis=1,
+        )
+        prev = sq.solve_batch(atoms[:, :-1], targets).weights
+        init = np.vstack([prev, np.zeros((1, 16))])
+        res = sq.solve_batch(atoms, targets, init=init)
+        assert 0 < res.screened.sum() < 16
+        np.testing.assert_array_equal(res.weights[:, res.screened], init[:, res.screened])
+        want = np.array([simplex_ls_active_set(atoms, f)[1] for f in targets.T])
+        np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10)
+        assert_kkt(atoms, targets, res)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_random_init_is_not_screened(self, sparse):
+        # a dense init has no outside atom, so only the spread of the support
+        # gradient can tell that it is not optimal
+        rng = np.random.default_rng(89)
+        atoms = random_icdf_atoms(rng, 80, 5)
+        targets = np.stack(
+            [tr.snapshot_to_icdf(rng.random(78)) for _ in range(12)], axis=1
+        )
+        res = sq.solve_batch(atoms, targets, init=random_feasible(rng, 5, 12, sparse))
+        assert not res.screened.any()
+        want = np.array([simplex_ls_active_set(atoms, f)[1] for f in targets.T])
+        np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10)
+        assert_kkt(atoms, targets, res)
+
+    def test_lockstep_columns_match_solo_solves(self):
+        # one batch whose columns end in every way, on supports of several
+        # sizes over a dictionary with a duplicate atom: targets on an edge
+        # of the simplex leave only rounding-level gradient gaps, so at a tiny
+        # tol some entering atoms bring no decrease, and max_iter caps others
+        rng = np.random.default_rng(2)
+        base = random_icdf_atoms(rng, 80, 4)
+        atoms = np.column_stack([base, base[:, [1]]])
+        free = np.stack([tr.snapshot_to_icdf(rng.random(78)) for _ in range(12)], axis=1)
+        edge = base[:, :2] @ rng.dirichlet(np.ones(2), 24).T
+        targets = np.column_stack([free, edge])
+        tol, cap = 1e-25, 3
+        res = sq.solve_batch(atoms, targets, tol=tol, max_iter=cap)
+        capped = ~res.converged & (res.iterations >= cap)
+        no_gain = ~res.converged & (res.iterations < cap)
+        assert res.converged.any() and capped.any() and no_gain.any()
+        assert np.unique(np.count_nonzero(res.weights, axis=0)).size >= 3
+        for t in range(targets.shape[1]):
+            solo = sq.solve_batch(atoms, targets[:, t], tol=tol, max_iter=cap)
+            np.testing.assert_allclose(solo.weights[:, 0], res.weights[:, t], rtol=0, atol=1e-12)
+            assert solo.iterations[0] == res.iterations[t]
+            assert solo.converged[0] == res.converged[t]
+            assert solo.kkt[0] == pytest.approx(res.kkt[t], rel=1e-12, abs=1e-30)
+        want = np.array([simplex_ls_active_set(atoms, f)[1] for f in targets.T])
+        np.testing.assert_allclose(res.objective[~capped], want[~capped], rtol=0, atol=1e-12)
+        assert np.all(res.objective[capped] >= want[capped] - 1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sq.solve_batch(np.zeros((10, 2)), np.zeros(9))
