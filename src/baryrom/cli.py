@@ -215,9 +215,8 @@ def cmd_online(args) -> int:
     points = _parse_points(model, specs)
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    np.savez(out / "reconstructions.npz", params=points, profiles=profiles)
+    out = store.make_dir(args.out)
+    store.savez_atomic(out / "reconstructions.npz", params=points, profiles=profiles)
 
     rows = []
     if args.store:
@@ -264,9 +263,10 @@ def cmd_pod(args) -> int:
     st = store.load_store(args.store)
     eps_list = _parse_eps(args.eps)
     basis, errors = _pod_artifacts(st)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    np.savez(out / "basis.npz", modes=basis.modes, singular_values=basis.singular_values)
+    out = store.make_dir(args.out)
+    store.savez_atomic(
+        out / "basis.npz", modes=basis.modes, singular_values=basis.singular_values
+    )
     means = errors.mean(axis=1)
     maxes = errors.max(axis=1)
     store.write_csv(
@@ -294,8 +294,7 @@ def cmd_tables(args) -> int:
         )
         for eps in eps_list
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = store.make_dir(args.out)
     store.write_csv(out / "tables.csv", ("epsilon", "n_gbar", "n_pod"), rows)
     print(f"joint table written to {out / 'tables.csv'}")
     return EXIT_OK
@@ -303,8 +302,7 @@ def cmd_tables(args) -> int:
 
 def cmd_diag(args) -> int:
     report, _, _ = store.load_model_report(args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = store.make_dir(args.out)
     store.write_csv(out / "condition.csv", ("n", "condition"), zip(report.sizes, report.condition))
     store.write_csv(out / "volume.csv", ("n", "volume"), zip(report.sizes, report.simplex_volume))
     print(f"diagnostic curves written to {out}")
@@ -327,8 +325,7 @@ def cmd_landscape(args) -> int:
     grid = diagnostics.energy_landscape(
         model.dictionary.atoms[:, :n], target, resolution=args.resolution
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = store.make_dir(args.out)
     header = ("x", "y") + tuple(f"lam_{i + 1}" for i in range(n)) + ("log10_w2",)
     table = np.column_stack([grid.xy, grid.weights, grid.log10_w2])
     store.write_csv(out / "landscape.csv", header, table)

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dger
 
 # relative cutoff below which Gram eigenvalues are numerical noise
 SIGMA_CUTOFF = 1e-7
+# snapshots per block of the error peel: a 1000-cell block residual is
+# 0.25 MB and stays in cache across all ranks
+ERROR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -63,17 +67,29 @@ def relative_l1_errors(basis: PodBasis, snapshots: np.ndarray) -> np.ndarray:
     """Relative L1 reconstruction error for every mode count and snapshot.
 
     Returns an (r, K) array; row n-1 holds the errors using the first n
-    modes. Built by peeling one rank-1 contribution at a time.
+    modes. Built by peeling one rank-1 contribution at a time, in blocks of
+    ERROR_BLOCK snapshots: each block's residual is a Fortran-ordered copy
+    updated in place by BLAS `dger`, and its column L1 norms are one
+    matrix-vector product per rank. The input is never written.
     """
     snaps = np.asarray(snapshots, dtype=float)
-    coeffs = basis.modes.T @ snaps  # (r, K)
-    norms = np.sum(np.abs(snaps), axis=0)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    resid = snaps.copy()
-    out = np.empty((basis.rank, snaps.shape[1]))
-    for n in range(basis.rank):
-        resid -= np.outer(basis.modes[:, n], coeffs[n])
-        out[n] = np.sum(np.abs(resid), axis=0) / norms
+    modes = np.asfortranarray(basis.modes)  # contiguous columns for dger
+    coeffs = modes.T @ snaps  # (r, K)
+    n_cells, count = snaps.shape
+    ones = np.ones(n_cells)
+    norms = np.empty(count)
+    out = np.empty((basis.rank, count))
+    for k0 in range(0, count, ERROR_BLOCK):
+        cols = slice(k0, min(k0 + ERROR_BLOCK, count))
+        # a real copy: an in-place update through a view would write the input
+        resid = np.array(snaps[:, cols], order="F", copy=True)
+        buf = np.abs(resid)
+        norms[cols] = ones @ buf
+        for n in range(basis.rank):
+            resid = dger(-1.0, modes[:, n], coeffs[n, cols], a=resid, overwrite_a=1)
+            np.abs(resid, out=buf)
+            out[n, cols] = ones @ buf
+    out /= np.where(norms > 0.0, norms, 1.0)
     return out
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import transport
+from .config import ConfigError
 from .greedy import Dictionary, GreedyReport
 from .online import ReducedModel
 
@@ -79,7 +80,7 @@ def write_csv(path, header, rows):
         lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     else:
         lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path):
@@ -90,7 +91,7 @@ def read_csv(path):
 
 
 def _write_json(path, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path):
@@ -110,13 +111,32 @@ def _check_kind(payload, path, kind: str, schema: int) -> None:
         )
 
 
-def _savez_atomic(path, **arrays) -> None:
+def savez_atomic(path, **arrays) -> None:
     """Write an npz file through a temporary file and a rename, so a reader
     never sees a partial file."""
     path = Path(path)
     tmp = path.with_suffix(".tmp.npz")
     np.savez(tmp, **arrays)
     tmp.replace(path)
+
+
+def write_text_atomic(path, text: str) -> None:
+    """The text twin of `savez_atomic`."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
+def make_dir(directory) -> Path:
+    """Create an output directory and its parents; ConfigError (a usage
+    error) when the path or one of its parents is not a directory."""
+    directory = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {directory}: {err}") from err
+    return directory
 
 
 def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) -> dict:
@@ -132,8 +152,7 @@ def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) 
 
 def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
     """Create (or reuse, for resuming) a store directory for generation."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_dir(directory)
     man_path = directory / MANIFEST_NAME
     if man_path.exists() and not force:
         existing = json.loads(man_path.read_text())
@@ -146,7 +165,7 @@ def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
         for stale in [directory / SNAPSHOTS_NAME, *sorted((directory / CHUNK_DIR).glob("*.npz"))]:
             stale.unlink(missing_ok=True)
         _write_json(man_path, manifest)
-    (directory / CHUNK_DIR).mkdir(exist_ok=True)
+    make_dir(directory / CHUNK_DIR)
     return directory
 
 
@@ -157,7 +176,7 @@ def chunk_path(directory, index: int) -> Path:
 def write_chunk(directory, index: int, params, values, masses, *, steps, min_dt_s,
                 mass_residual):
     """Store the snapshots of one simulation and its run statistics."""
-    _savez_atomic(
+    savez_atomic(
         chunk_path(directory, index), params=params, values=values, masses=masses,
         steps=np.array([steps]), min_dt_s=np.array([min_dt_s]),
         mass_residual=np.array([mass_residual]),
@@ -210,7 +229,7 @@ def consolidate_store(directory, manifest: dict) -> None:
     except ValueError as err:
         raise StoreError(f"chunks do not fit together: {err}") from err
     _check_store_shapes(merged, manifest)
-    _savez_atomic(directory / SNAPSHOTS_NAME, **merged)
+    savez_atomic(directory / SNAPSHOTS_NAME, **merged)
     for idx in range(combo_count):
         chunk_path(directory, idx).unlink()
 
@@ -300,8 +319,7 @@ def load_report(path) -> tuple[GreedyReport, np.ndarray, np.ndarray]:
 
 
 def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1_max):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = make_dir(directory)
     arrays = {
         "atoms": model.dictionary.atoms,
         "atom_params": model.dictionary.atom_params,
@@ -312,7 +330,7 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
     }
     for i, ax in enumerate(model.axes):
         arrays[f"axis_{i}"] = ax
-    _savez_atomic(directory / MODEL_ARRAYS_NAME, **arrays)
+    savez_atomic(directory / MODEL_ARRAYS_NAME, **arrays)
     _write_json(
         directory / MODEL_META_NAME,
         {

@@ -647,3 +647,44 @@ class TestTablesAndDiag:
         )
         assert rc == cli.EXIT_CONFIG
         assert not out.exists()
+
+
+class TestOutputPath:
+    """An --out that names a file, or a path below one, is a usage error
+    (exit 2) for every writing subcommand, not a traceback."""
+
+    @staticmethod
+    def argv(command, mini_run, out):
+        _, cfg_path, store_dir, model_dir = mini_run
+        tail = {
+            "generate": ["--config", str(cfg_path)],
+            "offline": ["--store", str(store_dir), "--n-max", "2"],
+            "online": ["--model", str(model_dir), "--at", "t=1,mu=1,beta=2"],
+            "pod": ["--store", str(store_dir)],
+            "tables": ["--store", str(store_dir), "--model", str(model_dir)],
+            "diag": ["--model", str(model_dir)],
+            "landscape": ["--model", str(model_dir), "--store", str(store_dir),
+                          "--target-index", "0", "--resolution", "5"],
+        }[command]
+        return [command, "--out", str(out), *tail]
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "offline", "online", "pod", "tables", "diag", "landscape"]
+    )
+    def test_out_is_a_file(self, mini_run, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        for out in (afile, afile / "sub"):
+            assert cli.main(self.argv(command, mini_run, out)) == cli.EXIT_CONFIG
+            assert "cannot create output directory" in capsys.readouterr().err
+        assert afile.read_text() == "keep\n"
+
+    def test_artifacts_leave_no_temporary_files(self, mini_run, tmp_path):
+        for command, names in [
+            ("pod", ["basis.npz", "pod_errors.csv", "pod_table.csv"]),
+            ("online", ["reconstructions.npz"]),
+            ("offline", ["greedy_report.csv", "model.json", "model.npz"]),
+        ]:
+            out = tmp_path / command
+            assert cli.main(self.argv(command, mini_run, out)) == cli.EXIT_OK
+            assert sorted(p.name for p in out.iterdir()) == names

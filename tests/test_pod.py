@@ -91,6 +91,44 @@ class TestReconstruct:
         assert np.sum(coeffs**2) == pytest.approx(np.sum(s**2), abs=1e-10)
 
 
+def l1_error_loop(basis, snaps):
+    """The error curve one rank and one snapshot at a time, through
+    `pod.reconstruct`."""
+    out = np.empty((basis.rank, snaps.shape[1]))
+    for k in range(snaps.shape[1]):
+        s = snaps[:, k]
+        norm = np.abs(s).sum() or 1.0
+        for n in range(1, basis.rank + 1):
+            out[n - 1, k] = np.abs(s - pod.reconstruct(basis, s, n)).sum() / norm
+    return out
+
+
+class TestRelativeL1Errors:
+    @pytest.mark.parametrize("count", [2 * pod.ERROR_BLOCK + 5, pod.ERROR_BLOCK - 25])
+    @pytest.mark.parametrize("zero_column", [False, True])
+    @pytest.mark.parametrize("transposed_view", [False, True])
+    def test_equals_reconstruction_loop(self, count, zero_column, transposed_view):
+        rng = np.random.default_rng(12)
+        cells = np.linspace(0.0, 1.0, 90)
+        # smooth, positive snapshots of slowly decaying rank, like saturations
+        values = np.array(
+            [np.clip(1.0 - cells / rng.uniform(0.2, 1.2), 0.0, None) ** rng.uniform(1, 3)
+             for _ in range(count)]
+        )
+        if zero_column:
+            values[count // 2] = 0.0
+        # the CLI passes the (N, K) view of the store's (K, N) array
+        snaps = values.T if transposed_view else np.ascontiguousarray(values.T)
+        before = snaps.copy()
+        basis = pod.compute(snaps)
+        errors = pod.relative_l1_errors(basis, snaps)
+        assert errors.shape == (basis.rank, count)
+        np.testing.assert_allclose(errors, l1_error_loop(basis, snaps), rtol=0, atol=1e-13)
+        assert np.array_equal(snaps, before)
+        if zero_column:
+            assert np.all(errors[:, count // 2] == 0.0)
+
+
 def mode_count(basis, snaps, eps):
     return pod.size_for_tolerance(pod.relative_l1_errors(basis, snaps).mean(axis=1), eps)
 
