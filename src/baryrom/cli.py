@@ -11,6 +11,7 @@ import argparse
 import copy
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +50,15 @@ def cmd_generate(args) -> int:
         f"snapshot times ({len(todo)} to run, {len(combos) - len(todo)} resumed)"
     )
     failures = []
+    row_steps = 0
 
     def write(row: int, outcome) -> None:
+        nonlocal row_steps
         i = todo[row]
         if isinstance(outcome, flow.FlowError):
             failures.append((i, str(outcome)))
             return
+        row_steps += outcome.steps
         y_params = tuple(combos[i][ax.name] for ax in cfg.axes)
         params = np.array([(t, *y_params) for t in times])
         store.write_chunk(
@@ -62,6 +66,7 @@ def cmd_generate(args) -> int:
             min_dt_s=outcome.min_dt_s, mass_residual=outcome.mass_residual,
         )
 
+    start = time.perf_counter()
     flow.simulate_batch(
         cfg.grid,
         [cfg.rock_at(combos[i]) for i in todo],
@@ -71,6 +76,12 @@ def cmd_generate(args) -> int:
         safety=cfg.cfl_safety,
         on_finish=write,
     )
+    wall = time.perf_counter() - start
+    if row_steps:
+        print(
+            f"flow batch: {wall:.2f} s for {len(todo)} simulations, {row_steps} row-steps, "
+            f"{wall / row_steps * 1e6:.1f} us per row-step"
+        )
     if failures:
         for i, msg in sorted(failures):
             print(f"FAILED {combos[i]}: {msg}", file=sys.stderr)
@@ -107,6 +118,7 @@ def _offline_config(raw: dict, args) -> ExperimentConfig:
 def cmd_offline(args) -> int:
     st = store.load_store(args.store)
     cfg = _offline_config(st.config, args)
+    store.make_dir(args.out)  # an unusable --out fails before the training
 
     print(f"{st.name}: building {st.count} training icdfs")
     train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)

@@ -11,7 +11,13 @@ q = (p_left - p_right) / sum_i resist_i / lambda_t(upwind s_i).
 `simulate_batch` advances all simulations of a sweep in lockstep as one
 (C, N) saturation array. Each row keeps its own CFL step, snapshot clock
 and boundary-flux audit, and a row that fails stops alone.
-`run_simulation` is its one-row call.
+`run_simulation` is its one-row call. The step works on buffers allocated
+once per batch: two (C, N + 1) saturation arrays whose inlet ghost column
+is written once and which swap roles every step, plus the mobilities,
+face resistances and fluxes, all written through `out=`. The rows are
+sorted by relative-permeability exponent, so each exponent is one
+contiguous group of rows; a small positive integer exponent is computed
+by repeated multiplication rather than numpy's general power.
 
 The domain is stored in km to match the reporting convention of the
 snapshots; all Darcy computations convert to SI internally.
@@ -145,11 +151,43 @@ def _check_saturation(s) -> np.ndarray:
     return np.clip(s, 0.0, 1.0)
 
 
-def _mobilities(s, mu_w, mu_nw, beta):
-    """(lambda_w, lambda_t) of saturations in [0, 1]; the fluid parameters
-    may be (C, 1) columns for a batch of rows."""
-    lam_w = s**beta / mu_w
-    return lam_w, lam_w + (1.0 - s) ** beta / mu_nw
+# largest exponent taken by repeated multiplication: within 4 ulp of np.power
+MAX_INTEGER_POWER = 8
+
+
+def _power(base, p: float, out) -> None:
+    """base**p into out, which must not alias base: an in-place product
+    would square instead. A small positive integer p is p - 1 products,
+    any other p numpy's general power."""
+    if not (1 <= p <= MAX_INTEGER_POWER and p == int(p)):
+        np.power(base, p, out=out)
+    elif p == 1:
+        np.copyto(out, base)
+    else:
+        np.multiply(base, base, out=out)
+        for _ in range(int(p) - 2):
+            np.multiply(out, base, out=out)
+
+
+def _mobilities(s, mu_w, mu_nw, beta, out=None):
+    """(lambda_w, lambda_t) of saturations in [0, 1].
+
+    beta is one exponent, or for a batch of rows a list of (rows, exponent)
+    pairs whose row slices cover s; mu_w and mu_nw may then be (C, 1)
+    columns. out = (lam_w, lam_t, work) are buffers of the shape of s;
+    fresh ones are allocated without it.
+    """
+    s = np.asarray(s, dtype=float)
+    lam_w, lam_t, work = out if out is not None else (np.empty_like(s) for _ in range(3))
+    groups = beta if isinstance(beta, list) else [(Ellipsis, beta)]
+    np.subtract(1.0, s, out=work)
+    for rows, p in groups:
+        _power(s[rows], p, lam_w[rows])
+        _power(work[rows], p, lam_t[rows])
+    np.divide(lam_w, mu_w, out=lam_w)
+    np.divide(lam_t, mu_nw, out=lam_t)
+    np.add(lam_t, lam_w, out=lam_t)
+    return lam_w, lam_t
 
 
 def total_mobility(s, fluids: FluidParams):
@@ -192,13 +230,23 @@ def _rock_resistance(rock: RockField, grid: Grid1D) -> np.ndarray:
     return grid.dx_m / k_face
 
 
-def _upwind(s, bc: BoundaryConditions) -> np.ndarray:
-    """Upwind saturation of each face of (..., N) rows for the flow
-    direction of the boundary pressures; the inlet ghost cell carries the
-    inflow saturation."""
-    ghost = np.full(s.shape[:-1] + (1,), bc.s_inflow)
-    parts = (ghost, s) if bc.p_left > bc.p_right else (s, ghost)
-    return np.concatenate(parts, axis=-1)
+def _layout(bc: BoundaryConditions) -> tuple[int, slice]:
+    """The inlet ghost column and the N cell columns of a padded
+    (..., N + 1) row, whose entry j sits upwind of face j for the flow
+    direction of the boundary pressures."""
+    return (0, slice(1, None)) if bc.p_left > bc.p_right else (-1, slice(None, -1))
+
+
+def _padded(rows, bc: BoundaryConditions, fill: float) -> np.ndarray:
+    """(..., N) rows padded to (..., N + 1) with `fill` in the ghost column;
+    padded saturations are the upwind saturation of each face, the ghost
+    cell carrying the inflow saturation."""
+    ghost, cells = _layout(bc)
+    rows = np.asarray(rows, dtype=float)
+    out = np.empty(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    out[..., ghost] = fill
+    out[..., cells] = rows
+    return out
 
 
 def _resistance_ok(resist, total) -> np.ndarray:
@@ -212,7 +260,7 @@ def _face_resistances(s, rock, fluids, bc, grid) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (grid.n_cells,):
         raise ValueError("saturation field does not match the grid")
-    resist = _rock_resistance(rock, grid) / total_mobility(_upwind(s, bc), fluids)
+    resist = _rock_resistance(rock, grid) / total_mobility(_padded(s, bc, bc.s_inflow), fluids)
     if not _resistance_ok(resist, resist.sum()):
         raise SingularSystemError("nonpositive or non-finite face resistance")
     return resist
@@ -252,12 +300,27 @@ def cfl_timestep(v, rock, fluids: FluidParams, grid: Grid1D, safety: float = 0.9
     return safety * float(np.min(per_cell))
 
 
-def _explicit_update(s, flux, dt, phi_dx):
-    """Upwind update s - dt / (phi dx) * div(flux) of (..., N) rows, clipped
-    to [0, 1], and how far each row left [0, 1] before the clip."""
-    out = s - dt / phi_dx * (flux[..., 1:] - flux[..., :-1])
+def _explicit_update(s, flux, dt, phi_dx, out, work, ghost: int):
+    """Upwind update s - dt / (phi dx) * div(flux) of padded (..., N + 1)
+    rows into out, clipped to [0, 1]; the ghost column keeps its value,
+    which lies in [0, 1]. Returns how far each row left [0, 1] before the
+    clip.
+
+    Every operand but dt is a C-contiguous array of the shape of s, so each
+    operation runs over whole rows; out and work alias no input.
+    """
+    # each cell's outflow-face flux minus its inflow-face flux, as one
+    # difference of the flattened rows; what it leaves in the ghost column
+    # straddles two rows and is zeroed
+    flat, diff = flux.reshape(-1), work.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=diff[1:] if ghost == 0 else diff[:-1])
+    work[..., ghost] = 0.0
+    np.multiply(np.divide(dt, phi_dx, out=out), work, out=work)
+    np.subtract(s, work, out=out)
     worst = np.maximum(out.max(axis=-1) - 1.0, -out.min(axis=-1))
-    return np.clip(out, 0.0, 1.0), worst
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
+    return worst
 
 
 def _cfl_violation(worst: float) -> CflViolationError:
@@ -268,12 +331,15 @@ def advance_saturation(s, v, dt, rock, fluids, bc, grid) -> np.ndarray:
     """One explicit upwind step with face fluxes v [m/s] of the sign of
     p_left - p_right; raises CflViolationError if the update leaves [0, 1]
     beyond the 1e-10 maximum-principle band."""
-    s = np.asarray(s, dtype=float)
-    flux = v * fractional_flow(_upwind(s, bc), fluids)
-    out, worst = _explicit_update(s, flux, dt, rock.porosity * grid.dx_m)
+    ghost, cells = _layout(bc)
+    s = _padded(s, bc, bc.s_inflow)
+    flux = v * fractional_flow(s, fluids)
+    out, work = np.empty_like(s), np.empty_like(s)
+    worst = _explicit_update(
+        s, flux, dt, _padded(rock.porosity * grid.dx_m, bc, 1.0), out, work, ghost)
     if worst > MAX_PRINCIPLE_TOL:
         raise _cfl_violation(float(worst))
-    return out
+    return out[cells]
 
 
 @dataclass
@@ -301,22 +367,33 @@ class SimulationResult:
 
 
 class _Rows:
-    """Per-row arrays of the simulations of a batch that are still running;
-    a float attribute is shared by every row."""
+    """Per-row arrays of the simulations of a batch that are still running,
+    the step's buffers among them; a float attribute is shared by every row.
+    The rows are sorted by `beta`, and `groups` holds the (rows, exponent)
+    slice of each exponent for `_mobilities`."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
+        self._group()
 
     def keep(self, mask):
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
                 setattr(self, name, value[mask])
+        self._group()
+
+    def _group(self):
+        edges = [0, *(np.flatnonzero(np.diff(self.beta)) + 1).tolist(), self.beta.size]
+        self.groups = [
+            (slice(a, b), float(self.beta[a])) for a, b in zip(edges[:-1], edges[1:]) if a < b
+        ]
 
 
 def _shared_or_column(values):
-    """A per-row parameter as a (C, 1) column, or as a float when every row
-    has the same value: numpy has faster kernels for scalar operands (a
-    power of 2 becomes a square)."""
+    """A per-row viscosity as a (C, 1) column, or as a float when every row
+    has the same value: numpy has faster kernels for scalar operands. The
+    exponent needs no column: the rows are sorted by it, so each exponent is
+    a scalar over one contiguous group of rows (`_Rows.groups`)."""
     col = np.array(values, dtype=float).reshape(-1, 1)
     return float(col[0, 0]) if col.size and np.all(col == col[0, 0]) else col
 
@@ -346,18 +423,22 @@ def simulate_batch(
     if len(rocks) != len(fluids):
         raise ValueError("need one fluid set per rock field")
     n_rows, n_times, n = len(fluids), len(times), grid.n_cells
-    targets = np.array(times) * SECONDS_PER_YEAR
-    slack = 1e-9 * np.maximum(targets, 1.0)
+    # snapshot instants and their landing slack, with a target never reached
+    # after the last one
+    targets = np.append(np.array(times) * SECONDS_PER_YEAR, np.inf)
+    slack = np.append(1e-9 * np.maximum(targets[:-1], 1.0), 0.0)
     phi_dx = np.array([rock.porosity for rock in rocks]).reshape(n_rows, n) * grid.dx_m
     values = np.empty((n_rows, n_times, n))
     fluxes = np.empty((n_rows, n_times, 2))  # cumulative wetting flux, left and right face
     results: list = [None] * n_rows
     steps = 0
+    caller_errstate = np.geterr()
 
     def finish(a: int, outcome) -> None:
         results[st.index[a]] = outcome
         if on_finish is not None:
-            on_finish(int(st.index[a]), outcome)
+            with np.errstate(**caller_errstate):
+                on_finish(int(st.index[a]), outcome)
 
     def fail(a: int, err: FlowError) -> None:
         wrapped = FlowError(
@@ -379,63 +460,80 @@ def simulate_batch(
             ))
         st.keep(~done)
 
+    order = np.argsort([fl.beta for fl in fluids], kind="stable")
+    ghost, cells = _layout(bc)
+    s = _padded(np.full((n_rows, n), bc.s_initial), bc, bc.s_inflow)
     st = _Rows(
-        index=np.arange(n_rows),
-        s=np.full((n_rows, n), bc.s_initial),
+        index=order,
+        s=s,
+        s_next=s.copy(),
         t=np.zeros(n_rows),
         k=np.zeros(n_rows, dtype=int),
+        target=np.full(n_rows, targets[0]),
+        slack=np.full(n_rows, slack[0]),
         flux_sum=np.zeros((n_rows, 2)),
         min_dt=np.full(n_rows, np.inf),
-        resist=np.array([_rock_resistance(rock, grid) for rock in rocks]).reshape(n_rows, n + 1),
-        phi_dx=phi_dx,
-        phi_dx_min=phi_dx.min(axis=1),
+        rock_resist=np.array([_rock_resistance(rocks[c], grid) for c in order]).reshape(
+            n_rows, n + 1),
+        phi_dx=_padded(phi_dx[order], bc, 1.0),
+        phi_dx_min=phi_dx[order].min(axis=1),
         lf=np.zeros(n_rows),
-        mu_w=_shared_or_column([fl.mu_w for fl in fluids]),
-        mu_nw=_shared_or_column([fl.mu_nw for fl in fluids]),
-        beta=_shared_or_column([fl.beta for fl in fluids]),
+        mu_w=_shared_or_column([fluids[c].mu_w for c in order]),
+        mu_nw=_shared_or_column([fluids[c].mu_nw for c in order]),
+        beta=np.array([fluids[c].beta for c in order], dtype=float),
+        lam_w=np.empty((n_rows, n + 1)),
+        lam_t=np.empty((n_rows, n + 1)),
+        resist=np.empty((n_rows, n + 1)),
+        work=np.empty((n_rows, n + 1)),
     )
     retire(st.k == n_times)
-    for a, fl in enumerate(fluids[c] for c in st.index):
+    for a, c in enumerate(st.index):
         try:
-            st.lf[a] = _max_flux_derivative(fl)
+            st.lf[a] = _max_flux_derivative(fluids[c])
         except FlowError as err:
             fail(a, err)
     st.keep(st.lf > 0.0)
 
-    while st.index.size:
-        due = targets[st.k] - st.t <= slack[st.k]
-        if due.any():
-            for a in np.flatnonzero(due):
-                st.t[a] = targets[st.k[a]]
-                values[st.index[a], st.k[a]] = st.s[a]
-                fluxes[st.index[a], st.k[a]] = st.flux_sum[a]
-            st.k = st.k + due
-            retire(st.k == n_times)
-            continue
+    with np.errstate(divide="ignore"):  # q = 0: the step runs to the next snapshot
+        while st.index.size:
+            remaining = st.target - st.t
+            due = remaining <= st.slack
+            if due.any():
+                for a in np.flatnonzero(due):
+                    c, k = st.index[a], st.k[a]
+                    st.t[a] = targets[k]
+                    values[c, k] = st.s[a, cells]
+                    fluxes[c, k] = st.flux_sum[a]
+                    st.k[a], st.target[a], st.slack[a] = k + 1, targets[k + 1], slack[k + 1]
+                retire(st.k == n_times)
+                continue
 
-        # one IMPES step of every running row: the closed-form total flux q,
-        # then the explicit upwind saturation update
-        lam_w, lam_t = _mobilities(_upwind(st.s, bc), st.mu_w, st.mu_nw, st.beta)
-        resist = st.resist / lam_t
-        total = resist.sum(axis=1)
-        q = (bc.p_left - bc.p_right) / total
-        with np.errstate(divide="ignore"):  # q = 0: the step runs to the next snapshot
+            # one IMPES step of every running row: the closed-form total flux q,
+            # then the explicit upwind saturation update into the other buffer
+            lam_w, lam_t = _mobilities(
+                st.s, st.mu_w, st.mu_nw, st.groups, out=(st.lam_w, st.lam_t, st.work))
+            resist = np.divide(st.rock_resist, lam_t, out=st.resist)
+            total = resist.sum(axis=1)
+            q = (bc.p_left - bc.p_right) / total
             cfl = safety * (st.phi_dx_min / (np.abs(q) * st.lf))
-        dt = np.minimum(cfl, targets[st.k] - st.t)
-        flux = q[:, None] * (lam_w / lam_t)
-        s_new, worst = _explicit_update(st.s, flux, dt[:, None], st.phi_dx)
-        singular = ~_resistance_ok(resist, total)
-        bad = singular | (worst > MAX_PRINCIPLE_TOL)
-        if bad.any():
-            for a in np.flatnonzero(bad):
-                fail(a, SingularSystemError("nonpositive or non-finite face resistance")
-                     if singular[a] else _cfl_violation(float(worst[a])))
-        st.s, st.t = s_new, st.t + dt
-        st.flux_sum = st.flux_sum + flux[:, [0, -1]] * dt[:, None]
-        st.min_dt = np.minimum(st.min_dt, cfl)
-        steps += 1
-        if bad.any():
-            st.keep(~bad)
+            dt = np.minimum(cfl, remaining)
+            flux = np.multiply(q[:, None], np.divide(lam_w, lam_t, out=lam_w), out=lam_w)
+            worst = _explicit_update(
+                st.s, flux, dt[:, None], st.phi_dx, st.s_next, st.work, ghost)
+            singular = ~_resistance_ok(resist, total)
+            bad = singular | (worst > MAX_PRINCIPLE_TOL)
+            failed = bad.any()
+            if failed:
+                for a in np.flatnonzero(bad):
+                    fail(a, SingularSystemError("nonpositive or non-finite face resistance")
+                         if singular[a] else _cfl_violation(float(worst[a])))
+            st.s, st.s_next = st.s_next, st.s
+            st.t += dt
+            st.flux_sum += flux[:, ::n] * dt[:, None]
+            np.minimum(st.min_dt, cfl, out=st.min_dt)
+            steps += 1
+            if failed:
+                st.keep(~bad)
     return results
 
 

@@ -155,7 +155,7 @@ def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
     directory = make_dir(directory)
     man_path = directory / MANIFEST_NAME
     if man_path.exists() and not force:
-        existing = json.loads(man_path.read_text())
+        existing = _read_json(man_path)
         if existing != manifest:
             raise StoreError(
                 f"{directory} holds a store for a different config; "

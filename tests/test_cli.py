@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -174,6 +175,28 @@ class TestGenerate:
         np.testing.assert_array_equal(st.values[:n_t], fake_values)
         assert (st.steps[0], st.min_dt_s[0], st.mass_residual[0]) == (7, 0.5, 0.25)
         assert st.count == len(cfg.combos()) * n_t
+
+    def test_summary_reports_the_flow_batch(self, mini_run, tmp_path, capsys):
+        _, cfg_path, _, _ = mini_run
+        out = tmp_path / "store"
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("flow batch:"))
+        match = re.fullmatch(r"flow batch: ([\d.]+) s for 4 simulations, (\d+) row-steps, "
+                             r"([\d.]+) us per row-step", line)
+        assert match, line
+        assert int(match[2]) == int(store.load_store(out).steps.sum())
+        assert float(match[3]) > 0.0
+
+    def test_corrupt_manifest_exits_3(self, mini_run, tmp_path, capsys):
+        _, cfg_path, _, _ = mini_run
+        out = tmp_path / "store"
+        out.mkdir()
+        (out / store.MANIFEST_NAME).write_text("{")
+        argv = ["generate", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert "store error: unreadable manifest.json" in err and "Traceback" not in err
 
     def test_mismatching_store_rejected(self, mini_run, capsys):
         _, _, store_dir, _ = mini_run
@@ -678,6 +701,17 @@ class TestOutputPath:
             assert cli.main(self.argv(command, mini_run, out)) == cli.EXIT_CONFIG
             assert "cannot create output directory" in capsys.readouterr().err
         assert afile.read_text() == "keep\n"
+
+    def test_offline_checks_out_before_training(self, mini_run, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("greedy.run called with an unusable --out")
+
+        monkeypatch.setattr(cli.greedy, "run", never)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        for out in (afile, afile / "sub"):
+            assert cli.main(self.argv("offline", mini_run, out)) == cli.EXIT_CONFIG
+            assert "cannot create output directory" in capsys.readouterr().err
 
     def test_artifacts_leave_no_temporary_files(self, mini_run, tmp_path):
         for command, names in [

@@ -71,6 +71,23 @@ class TestMobility:
         fluids = flow.FluidParams(0.003, 0.003, 2.0)
         assert flow.fractional_flow(0.5, fluids) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("beta", range(2, flow.MAX_INTEGER_POWER + 1))
+    def test_integer_powers_match_np_power(self, beta):
+        # repeated multiplication stands in for np.power at integer exponents
+        s = np.linspace(0.0, 1.0, 1001)
+        lam_w, lam_t = flow._mobilities(s, 0.003, 0.018, float(beta))
+        ref_w = np.power(s, float(beta)) / 0.003
+        ref_t = ref_w + np.power(1.0 - s, float(beta)) / 0.018
+        np.testing.assert_array_max_ulp(lam_w, ref_w, maxulp=4)
+        np.testing.assert_array_max_ulp(lam_t, ref_t, maxulp=4)
+        assert lam_w[0] == 0.0 and lam_t[0] == 1 / 0.018 and lam_w[-1] == 1 / 0.003
+
+    def test_non_integer_power_is_np_power(self):
+        s = np.linspace(0.0, 1.0, 1001)
+        lam_w, lam_t = flow._mobilities(s, 0.003, 0.018, 2.5)
+        np.testing.assert_array_equal(lam_w, np.power(s, 2.5) / 0.003)
+        np.testing.assert_array_equal(lam_t, lam_w + np.power(1.0 - s, 2.5) / 0.018)
+
 
 class TestPressure:
     def test_constant_coefficients_linear_profile(self):
@@ -360,6 +377,34 @@ class TestBatch:
             np.testing.assert_array_equal(res.values[2], res.values[3])
             assert res.mass_residual < 1e-12
             assert 0.0 < res.min_dt_s < np.inf
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unsorted_exponents_keep_input_order(self, reverse):
+        # the batch runs its rows sorted by beta; results and on_finish keep
+        # the input index, in both flow directions
+        n = 90
+        grid = flow.Grid1D(0.0, 1.0, n)
+        p_hi, p_lo = 4.137e7, 2.758e7
+        bc = flow.BoundaryConditions(*((p_lo, p_hi) if reverse else (p_hi, p_lo)), 1.0, 0.0)
+        betas = [6.0, 2.0, 2.5, 3.0, 2.0]
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta)
+                  for mu, beta in zip([1, 6, 3, 12, 2], betas)]
+        rocks = [two_region_rock(grid, gamma=g) for g in (0.2, 0.5, 0.35, 0.7, 0.1)]
+        times = [0.3, 1.0, 2.0]
+        seen = []
+        batch = flow.simulate_batch(grid, rocks, fluids, bc, times,
+                                    on_finish=lambda c, res: seen.append(c))
+        assert sorted(seen) == list(range(len(fluids)))
+        for rock, fl, res in zip(rocks, fluids, batch):
+            single, audit = flow.run_simulation(grid, rock, fl, bc, times, return_audit=True)
+            assert res.values.max() > 0.2
+            np.testing.assert_allclose(res.values, [snap.values for snap in single],
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(res.audit.cumulative_influx, audit.cumulative_influx,
+                                       rtol=1e-14)
+            np.testing.assert_allclose(res.audit.cumulative_outflux, audit.cumulative_outflux,
+                                       rtol=1e-14, atol=1e-20)
+            assert res.mass_residual < 1e-12
 
     def test_mirror_image(self):
         n = 150
