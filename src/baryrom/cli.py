@@ -59,8 +59,8 @@ def cmd_generate(args) -> int:
             failures.append((i, str(outcome)))
             return
         row_steps += outcome.steps
-        y_params = tuple(combos[i][ax.name] for ax in cfg.axes)
-        params = np.array([(t, *y_params) for t in times])
+        point = tuple(combos[i][ax.name] for ax in cfg.axes)
+        params = np.array([(t, *point) for t in times])
         store.write_chunk(
             out, i, params, outcome.values, outcome.masses, steps=outcome.steps,
             min_dt_s=outcome.min_dt_s, mass_residual=outcome.mass_residual,

@@ -15,6 +15,7 @@ dropped) per solve.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
@@ -121,9 +122,20 @@ def _resolve(value, combo: dict) -> float:
 
 
 def _require(raw: dict, key: str, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
     if key not in raw:
         raise ConfigError(f"missing {key!r} in {where}")
     return raw[key]
+
+
+def _number(value) -> bool:
+    """A finite int or float; a bool does not count as a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _numbers(raw) -> bool:
+    return isinstance(raw, list) and all(map(_number, raw))
 
 
 def _bindable(raw, where: str, axis_names: set[str]):
@@ -131,11 +143,11 @@ def _bindable(raw, where: str, axis_names: set[str]):
         name = _require(raw, "param", where)
         if name not in axis_names:
             raise ConfigError(f"{where}: binding to unknown axis {name!r}")
-        if not isinstance(raw.get("scale", 1.0), (int, float)):
-            raise ConfigError(f"{where}: scale must be a number")
+        if not _number(raw.get("scale", 1.0)):
+            raise ConfigError(f"{where}: scale must be a finite number")
         return raw
-    if not isinstance(raw, (int, float)):
-        raise ConfigError(f"{where}: expected a number or a parameter binding")
+    if not _number(raw):
+        raise ConfigError(f"{where}: expected a finite number or a parameter binding")
     return raw
 
 
@@ -182,7 +194,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             s_inflow=float(_require(b, "s_inflow", "boundary")),
             s_initial=float(_require(b, "s_initial", "boundary")),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
     axes_raw = _require(raw, "axes", "config")
@@ -194,7 +206,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         values = _require(ax, "values", f"axes[{i}]")
         if ax_name == "t":
             raise ConfigError("axis name 't' is reserved for snapshot times")
-        if not values or list(values) != sorted(values):
+        if not _numbers(values):
+            raise ConfigError(f"axes[{i}] ({ax_name}): values must be a list of finite numbers")
+        if not values or values != sorted(values):
             raise ConfigError(f"axes[{i}] ({ax_name}): values must be nonempty and sorted")
         axes.append(Axis(name=str(ax_name), values=tuple(float(v) for v in values)))
     axis_names = {ax.name for ax in axes}
@@ -236,12 +250,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
             }
 
     times = _require(raw, "snapshot_times_yr", "config")
-    if not times or list(times) != sorted(times) or times[0] < 0:
-        raise ConfigError("snapshot_times_yr must be nonempty, sorted, nonnegative")
+    if not _numbers(times) or not times or times != sorted(times) or times[0] < 0:
+        raise ConfigError("snapshot_times_yr must be a nonempty, sorted list of finite "
+                          "nonnegative numbers")
 
-    safety = float(raw.get("cfl_safety", 0.9))
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError("cfl_safety must lie in (0, 1]")
+    safety = raw.get("cfl_safety", 0.9)
+    if not _number(safety) or not 0.0 < safety <= 1.0:
+        raise ConfigError(f"cfl_safety must be a number in (0, 1], got {safety!r}")
 
     gr = _settings_block(raw, "greedy")
     greedy = GreedySettings(
@@ -259,7 +274,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not 0 < qp.tol < np.inf or qp.max_iter < 1:
         raise ConfigError("invalid qp settings (tol > 0, max_iter >= 1)")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         name=str(name),
         grid=grid,
         boundary=boundary,
@@ -267,11 +282,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         rock_spec=rock_spec,
         axes=tuple(axes),
         snapshot_times_yr=tuple(float(t) for t in times),
-        cfl_safety=safety,
+        cfl_safety=float(safety),
         greedy=greedy,
         qp=qp,
         raw=raw,
     )
+    # the physical checks of FluidParams and RockField, at every combination
+    for combo in cfg.combos():
+        try:
+            cfg.fluids_at(combo)
+            cfg.rock_at(combo)
+        except ValueError as err:
+            raise ConfigError(f"at {combo}: {err}") from err
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -42,10 +42,6 @@ class FlowError(Exception):
     pass
 
 
-class ZeroFluxError(FlowError):
-    """All face fluxes vanish; the stable time step is unbounded."""
-
-
 class CflViolationError(FlowError):
     """An explicit update left [0, 1] beyond the maximum-principle band."""
 
@@ -169,17 +165,14 @@ def _power(base, p: float, out) -> None:
             np.multiply(out, base, out=out)
 
 
-def _mobilities(s, mu_w, mu_nw, beta, out=None):
+def _mobilities(s, mu_w, mu_nw, groups, out):
     """(lambda_w, lambda_t) of saturations in [0, 1].
 
-    beta is one exponent, or for a batch of rows a list of (rows, exponent)
-    pairs whose row slices cover s; mu_w and mu_nw may then be (C, 1)
-    columns. out = (lam_w, lam_t, work) are buffers of the shape of s;
-    fresh ones are allocated without it.
+    groups is a list of (rows, exponent) pairs whose row slices cover s;
+    mu_w and mu_nw are floats or (C, 1) columns. out = (lam_w, lam_t, work)
+    are buffers of the shape of s.
     """
-    s = np.asarray(s, dtype=float)
-    lam_w, lam_t, work = out if out is not None else (np.empty_like(s) for _ in range(3))
-    groups = beta if isinstance(beta, list) else [(Ellipsis, beta)]
+    lam_w, lam_t, work = out
     np.subtract(1.0, s, out=work)
     for rows, p in groups:
         _power(s[rows], p, lam_w[rows])
@@ -188,17 +181,6 @@ def _mobilities(s, mu_w, mu_nw, beta, out=None):
     np.divide(lam_t, mu_nw, out=lam_t)
     np.add(lam_t, lam_w, out=lam_t)
     return lam_w, lam_t
-
-
-def total_mobility(s, fluids: FluidParams):
-    """lambda_w + lambda_nw = s^beta / mu_w + (1-s)^beta / mu_nw."""
-    return _mobilities(_check_saturation(s), fluids.mu_w, fluids.mu_nw, fluids.beta)[1]
-
-
-def fractional_flow(s, fluids: FluidParams):
-    """Wetting fraction of the total flux, f_w = lambda_w / lambda_t."""
-    lam_w, lam_t = _mobilities(_check_saturation(s), fluids.mu_w, fluids.mu_nw, fluids.beta)
-    return lam_w / lam_t
 
 
 def fractional_flow_derivative(s, fluids: FluidParams):
@@ -249,57 +231,6 @@ def _padded(rows, bc: BoundaryConditions, fill: float) -> np.ndarray:
     return out
 
 
-def _resistance_ok(resist, total) -> np.ndarray:
-    """Per row: every face resistance positive and their sum finite."""
-    return (resist.min(axis=-1) > 0.0) & np.isfinite(total)
-
-
-def _face_resistances(s, rock, fluids, bc, grid) -> np.ndarray:
-    """Flow resistance of each face [Pa s/m]: the rock resistance over the
-    total mobility of the upwind cell."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (grid.n_cells,):
-        raise ValueError("saturation field does not match the grid")
-    resist = _rock_resistance(rock, grid) / total_mobility(_padded(s, bc, bc.s_inflow), fluids)
-    if not _resistance_ok(resist, resist.sum()):
-        raise SingularSystemError("nonpositive or non-finite face resistance")
-    return resist
-
-
-def solve_pressure(s, rock, fluids, bc, grid) -> np.ndarray:
-    """Cell pressures from div(v) = 0 with Dirichlet pressures at both ends.
-
-    The faces are resistors in series: the uniform total flux is
-    q = (p_left - p_right) / sum(resist) and the pressure drops by q times
-    each face resistance, p = p_left - q cumsum(resist).
-    """
-    resist = _face_resistances(s, rock, fluids, bc, grid)
-    q = (bc.p_left - bc.p_right) / resist.sum()
-    return bc.p_left - q * np.cumsum(resist[:-1])
-
-
-def total_velocity(p, s, rock, fluids, bc, grid) -> np.ndarray:
-    """Total Darcy flux [m/s] through each of the n_cells + 1 faces."""
-    resist = _face_resistances(s, rock, fluids, bc, grid)
-    p_ext = np.concatenate([[bc.p_left], p, [bc.p_right]])
-    return (p_ext[:-1] - p_ext[1:]) / resist
-
-
-def cfl_timestep(v, rock, fluids: FluidParams, grid: Grid1D, safety: float = 0.9) -> float:
-    """Stable explicit step: safety * min over cells of phi dx / (|v| L_f)
-    with L_f the max fractional-flow derivative on [0, 1]."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    v = np.asarray(v, dtype=float)
-    speed = np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-    if np.all(speed == 0.0):
-        raise ZeroFluxError("all face fluxes vanish")
-    lf = _max_flux_derivative(fluids)
-    with np.errstate(divide="ignore"):
-        per_cell = rock.porosity * grid.dx_m / (speed * lf)
-    return safety * float(np.min(per_cell))
-
-
 def _explicit_update(s, flux, dt, phi_dx, out, work, ghost: int):
     """Upwind update s - dt / (phi dx) * div(flux) of padded (..., N + 1)
     rows into out, clipped to [0, 1]; the ghost column keeps its value,
@@ -321,25 +252,6 @@ def _explicit_update(s, flux, dt, phi_dx, out, work, ghost: int):
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 1.0, out=out)
     return worst
-
-
-def _cfl_violation(worst: float) -> CflViolationError:
-    return CflViolationError(f"saturation left [0,1] by {worst:.3e}")
-
-
-def advance_saturation(s, v, dt, rock, fluids, bc, grid) -> np.ndarray:
-    """One explicit upwind step with face fluxes v [m/s] of the sign of
-    p_left - p_right; raises CflViolationError if the update leaves [0, 1]
-    beyond the 1e-10 maximum-principle band."""
-    ghost, cells = _layout(bc)
-    s = _padded(s, bc, bc.s_inflow)
-    flux = v * fractional_flow(s, fluids)
-    out, work = np.empty_like(s), np.empty_like(s)
-    worst = _explicit_update(
-        s, flux, dt, _padded(rock.porosity * grid.dx_m, bc, 1.0), out, work, ghost)
-    if worst > MAX_PRINCIPLE_TOL:
-        raise _cfl_violation(float(worst))
-    return out[cells]
 
 
 @dataclass
@@ -416,8 +328,8 @@ def simulate_batch(
     on_finish(c, entry) is called as soon as row c has ended.
     """
     times = [float(t) for t in snapshot_times_yr]
-    if times != sorted(times) or (times and times[0] < 0.0):
-        raise ValueError("snapshot times must be ascending and nonnegative")
+    if not np.all(np.isfinite(times)) or times != sorted(times) or (times and times[0] < 0.0):
+        raise ValueError("snapshot times must be finite, ascending and nonnegative")
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
     if len(rocks) != len(fluids):
@@ -511,7 +423,7 @@ def simulate_batch(
             # one IMPES step of every running row: the closed-form total flux q,
             # then the explicit upwind saturation update into the other buffer
             lam_w, lam_t = _mobilities(
-                st.s, st.mu_w, st.mu_nw, st.groups, out=(st.lam_w, st.lam_t, st.work))
+                st.s, st.mu_w, st.mu_nw, st.groups, (st.lam_w, st.lam_t, st.work))
             resist = np.divide(st.rock_resist, lam_t, out=st.resist)
             total = resist.sum(axis=1)
             q = (bc.p_left - bc.p_right) / total
@@ -520,13 +432,15 @@ def simulate_batch(
             flux = np.multiply(q[:, None], np.divide(lam_w, lam_t, out=lam_w), out=lam_w)
             worst = _explicit_update(
                 st.s, flux, dt[:, None], st.phi_dx, st.s_next, st.work, ghost)
-            singular = ~_resistance_ok(resist, total)
+            # every face resistance positive and their sum finite
+            singular = ~((resist.min(axis=1) > 0.0) & np.isfinite(total))
             bad = singular | (worst > MAX_PRINCIPLE_TOL)
             failed = bad.any()
             if failed:
                 for a in np.flatnonzero(bad):
                     fail(a, SingularSystemError("nonpositive or non-finite face resistance")
-                         if singular[a] else _cfl_violation(float(worst[a])))
+                         if singular[a] else
+                         CflViolationError(f"saturation left [0,1] by {worst[a]:.3e}"))
             st.s, st.s_next = st.s_next, st.s
             st.t += dt
             st.flux_sum += flux[:, ::n] * dt[:, None]
@@ -543,22 +457,21 @@ def run_simulation(
     fluids: FluidParams,
     bc: BoundaryConditions,
     snapshot_times_yr,
-    y_params: tuple = (),
     safety: float = 0.9,
     return_audit: bool = False,
 ):
     """IMPES loop producing one Snapshot per requested time (years).
 
     Steps are truncated to land exactly on each snapshot instant. The
-    parameter point of a snapshot is (t_yr, *y_params). With
-    return_audit=True a BalanceAudit is attached for conservation checks.
+    parameter point of a snapshot is (t_yr,). With return_audit=True a
+    BalanceAudit is attached for conservation checks.
     """
     times = [float(t) for t in snapshot_times_yr]
     outcome = simulate_batch(grid, [rock], [fluids], bc, times, safety)[0]
     if isinstance(outcome, FlowError):
         raise outcome
     snapshots = [
-        Snapshot(z=(t_yr, *y_params), values=v, mass=float(m))
+        Snapshot(z=(t_yr,), values=v, mass=float(m))
         for t_yr, v, m in zip(times, outcome.values, outcome.masses)
     ]
     if return_audit:

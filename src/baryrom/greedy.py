@@ -22,12 +22,11 @@ TERM_EXHAUSTED = "exhausted"  # every training point is already an atom
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Selected atoms (columns), their parameter points and cached Gram."""
+    """Selected atoms (columns) and their parameter points."""
 
     atoms: np.ndarray  # (M, n)
     atom_params: np.ndarray  # (n, d)
     atom_indices: np.ndarray  # (n,) indices into the training set
-    gram: np.ndarray  # (n, n) unweighted A^T A
 
     @property
     def size(self) -> int:
@@ -86,7 +85,6 @@ def make_dictionary(train: np.ndarray, params: np.ndarray, indices) -> Dictionar
         atoms=atoms,
         atom_params=np.asarray(params, dtype=float)[indices],
         atom_indices=indices,
-        gram=atoms.T @ atoms,
     )
 
 
@@ -190,7 +188,7 @@ def run(
         report.sizes.append(n)
         report.delta.append(step.delta)
         report.avg_error.append(float(step.errors.mean()))
-        report.condition.append(simplexqp.condition_of_gram(dictionary.gram))
+        report.condition.append(simplexqp.condition_of_gram(dictionary.atoms.T @ dictionary.atoms))
         report.simplex_volume.append(cayley_menger_volume(dictionary.atoms))
         bad = int(np.count_nonzero(~step.converged))
         report.qp_iters_max.append(int(step.iterations.max()))

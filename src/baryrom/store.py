@@ -36,7 +36,7 @@ MODEL_ARRAYS_NAME = "model.npz"
 REPORT_NAME = "greedy_report.csv"
 MODEL_KIND = "reduced_model"
 MODEL_SCHEMA = 1
-MODEL_ARRAYS = ("atoms", "atom_params", "atom_indices", "gram", "weight_table", "mass_table")
+MODEL_ARRAYS = ("atoms", "atom_params", "atom_indices", "weight_table", "mass_table")
 
 
 class StoreError(RuntimeError):
@@ -324,7 +324,6 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
         "atoms": model.dictionary.atoms,
         "atom_params": model.dictionary.atom_params,
         "atom_indices": model.dictionary.atom_indices,
-        "gram": model.dictionary.gram,
         "weight_table": model.weight_table,
         "mass_table": model.mass_table,
     }
@@ -369,15 +368,13 @@ def load_model(directory) -> ReducedModel:
     shape = tuple(ax.size for ax in axes)
     expected = dict(
         atoms=(transport.icdf_size(n_raw), n_atoms), atom_params=(n_atoms, len(axis_names)),
-        atom_indices=(n_atoms,), gram=(n_atoms, n_atoms), weight_table=shape + (n_atoms,),
-        mass_table=shape,
+        atom_indices=(n_atoms,), weight_table=shape + (n_atoms,), mass_table=shape,
     )
     _check_shapes(data, expected, f"{n_atoms} atoms of {n_raw} cells on a {shape} grid")
     dictionary = Dictionary(
         atoms=data["atoms"],
         atom_params=data["atom_params"],
         atom_indices=data["atom_indices"],
-        gram=data["gram"],
     )
     return ReducedModel(
         dictionary=dictionary,

@@ -119,6 +119,36 @@ class TestConfig:
             argv = ["offline", "--store", str(copied), "--out", str(tmp_path / "m"), *extra]
             assert cli.main(argv) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("snapshot_times_yr",), ["a"], id="time-string"),
+        pytest.param(("snapshot_times_yr",), 5, id="times-not-a-list"),
+        pytest.param(("snapshot_times_yr",), [1.0, float("inf")], id="time-inf"),
+        pytest.param(("snapshot_times_yr",), [float("nan")], id="time-nan"),
+        pytest.param(("cfl_safety",), "x", id="safety-string"),
+        pytest.param(("cfl_safety",), float("nan"), id="safety-nan"),
+        pytest.param(("axes", 0, "values"), [1, "x"], id="axis-value-string"),
+        pytest.param(("axes", 0, "values"), [1, float("inf")], id="axis-value-inf"),
+        pytest.param(("axes", 0, "values"), 3, id="axis-values-not-a-list"),
+        pytest.param(("grid",), 3, id="grid-not-an-object"),
+        pytest.param(("fluids",), 3, id="fluids-not-an-object"),
+        pytest.param(("axes", 1), 7, id="axis-not-an-object"),
+        pytest.param(("fluids", "beta"), 0.0, id="beta-zero"),
+        pytest.param(("rock", "porosity"), 1.5, id="porosity-above-1"),
+        pytest.param(("rock", "porosity"), {"param": "mu", "scale": 0.2}, id="porosity-bound"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, path, value):
+        bad = mini_config()
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg_path, out = tmp_path / "bad.json", tmp_path / "s"
+        cfg_path.write_text(json.dumps(bad))
+        argv = ["generate", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_unknown_config_exit_code(self, capsys):
         assert cli.main(["generate", "--config", "nope.json", "--out", "x"]) == cli.EXIT_CONFIG
 
@@ -392,6 +422,22 @@ class TestOffline:
         assert report.termination in ("absolute", "relative", "max_atoms", "exhausted")
         assert len(l1_mean) == len(report.sizes)
         assert not (model_dir / "dictionary.npz").exists()
+
+    def test_model_with_a_gram_array_loads(self, mini_run, tmp_path):
+        # model directories written while the dictionary cached its Gram
+        # matrix hold a "gram" array too; it is ignored on load
+        *_, model_dir = mini_run
+        copy = tmp_path / "model"
+        shutil.copytree(model_dir, copy)
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert "gram" not in arrays
+        np.savez(path, gram=arrays["atoms"].T @ arrays["atoms"], **arrays)
+        old, model = store.load_model(copy), store.load_model(model_dir)
+        np.testing.assert_array_equal(old.dictionary.atoms, model.dictionary.atoms)
+        np.testing.assert_array_equal(old.weight_table, model.weight_table)
+        np.testing.assert_array_equal(old.mass_table, model.mass_table)
 
     def test_degenerate_two_snapshot_store(self, tmp_path):
         cfg = mini_config(times=(1.0, 3.0))

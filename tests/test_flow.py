@@ -40,42 +40,52 @@ class TestTypes:
         assert snap.mass == pytest.approx(snap.values.sum() * grid.dx, rel=1e-12)
 
 
+def mobilities(s, mu_w, mu_nw, beta):
+    """flow._mobilities of one exponent over a 1d array of saturations."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = tuple(np.empty_like(s) for _ in range(3))
+    return flow._mobilities(s, mu_w, mu_nw, [(slice(None), float(beta))], out)
+
+
+def f_w(s, fluids):
+    """Closed-form wetting fractional flow of the power-law mobilities."""
+    lam_w = s**fluids.beta / fluids.mu_w
+    return lam_w / (lam_w + (1.0 - s) ** fluids.beta / fluids.mu_nw)
+
+
 class TestMobility:
     def test_endpoints(self):
-        fluids = flow.FluidParams(0.003, 0.03, 2.0)
-        assert flow.total_mobility(0.0, fluids) == pytest.approx(1 / 0.03)
-        assert flow.total_mobility(1.0, fluids) == pytest.approx(1 / 0.003)
+        _, lam_t = mobilities([0.0, 1.0], 0.003, 0.03, 2.0)
+        assert lam_t == pytest.approx([1 / 0.03, 1 / 0.003])
 
     def test_symmetric_midpoint(self):
-        fluids = flow.FluidParams(0.003, 0.003, 2.0)
-        assert flow.total_mobility(0.5, fluids) == pytest.approx(0.5 / 0.003)
+        _, lam_t = mobilities(0.5, 0.003, 0.003, 2.0)
+        assert lam_t[0] == pytest.approx(0.5 / 0.003)
 
     def test_positive_everywhere(self):
-        fluids = flow.FluidParams(0.003, 0.075, 6.0)
-        s = np.linspace(0, 1, 101)
-        assert np.all(flow.total_mobility(s, fluids) > 0)
+        _, lam_t = mobilities(np.linspace(0, 1, 101), 0.003, 0.075, 6.0)
+        assert np.all(lam_t > 0)
 
     def test_domain_error(self):
         fluids = flow.FluidParams(0.003, 0.03, 2.0)
         with pytest.raises(ValueError):
-            flow.total_mobility(1.1, fluids)
+            flow.fractional_flow_derivative(1.1, fluids)
 
     def test_fractional_flow_endpoints_and_monotone(self):
-        fluids = flow.FluidParams(0.003, 0.03, 3.0)
-        assert flow.fractional_flow(0.0, fluids) == 0.0
-        assert flow.fractional_flow(1.0, fluids) == 1.0
-        f = flow.fractional_flow(np.linspace(0, 1, 400), fluids)
+        lam_w, lam_t = mobilities(np.linspace(0, 1, 400), 0.003, 0.03, 3.0)
+        f = lam_w / lam_t
+        assert f[0] == 0.0 and f[-1] == 1.0
         assert np.all(np.diff(f) >= -1e-15)
 
     def test_fractional_flow_symmetry(self):
-        fluids = flow.FluidParams(0.003, 0.003, 2.0)
-        assert flow.fractional_flow(0.5, fluids) == pytest.approx(0.5)
+        lam_w, lam_t = mobilities(0.5, 0.003, 0.003, 2.0)
+        assert lam_w[0] / lam_t[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("beta", range(2, flow.MAX_INTEGER_POWER + 1))
     def test_integer_powers_match_np_power(self, beta):
         # repeated multiplication stands in for np.power at integer exponents
         s = np.linspace(0.0, 1.0, 1001)
-        lam_w, lam_t = flow._mobilities(s, 0.003, 0.018, float(beta))
+        lam_w, lam_t = mobilities(s, 0.003, 0.018, beta)
         ref_w = np.power(s, float(beta)) / 0.003
         ref_t = ref_w + np.power(1.0 - s, float(beta)) / 0.018
         np.testing.assert_array_max_ulp(lam_w, ref_w, maxulp=4)
@@ -84,171 +94,109 @@ class TestMobility:
 
     def test_non_integer_power_is_np_power(self):
         s = np.linspace(0.0, 1.0, 1001)
-        lam_w, lam_t = flow._mobilities(s, 0.003, 0.018, 2.5)
+        lam_w, lam_t = mobilities(s, 0.003, 0.018, 2.5)
         np.testing.assert_array_equal(lam_w, np.power(s, 2.5) / 0.003)
         np.testing.assert_array_equal(lam_t, lam_w + np.power(1.0 - s, 2.5) / 0.018)
 
 
+def uniform_run(rock, grid, fluids, bc, times, safety=0.9):
+    """One simulate_batch row started at s_inflow = s_initial, where the
+    saturation never changes and the total flux q is constant."""
+    assert bc.s_inflow == bc.s_initial
+    (res,) = flow.simulate_batch(grid, [rock], [fluids], bc, times, safety)
+    return res
+
+
+def resistor_chain_flux(rock, grid, fluids, bc):
+    """q = (p_left - p_right) / sum of the face resistances dx / (k_face
+    lambda_t), with harmonic k_face and half cells at the boundary faces."""
+    k = rock.permeability
+    k_face = np.concatenate([[2 * k[0]], 2 * k[:-1] * k[1:] / (k[:-1] + k[1:]), [2 * k[-1]]])
+    s = bc.s_initial
+    lam_t = s**fluids.beta / fluids.mu_w + (1 - s) ** fluids.beta / fluids.mu_nw
+    return (bc.p_left - bc.p_right) / np.sum(grid.dx_m / (k_face * lam_t))
+
+
+def two_block_setup(n=100):
+    grid = flow.Grid1D(0.0, 1.0, n)
+    perm = np.where(np.arange(n) < n // 2, 1e-13, 4e-14)
+    rock = flow.RockField(np.full(n, 0.1), perm)
+    fluids = flow.FluidParams(0.003, 0.03, 2.0)
+    bc = flow.BoundaryConditions(4.137e7, 2.758e7, s_inflow=0.4, s_initial=0.4)
+    return grid, rock, fluids, bc
+
+
+def cfl_bound(rock, grid, fluids, q, safety=0.9):
+    """safety * min over cells of phi dx / (|q| L_f), with L_f the largest
+    |f_w'| on 1001 points of [0, 1]."""
+    lf = np.max(np.abs(flow.fractional_flow_derivative(np.linspace(0.0, 1.0, 1001), fluids)))
+    return safety * min(phi * grid.dx_m / (abs(q) * lf) for phi in rock.porosity)
+
+
 class TestPressure:
     def test_constant_coefficients_linear_profile(self):
+        # a linear pressure profile is Darcy's law q = k lambda_t dp / L
         n = 200
         grid = flow.Grid1D(0.0, 1.0, n)
         rock = flow.RockField.homogeneous(n, 0.1, 1e-13)
         fluids = flow.FluidParams(0.003, 0.03, 2.0)
         bc = flow.BoundaryConditions(4.137e7, 2.758e7, s_inflow=0.3, s_initial=0.3)
-        s = np.full(n, 0.3)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        xc = grid.centers()
-        exact = bc.p_left + (bc.p_right - bc.p_left) * (xc - grid.x_min) / (
-            grid.x_max - grid.x_min
-        )
-        assert np.max(np.abs(p - exact)) < 1e-12 * abs(bc.p_left) * 100
+        res = uniform_run(rock, grid, fluids, bc, [0.5])
+        lam_t = 0.3**2 / 0.003 + 0.7**2 / 0.03
+        q = 1e-13 * lam_t * (bc.p_left - bc.p_right) / (grid.x_max * flow.METERS_PER_KM)
+        want = q * f_w(0.3, fluids) * 0.5 * flow.SECONDS_PER_YEAR
+        assert res.audit.cumulative_influx[0] == pytest.approx(want, rel=1e-12)
 
     def test_two_block_resistor_chain(self):
-        n = 100
-        grid = flow.Grid1D(0.0, 1.0, n)
-        perm = np.where(np.arange(n) < n // 2, 1e-13, 4e-14)
-        rock = flow.RockField(np.full(n, 0.1), perm)
-        fluids = flow.FluidParams(0.003, 0.03, 2.0)
-        bc = flow.BoundaryConditions(4.137e7, 2.758e7, s_inflow=0.4, s_initial=0.4)
-        s = np.full(n, 0.4)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        lam = flow.total_mobility(0.4, fluids)
-        k_face = np.empty(n + 1)
-        k_face[1:-1] = 2 * perm[:-1] * perm[1:] / (perm[:-1] + perm[1:])
-        k_face[0] = 2 * perm[0]
-        k_face[-1] = 2 * perm[-1]
-        resist = grid.dx_m / (k_face * lam)
-        q = (bc.p_left - bc.p_right) / resist.sum()
-        exact = bc.p_left - q * np.cumsum(resist)[:-1]
-        assert np.max(np.abs(p - exact)) < 1e-8 * abs(bc.p_left)
-
-    def test_discrete_residual(self):
-        grid, rock, fluids, bc = example1_setup(300)
-        s = np.linspace(0.0, 1.0, 300)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        v = flow.total_velocity(p, s, rock, fluids, bc, grid)
-        # div v = 0 cell by cell is the discrete residual
-        assert np.max(np.abs(np.diff(v))) < 1e-10 * np.abs(v).max()
-
-    def test_initial_state_divergence_free(self):
-        grid, rock, fluids, bc = example1_setup()
-        s = np.zeros(grid.n_cells)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        v = flow.total_velocity(p, s, rock, fluids, bc, grid)
-        assert (v.max() - v.min()) < 1e-10 * np.abs(v).max()
-
-
-class TestVelocity:
-    def test_uniform_medium_equal_fluxes(self):
-        grid, rock, fluids, bc = example1_setup(150)
-        s = np.full(150, 0.25)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        v = flow.total_velocity(p, s, rock, fluids, bc, grid)
-        assert (v.max() - v.min()) < 1e-10 * np.abs(v).max()
-
-    def test_reversed_pressures_negate(self):
-        n = 120
-        grid = flow.Grid1D(0.0, 1.0, n)
-        perm = np.where(np.arange(n) < 40, 1e-13, 6e-14)
-        rock = flow.RockField(np.full(n, 0.1), perm)
-        fluids = flow.FluidParams(0.003, 0.03, 2.0)
-        s = np.full(n, 0.5)
-        bc_f = flow.BoundaryConditions(4e7, 2e7, 0.5, 0.0)
-        bc_r = flow.BoundaryConditions(2e7, 4e7, 0.5, 0.0)
-        v_f = flow.total_velocity(
-            flow.solve_pressure(s, rock, fluids, bc_f, grid), s, rock, fluids, bc_f, grid
-        )
-        v_r = flow.total_velocity(
-            flow.solve_pressure(s, rock, fluids, bc_r, grid), s, rock, fluids, bc_r, grid
-        )
-        np.testing.assert_allclose(v_r, -v_f, rtol=1e-10)
-
-    def test_heterogeneous_interface_flux_continuity(self):
-        # example-2 style medium; flux must be constant across the interface
-        n = 200
-        grid = flow.Grid1D(0.0, 1.0, n)
-        left = grid.centers() < 0.2
-        rock = flow.RockField(np.where(left, 0.1, 0.01), np.where(left, 1e-13, 5e-14))
-        fluids = flow.FluidParams(0.003, 0.03, 2.0)
-        bc = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
-        s = np.linspace(1.0, 0.0, n)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        v = flow.total_velocity(p, s, rock, fluids, bc, grid)
-        assert (v.max() - v.min()) < 1e-10 * np.abs(v).max()
+        # uniform saturation: every face carries q f_w(0.4), so the influx
+        # equals the outflux and no cell changes
+        grid, rock, fluids, bc = two_block_setup()
+        times = [0.5, 1.0]
+        res = uniform_run(rock, grid, fluids, bc, times)
+        q = resistor_chain_flux(rock, grid, fluids, bc)
+        want = q * f_w(0.4, fluids) * np.array(times) * flow.SECONDS_PER_YEAR
+        np.testing.assert_allclose(res.audit.cumulative_influx, want, rtol=1e-12)
+        np.testing.assert_allclose(res.audit.cumulative_outflux, want, rtol=1e-12)
+        np.testing.assert_array_equal(res.values, 0.4)
 
 
 class TestCfl:
-    def test_zero_velocity_raises(self):
-        grid, rock, fluids, _ = example1_setup(50)
-        with pytest.raises(flow.ZeroFluxError):
-            flow.cfl_timestep(np.zeros(51), rock, fluids, grid)
-
     def test_halves_when_flux_doubles(self):
-        grid, rock, fluids, bc = example1_setup(80)
-        v = np.full(81, 1e-7)
-        dt1 = flow.cfl_timestep(v, rock, fluids, grid)
-        dt2 = flow.cfl_timestep(2 * v, rock, fluids, grid)
+        grid, rock, fluids, bc = two_block_setup(80)
+        doubled = flow.BoundaryConditions(
+            bc.p_right + 2 * (bc.p_left - bc.p_right), bc.p_right, 0.4, 0.4)
+        dt1 = uniform_run(rock, grid, fluids, bc, [0.5]).min_dt_s
+        dt2 = uniform_run(rock, grid, fluids, doubled, [0.5]).min_dt_s
         assert dt2 == pytest.approx(dt1 / 2, rel=1e-12)
 
     def test_matches_per_cell_brute_force(self):
-        grid, rock, fluids, bc = example1_setup(mu=1.0, beta=2.0)
-        s = np.zeros(grid.n_cells)
-        p = flow.solve_pressure(s, rock, fluids, bc, grid)
-        v = flow.total_velocity(p, s, rock, fluids, bc, grid)
-        dt = flow.cfl_timestep(v, rock, fluids, grid, safety=0.9)
-        sgrid = np.linspace(0.0, 1.0, 1001)
-        lf = np.max(np.abs(flow.fractional_flow_derivative(sgrid, fluids)))
-        per_cell = [
-            rock.porosity[i]
-            * grid.dx_m
-            / (max(abs(v[i]), abs(v[i + 1])) * lf)
-            for i in range(grid.n_cells)
-        ]
-        assert dt == pytest.approx(0.9 * min(per_cell), rel=1e-12)
+        grid, rock, fluids, bc = two_block_setup()
+        res = uniform_run(rock, grid, fluids, bc, [0.5, 1.0])
+        q = resistor_chain_flux(rock, grid, fluids, bc)
+        assert res.min_dt_s == pytest.approx(cfl_bound(rock, grid, fluids, q), rel=1e-12)
 
     def test_safety_range(self):
-        grid, rock, fluids, _ = example1_setup(50)
-        with pytest.raises(ValueError):
-            flow.cfl_timestep(np.ones(51), rock, fluids, grid, safety=1.5)
+        grid, rock, fluids, bc = example1_setup(50)
+        with pytest.raises(ValueError, match="safety"):
+            flow.simulate_batch(grid, [rock], [fluids], bc, [0.5], safety=1.5)
 
 
 class TestAdvance:
-    def test_zero_dt_identity(self):
-        grid, rock, fluids, bc = example1_setup(60)
-        s = np.linspace(0, 1, 60)
-        v = np.full(61, 1e-7)
-        out = flow.advance_saturation(s, v, 0.0, rock, fluids, bc, grid)
-        np.testing.assert_array_equal(out, s)
-
     def test_linear_flux_is_exact_advection(self):
-        # beta = 1 with equal viscosities makes f_w(s) = s: first-order
-        # upwind of a step by an integer number of cells is exact
+        # beta = 1 with equal viscosities makes f_w(s) = s and lambda_t
+        # constant: first-order upwind at Courant number 1 moves the front
+        # by exactly one cell per step
         n = 100
         grid = flow.Grid1D(0.0, 1.0, n)
         rock = flow.RockField.homogeneous(n, 0.1, 1e-13)
         fluids = flow.FluidParams(0.003, 0.003, 1.0)
         bc = flow.BoundaryConditions(4e7, 2e7, 1.0, 0.0)
-        s = np.where(np.arange(n) < 30, 1.0, 0.0)
-        v_val = 1e-7
-        v = np.full(n + 1, v_val)
-        # courant number exactly 1: dt = phi dx / v
-        dt = rock.porosity[0] * grid.dx_m / v_val
-        out = flow.advance_saturation(s, v, dt, rock, fluids, bc, grid)
-        expected = np.where(np.arange(n) < 31, 1.0, 0.0)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_cfl_violation_raises(self):
-        n = 50
-        grid = flow.Grid1D(0.0, 1.0, n)
-        rock = flow.RockField.homogeneous(n, 0.1, 1e-13)
-        fluids = flow.FluidParams(0.003, 0.003, 1.0)
-        bc = flow.BoundaryConditions(4e7, 2e7, 1.0, 0.0)
-        s = np.where(np.arange(n) < 10, 1.0, 0.0)
-        v = np.full(n + 1, 1e-7)
-        dt = 3.0 * rock.porosity[0] * grid.dx_m / 1e-7
-        with pytest.raises(flow.CflViolationError):
-            flow.advance_saturation(s, v, dt, rock, fluids, bc, grid)
+        q = (bc.p_left - bc.p_right) * 1e-13 / 0.003 / (grid.x_max * flow.METERS_PER_KM)
+        t_yr = 30 * cfl_bound(rock, grid, fluids, q, safety=1.0) / flow.SECONDS_PER_YEAR
+        (res,) = flow.simulate_batch(grid, [rock], [fluids], bc, [t_yr], safety=1.0)
+        assert res.steps == 30
+        expected = np.where(np.arange(n) < 30, 1.0, 0.0)
+        np.testing.assert_allclose(res.values[0], expected, atol=1e-12)
 
     def test_riemann_front_against_refined_run(self):
         # shock position of the coarse run within 2 dx of a 16x refined run
@@ -278,6 +226,12 @@ class TestRunSimulation:
         grid, rock, fluids, bc = example1_setup(80)
         with pytest.raises(ValueError):
             flow.run_simulation(grid, rock, fluids, bc, [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_snapshot_times_must_be_finite(self, bad):
+        grid, rock, fluids, bc = example1_setup(80)
+        with pytest.raises(ValueError, match="finite"):
+            flow.simulate_batch(grid, [rock], [fluids], bc, [0.5, bad])
 
     def test_mass_balance_audit(self):
         grid, rock, fluids, bc = example1_setup(200, mu=1.0, beta=2.0)
@@ -504,7 +458,7 @@ def _understate_cfl_bound(monkeypatch, target):
 def buckley_leverett(x_m, injected_m, porosity, fluids):
     """Self-similar solution behind a Welge-tangent shock into s = 0, for
     injected volume injected_m [m] per unit area at s = 1."""
-    f = lambda s: flow.fractional_flow(s, fluids)  # noqa: E731
+    f = lambda s: f_w(s, fluids)  # noqa: E731
     df = lambda s: flow.fractional_flow_derivative(s, fluids)  # noqa: E731
     sat = np.linspace(0.0, 1.0, 100001)[1:]
     i = int(np.argmax(f(sat) / sat))  # tangent from the initial state

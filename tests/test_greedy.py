@@ -170,11 +170,6 @@ class TestRun:
         assert len(report.sizes) == len(report.delta) == len(report.condition)
         assert len(report.simplex_volume) == len(report.sizes)
 
-    def test_gram_cache_consistent(self):
-        train, params = block_family([0.1, 0.5, 0.9])
-        d, _, _ = greedy.run(train, params, n_max=3)
-        np.testing.assert_allclose(d.gram, d.atoms.T @ d.atoms, atol=1e-12)
-
     def test_callback_called_per_iteration(self):
         train, params = block_family([0.1, 0.3, 0.5, 0.7, 0.9])
         seen = []

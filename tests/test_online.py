@@ -55,7 +55,7 @@ class TestFit:
         d = greedy.make_dictionary(np.hstack([train, train + 1e-9]), np.vstack([params[0], params[0] + 1]), [0])
         # simplest constant model: one atom, one node
         model = online.fit(
-            greedy.Dictionary(train, params, np.array([0]), train.T @ train),
+            greedy.Dictionary(train, params, np.array([0])),
             params,
             np.ones((1, 1)),
             np.array([0.4]),
