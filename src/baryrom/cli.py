@@ -44,55 +44,45 @@ def cmd_generate(args) -> int:
     times = cfg.snapshot_times_yr
     manifest = store.store_manifest(cfg.raw, cfg.axis_names, len(combos), len(times))
     out = store.init_store_dir(args.out, manifest, force=args.force)
-    todo = [i for i in range(len(combos)) if not store.chunk_path(out, i).exists()]
-    print(
-        f"{cfg.name}: {len(combos)} simulations x {len(times)} "
-        f"snapshot times ({len(todo)} to run, {len(combos) - len(todo)} resumed)"
-    )
-    failures = []
-    row_steps = 0
-
-    def write(row: int, outcome) -> None:
-        nonlocal row_steps
-        i = todo[row]
-        if isinstance(outcome, flow.FlowError):
-            failures.append((i, str(outcome)))
-            return
-        row_steps += outcome.steps
-        point = tuple(combos[i][ax.name] for ax in cfg.axes)
-        params = np.array([(t, *point) for t in times])
-        store.write_chunk(
-            out, i, params, outcome.values, outcome.masses, steps=outcome.steps,
-            min_dt_s=outcome.min_dt_s, mass_residual=outcome.mass_residual,
-        )
-
+    print(f"{cfg.name}: {len(combos)} simulations x {len(times)} snapshot times")
     start = time.perf_counter()
-    flow.simulate_batch(
+    results = flow.simulate_batch(
         cfg.grid,
-        [cfg.rock_at(combos[i]) for i in todo],
-        [cfg.fluids_at(combos[i]) for i in todo],
+        [cfg.rock_at(combo) for combo in combos],
+        [cfg.fluids_at(combo) for combo in combos],
         cfg.boundary,
         times,
         safety=cfg.cfl_safety,
-        on_finish=write,
     )
     wall = time.perf_counter() - start
+    failures = [(combo, res) for combo, res in zip(combos, results)
+                if isinstance(res, flow.FlowError)]
+    if failures:
+        for combo, err in failures:
+            print(f"FAILED {combo}: {err}", file=sys.stderr)
+        print(f"{len(failures)} simulations failed; no snapshots written", file=sys.stderr)
+        return EXIT_COMPUTE
+    steps = np.array([res.steps for res in results])
+    row_steps = int(steps.sum())
     if row_steps:
         print(
-            f"flow batch: {wall:.2f} s for {len(todo)} simulations, {row_steps} row-steps, "
+            f"flow batch: {wall:.2f} s for {len(combos)} simulations, {row_steps} row-steps, "
             f"{wall / row_steps * 1e6:.1f} us per row-step"
         )
-    if failures:
-        for i, msg in sorted(failures):
-            print(f"FAILED {combos[i]}: {msg}", file=sys.stderr)
-        print(f"{len(failures)} simulations failed; store left resumable", file=sys.stderr)
-        return EXIT_COMPUTE
-    store.consolidate_store(out, manifest)
-    loaded = store.load_store(out)
+    mass_residual = np.array([res.mass_residual for res in results])
+    store.save_store(
+        out, manifest,
+        params=np.array([(t, *combo.values()) for combo in combos for t in times]),
+        values=np.concatenate([res.values for res in results]),
+        masses=np.concatenate([res.masses for res in results]),
+        steps=steps,
+        min_dt_s=np.array([res.min_dt_s for res in results]),
+        mass_residual=mass_residual,
+    )
     print(
-        f"store complete: {loaded.count} snapshots in {out}; at most "
-        f"{int(loaded.steps.max())} IMPES steps per simulation, worst mass-balance "
-        f"residual {loaded.mass_residual.max():.2e} of the pore volume"
+        f"store complete: {len(combos) * len(times)} snapshots in {out}; at most "
+        f"{steps.max()} IMPES steps per simulation, worst mass-balance "
+        f"residual {mass_residual.max():.2e} of the pore volume"
     )
     return EXIT_OK
 
@@ -117,6 +107,8 @@ def _offline_config(raw: dict, args) -> ExperimentConfig:
 
 def cmd_offline(args) -> int:
     st = store.load_store(args.store)
+    if st.count < 2:
+        raise StoreError(f"offline needs at least 2 snapshots; {args.store} holds {st.count}")
     cfg = _offline_config(st.config, args)
     store.make_dir(args.out)  # an unusable --out fails before the training
 

@@ -134,6 +134,14 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _finite(block, key: str, where: str) -> float:
+    """A required plain number: finite, and not a bool."""
+    value = _require(block, key, where)
+    if not _number(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _numbers(raw) -> bool:
     return isinstance(raw, list) and all(map(_number, raw))
 
@@ -181,20 +189,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
     name = _require(raw, "name", "config")
 
     g = _require(raw, "grid", "config")
+    n_cells = _finite(g, "n_cells", "grid")
+    if not n_cells.is_integer():
+        raise ConfigError(f"grid.n_cells must be a whole number, got {g['n_cells']!r}")
+    b = _require(raw, "boundary", "config")
     try:
         grid = flow.Grid1D(
-            x_min=float(_require(g, "x_min_km", "grid")),
-            x_max=float(_require(g, "x_max_km", "grid")),
-            n_cells=int(_require(g, "n_cells", "grid")),
+            x_min=_finite(g, "x_min_km", "grid"),
+            x_max=_finite(g, "x_max_km", "grid"),
+            n_cells=int(n_cells),
         )
-        b = _require(raw, "boundary", "config")
         boundary = flow.BoundaryConditions(
-            p_left=float(_require(b, "p_left_pa", "boundary")),
-            p_right=float(_require(b, "p_right_pa", "boundary")),
-            s_inflow=float(_require(b, "s_inflow", "boundary")),
-            s_initial=float(_require(b, "s_initial", "boundary")),
+            p_left=_finite(b, "p_left_pa", "boundary"),
+            p_right=_finite(b, "p_right_pa", "boundary"),
+            s_inflow=_finite(b, "s_inflow", "boundary"),
+            s_initial=_finite(b, "s_initial", "boundary"),
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(str(err)) from err
 
     axes_raw = _require(raw, "axes", "config")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -317,7 +317,6 @@ def simulate_batch(
     bc: BoundaryConditions,
     snapshot_times_yr,
     safety: float = 0.9,
-    on_finish: Callable[[int, "SimulationResult | FlowError"], None] | None = None,
 ) -> list:
     """IMPES runs of the simulations (rocks[c], fluids[c]) in lockstep, with
     snapshots at the given times (years).
@@ -325,7 +324,6 @@ def simulate_batch(
     Each row takes its own CFL steps, truncated to land exactly on each
     snapshot instant. Returns one entry per row: a SimulationResult, or the
     FlowError that stopped that row while the others ran on.
-    on_finish(c, entry) is called as soon as row c has ended.
     """
     times = [float(t) for t in snapshot_times_yr]
     if not np.all(np.isfinite(times)) or times != sorted(times) or (times and times[0] < 0.0):
@@ -344,13 +342,6 @@ def simulate_batch(
     fluxes = np.empty((n_rows, n_times, 2))  # cumulative wetting flux, left and right face
     results: list = [None] * n_rows
     steps = 0
-    caller_errstate = np.geterr()
-
-    def finish(a: int, outcome) -> None:
-        results[st.index[a]] = outcome
-        if on_finish is not None:
-            with np.errstate(**caller_errstate):
-                on_finish(int(st.index[a]), outcome)
 
     def fail(a: int, err: FlowError) -> None:
         wrapped = FlowError(
@@ -358,7 +349,7 @@ def simulate_batch(
             f"(target snapshot {times[st.k[a]]} yr): {err}"
         )
         wrapped.__cause__ = err
-        finish(a, wrapped)
+        results[st.index[a]] = wrapped
 
     def retire(done) -> None:
         for a in np.flatnonzero(done):
@@ -366,10 +357,10 @@ def simulate_batch(
             pore = np.sum(phi_dx[c] * values[c], axis=1)
             gap = pore - phi_dx[c].sum() * bc.s_initial - (fluxes[c, :, 0] - fluxes[c, :, 1])
             audit = BalanceAudit(fluxes[c, :, 0].tolist(), fluxes[c, :, 1].tolist(), pore.tolist())
-            finish(a, SimulationResult(
+            results[c] = SimulationResult(
                 values[c], values[c].sum(axis=1) * grid.dx, audit, steps, float(st.min_dt[a]),
                 float(np.max(np.abs(gap), initial=0.0) / phi_dx[c].sum()),
-            ))
+            )
         st.keep(~done)
 
     order = np.argsort([fl.beta for fl in fluids], kind="stable")

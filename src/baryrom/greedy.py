@@ -61,6 +61,13 @@ class StepResult:
     screened: np.ndarray  # (K,) bool, warm start already optimal and kept
 
 
+def _sq_distances(icdfs: np.ndarray) -> np.ndarray:
+    """Squared pairwise L2(0,1) distances of the columns, from their Gram."""
+    sq = np.sum(icdfs**2, axis=0) / icdfs.shape[0]
+    gram = icdfs.T @ icdfs / icdfs.shape[0]
+    return sq[:, None] + sq[None, :] - 2.0 * gram
+
+
 def init_pair(train: np.ndarray) -> tuple[int, int]:
     """Indices of the pair of training icdfs at maximal L2(0,1) distance.
 
@@ -70,9 +77,7 @@ def init_pair(train: np.ndarray) -> tuple[int, int]:
     k = train.shape[1]
     if k < 2:
         raise ValueError("need at least 2 training snapshots")
-    sq = np.sum(train**2, axis=0) / train.shape[0]
-    gram = train.T @ train / train.shape[0]
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    d2 = _sq_distances(train)
     d2[np.tril_indices(k)] = -np.inf
     flat = int(np.argmax(d2))
     return flat // k, flat % k
@@ -131,9 +136,7 @@ def cayley_menger_volume(atoms: np.ndarray) -> float:
     n = atoms.shape[1]
     if n < 2:
         raise ValueError("need at least 2 atoms")
-    sq = np.sum(atoms**2, axis=0) / atoms.shape[0]
-    gram = atoms.T @ atoms / atoms.shape[0]
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+    d2 = np.maximum(_sq_distances(atoms), 0.0)
     cm = np.empty((n + 1, n + 1))
     cm[0, 0] = 0.0
     cm[0, 1:] = 1.0

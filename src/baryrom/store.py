@@ -3,9 +3,9 @@
 A snapshot store is a directory with a manifest.json describing the sweep
 and a snapshots.npz holding one row per snapshot (parameter components,
 saturation values, mass) and one entry per simulation (IMPES step count,
-smallest CFL step, relative mass-balance residual). Generation writes one
-chunk file per simulated parameter combination so interrupted sweeps
-resume where they stopped.
+smallest CFL step, relative mass-balance residual). Generation writes
+snapshots.npz once, after the whole sweep has run, through a temporary
+file and a rename: a reader sees either no snapshots.npz or a complete one.
 All floats are written with shortest round-trip formatting so reruns are
 byte-identical.
 """
@@ -26,7 +26,6 @@ from .online import ReducedModel
 
 MANIFEST_NAME = "manifest.json"
 SNAPSHOTS_NAME = "snapshots.npz"
-CHUNK_DIR = "chunks"
 STORE_KIND = "snapshot_store"
 STORE_SCHEMA = 1
 # one row per snapshot, then one entry per simulation
@@ -151,7 +150,8 @@ def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) 
 
 
 def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
-    """Create (or reuse, for resuming) a store directory for generation."""
+    """Create (or reuse, when its manifest matches) a store directory for
+    generation; a rewritten manifest drops the stale snapshots.npz."""
     directory = make_dir(directory)
     man_path = directory / MANIFEST_NAME
     if man_path.exists() and not force:
@@ -162,25 +162,9 @@ def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
                 "use --force to overwrite"
             )
     else:
-        for stale in [directory / SNAPSHOTS_NAME, *sorted((directory / CHUNK_DIR).glob("*.npz"))]:
-            stale.unlink(missing_ok=True)
+        (directory / SNAPSHOTS_NAME).unlink(missing_ok=True)
         _write_json(man_path, manifest)
-    make_dir(directory / CHUNK_DIR)
     return directory
-
-
-def chunk_path(directory, index: int) -> Path:
-    return Path(directory) / CHUNK_DIR / f"sim_{index:05d}.npz"
-
-
-def write_chunk(directory, index: int, params, values, masses, *, steps, min_dt_s,
-                mass_residual):
-    """Store the snapshots of one simulation and its run statistics."""
-    savez_atomic(
-        chunk_path(directory, index), params=params, values=values, masses=masses,
-        steps=np.array([steps]), min_dt_s=np.array([min_dt_s]),
-        mass_residual=np.array([mass_residual]),
-    )
 
 
 def _read_npz(path, names) -> dict:
@@ -214,24 +198,11 @@ def _check_store_shapes(arrays: dict, manifest: dict) -> None:
     )
 
 
-def consolidate_store(directory, manifest: dict) -> None:
-    """Merge all chunks into snapshots.npz and drop them."""
-    directory = Path(directory)
-    combo_count = manifest["combo_count"]
-    parts = []
-    for idx in range(combo_count):
-        path = chunk_path(directory, idx)
-        if not path.exists():
-            raise StoreError(f"store incomplete: missing chunk {path.name}")
-        parts.append(_read_npz(path, STORE_ARRAYS))
-    try:
-        merged = {name: np.concatenate([p[name] for p in parts]) for name in STORE_ARRAYS}
-    except ValueError as err:
-        raise StoreError(f"chunks do not fit together: {err}") from err
-    _check_store_shapes(merged, manifest)
-    savez_atomic(directory / SNAPSHOTS_NAME, **merged)
-    for idx in range(combo_count):
-        chunk_path(directory, idx).unlink()
+def save_store(directory, manifest: dict, **arrays) -> None:
+    """Write the STORE_ARRAYS of a finished sweep as snapshots.npz, after
+    checking their shapes against the manifest."""
+    _check_store_shapes(arrays, manifest)
+    savez_atomic(Path(directory) / SNAPSHOTS_NAME, **{name: arrays[name] for name in STORE_ARRAYS})
 
 
 def load_store(directory) -> SnapshotStore:

@@ -135,6 +135,10 @@ class TestConfig:
         pytest.param(("fluids", "beta"), 0.0, id="beta-zero"),
         pytest.param(("rock", "porosity"), 1.5, id="porosity-above-1"),
         pytest.param(("rock", "porosity"), {"param": "mu", "scale": 0.2}, id="porosity-bound"),
+        pytest.param(("boundary", "p_left_pa"), float("nan"), id="pressure-nan"),
+        pytest.param(("grid", "x_max_km"), float("inf"), id="x-max-inf"),
+        pytest.param(("grid", "n_cells"), 102.7, id="cells-fractional"),
+        pytest.param(("boundary", "s_inflow"), True, id="inflow-bool"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, path, value):
         bad = mini_config()
@@ -177,34 +181,10 @@ class TestGenerate:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.params, b.params)
 
-    def test_resume_skips_existing(self, mini_run, capsys):
+    def test_rerun_over_complete_store(self, mini_run):
         _, cfg_path, store_dir, _ = mini_run
-        # the consolidated store has no chunks left; the manifest matches, so
-        # a rerun regenerates cleanly without --force
+        # the manifest matches, so a rerun regenerates cleanly without --force
         assert cli.main(["generate", "--config", str(cfg_path), "--out", str(store_dir)]) == 0
-
-    def test_partial_store_resumes_from_chunks(self, mini_run, tmp_path):
-        # pre-seed one chunk with sentinel data: a resumed run must skip the
-        # simulated combo and keep the seeded rows verbatim
-        _, cfg_path, _, _ = mini_run
-        raw = json.loads(cfg_path.read_text())
-        target = tmp_path / "resume"
-        cfg = config.parse_config(raw)
-        manifest = store.store_manifest(
-            raw, cfg.axis_names, len(cfg.combos()), len(cfg.snapshot_times_yr)
-        )
-        store.init_store_dir(target, manifest)
-        n_t = len(cfg.snapshot_times_yr)
-        fake_params = np.full((n_t, 3), 7.25)
-        fake_values = np.full((n_t, cfg.grid.n_cells), 0.125)
-        fake_masses = np.full(n_t, 0.125)
-        store.write_chunk(target, 0, fake_params, fake_values, fake_masses,
-                          steps=7, min_dt_s=0.5, mass_residual=0.25)
-        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(target)]) == 0
-        st = store.load_store(target)
-        np.testing.assert_array_equal(st.values[:n_t], fake_values)
-        assert (st.steps[0], st.min_dt_s[0], st.mass_residual[0]) == (7, 0.5, 0.25)
-        assert st.count == len(cfg.combos()) * n_t
 
     def test_summary_reports_the_flow_batch(self, mini_run, tmp_path, capsys):
         _, cfg_path, _, _ = mini_run
@@ -265,6 +245,17 @@ class TestStoreValidation:
     def test_valid_copy_loads(self, copy):
         st = store.load_store(copy)
         assert st.steps.shape == st.min_dt_s.shape == st.mass_residual.shape == (4,)
+
+    def test_save_store_checks_shapes_before_writing(self, copy):
+        st = store.load_store(copy)
+        manifest = json.loads((copy / store.MANIFEST_NAME).read_text())
+        (copy / store.SNAPSHOTS_NAME).unlink()
+        arrays = {name: getattr(st, name) for name in store.STORE_ARRAYS}
+        with pytest.raises(store.StoreError, match="values"):
+            store.save_store(copy, manifest, **{**arrays, "values": st.values[:, :-1]})
+        assert not (copy / store.SNAPSHOTS_NAME).exists()
+        store.save_store(copy, manifest, **arrays)
+        np.testing.assert_array_equal(store.load_store(copy).values, st.values)
 
     def test_wrong_kind(self, copy):
         self._edit_manifest(copy, kind="reduced_model")
@@ -451,6 +442,19 @@ class TestOffline:
         assert model.n_atoms == 2
         report, _, _ = store.load_model_report(model_dir)
         assert len(report.delta) >= 1
+
+    def test_one_snapshot_store_exits_3(self, tmp_path, capsys):
+        cfg = mini_config(times=(1.0,))
+        cfg["axes"] = [{"name": "mu", "values": [1]}, {"name": "beta", "values": [2]}]
+        cfg_path = tmp_path / "one.json"
+        cfg_path.write_text(json.dumps(cfg))
+        store_dir, model_dir = tmp_path / "s", tmp_path / "m"
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(store_dir)]) == 0
+        argv = ["offline", "--store", str(store_dir), "--out", str(model_dir)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert "at least 2 snapshots" in err and "holds 1" in err and "Traceback" not in err
+        assert not model_dir.exists()
 
     def test_override_applies(self, mini_run, tmp_path):
         _, _, store_dir, _ = mini_run
@@ -764,6 +768,7 @@ class TestOutputPath:
             ("pod", ["basis.npz", "pod_errors.csv", "pod_table.csv"]),
             ("online", ["reconstructions.npz"]),
             ("offline", ["greedy_report.csv", "model.json", "model.npz"]),
+            ("generate", ["manifest.json", "snapshots.npz"]),
         ]:
             out = tmp_path / command
             assert cli.main(self.argv(command, mini_run, out)) == cli.EXIT_OK

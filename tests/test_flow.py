@@ -334,8 +334,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_unsorted_exponents_keep_input_order(self, reverse):
-        # the batch runs its rows sorted by beta; results and on_finish keep
-        # the input index, in both flow directions
+        # the batch runs its rows sorted by beta; its results keep the input
+        # index, in both flow directions
         n = 90
         grid = flow.Grid1D(0.0, 1.0, n)
         p_hi, p_lo = 4.137e7, 2.758e7
@@ -345,10 +345,7 @@ class TestBatch:
                   for mu, beta in zip([1, 6, 3, 12, 2], betas)]
         rocks = [two_region_rock(grid, gamma=g) for g in (0.2, 0.5, 0.35, 0.7, 0.1)]
         times = [0.3, 1.0, 2.0]
-        seen = []
-        batch = flow.simulate_batch(grid, rocks, fluids, bc, times,
-                                    on_finish=lambda c, res: seen.append(c))
-        assert sorted(seen) == list(range(len(fluids)))
+        batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
         for rock, fl, res in zip(rocks, fluids, batch):
             single, audit = flow.run_simulation(grid, rock, fl, bc, times, return_audit=True)
             assert res.values.max() > 0.2
@@ -392,10 +389,7 @@ class TestBatch:
         times = [0.5, 1.5]
         expected = [flow.run_simulation(grid, rock, fl, bc, times) for fl in fluids]
         _understate_cfl_bound(monkeypatch, fluids[0])
-        seen = []
-        out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times,
-                                  on_finish=lambda c, res: seen.append(c))
-        assert sorted(seen) == [0, 1, 2]
+        out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
         assert isinstance(out[0], flow.FlowError)
         assert "simulation failed at t = 0 yr (target snapshot 0.5 yr)" in str(out[0])
         assert isinstance(out[0].__cause__, flow.CflViolationError)
@@ -413,7 +407,7 @@ class TestBatch:
             with pytest.raises(flow.FlowError, match="unbounded"):
                 flow.run_simulation(grid, rock, flow.FluidParams(0.003, 0.003, 0.5), bc, [0.5])
 
-    def test_failing_combo_leaves_store_resumable(self, monkeypatch, tmp_path, capsys):
+    def test_failing_combo_writes_no_snapshots(self, monkeypatch, tmp_path, capsys):
         raw = {
             "schema_version": 1,
             "name": "fail",
@@ -435,13 +429,12 @@ class TestBatch:
             assert cli.main(argv) == cli.EXIT_COMPUTE
         err = capsys.readouterr().err
         assert "FAILED {'mu': 1.0, 'beta': 2.0}: simulation failed at t = 0 yr" in err
-        assert "1 simulations failed" in err
-        # combos are mu-major: (1, 2), (1, 4), (6, 2), (6, 4)
-        written = [store.chunk_path(out, i).exists() for i in range(4)]
-        assert written == [False, True, True, True]
+        assert "1 simulations failed; no snapshots written" in err
+        assert not (out / store.SNAPSHOTS_NAME).exists()
+        # without the fault, a rerun over the same directory writes every snapshot
         assert cli.main(argv) == cli.EXIT_OK
-        assert "(1 to run, 3 resumed)" in capsys.readouterr().out
         assert store.load_store(out).count == 8
+        assert sorted(p.name for p in out.iterdir()) == [store.MANIFEST_NAME, store.SNAPSHOTS_NAME]
 
 
 def _understate_cfl_bound(monkeypatch, target):
