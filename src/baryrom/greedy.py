@@ -54,6 +54,7 @@ class StepResult:
     next_index: int
     delta: float
     errors: np.ndarray  # (K,) per-snapshot W2 error
+    objective: np.ndarray  # (K,) per-snapshot squared W2 error
     weights: np.ndarray  # (n, K) optimal weights of this sweep
     converged: np.ndarray  # (K,) bool
     iterations: np.ndarray  # (K,) active-set changes per solve
@@ -99,15 +100,20 @@ def greedy_step(
     warm: np.ndarray | None = None,
     tol: float = simplexqp.DEFAULT_TOL,
     max_iter: int = simplexqp.DEFAULT_MAX_ITER,
+    warm_objective: np.ndarray | None = None,
 ) -> StepResult:
     """One residual sweep: solve all per-snapshot QPs, pick the worst snapshot.
 
+    warm_objective (K,) is the objective of each warm column; a solve that
+    keeps its warm start keeps it too (see `simplexqp.solve_batch`).
     Training columns already in the dictionary (its `atom_indices`) are
     excluded from the argmax.
     """
     if dictionary.size < 2:
         raise ValueError("dictionary must hold at least 2 atoms")
-    res = simplexqp.solve_batch(dictionary.atoms, train, warm, tol, max_iter)
+    res = simplexqp.solve_batch(
+        dictionary.atoms, train, warm, tol, max_iter, init_objective=warm_objective
+    )
     errors = np.sqrt(np.maximum(res.objective, 0.0))
     masked = errors.copy()
     masked[dictionary.atom_indices] = -np.inf
@@ -116,6 +122,7 @@ def greedy_step(
         next_index=next_index,
         delta=float(errors.max()),
         errors=errors,
+        objective=res.objective,
         weights=res.weights,
         converged=res.converged,
         iterations=res.iterations,
@@ -181,12 +188,12 @@ def run(
     i0, j0 = init_pair(train)
     selected = [i0, j0]
     report = GreedyReport()
-    warm = None
+    warm = warm_objective = None
     prev_delta = None
 
     while True:
         dictionary = make_dictionary(train, params, selected)
-        step = greedy_step(dictionary, train, warm, tol, max_iter)
+        step = greedy_step(dictionary, train, warm, tol, max_iter, warm_objective)
         n = dictionary.size
         report.sizes.append(n)
         report.delta.append(step.delta)
@@ -222,7 +229,9 @@ def run(
             break
 
         selected.append(step.next_index)
+        # a zero weight on the new atom leaves each column's objective as it is
         warm = np.vstack([step.weights, np.zeros((1, train.shape[1]))])
+        warm_objective = step.objective
         prev_delta = step.delta
 
     return dictionary, report, step.weights

@@ -32,9 +32,14 @@ Two things make the batch cheap (Bro and De Jong, FNNLS, 1997; Van Benthem
 and Keenan, 2004). A warm start that is already optimal is screened out by
 one gradient product over all columns: when a greedy sweep appends an atom,
 most previous optima still pass the KKT test and keep their weights with
-zero changes. The other columns advance in lockstep, one active-set change
-per round, and a column leaves the batch as soon as it is done; the columns
-of a round that share a support size share one stacked solve.
+zero changes. A caller that knows the objectives of its warm starts passes
+them as `init_objective`; a screened column then returns its value as it
+is, and only the other columns get a data-form residual. A greedy sweep
+knows them: its warm start is last sweep's optimum with a zero weight on
+the new atom, so its objective is last sweep's. The other columns advance
+in lockstep, one active-set change per round, and a column leaves the batch
+as soon as it is done; the columns of a round that share a support size
+share one stacked solve.
 """
 
 from __future__ import annotations
@@ -177,12 +182,16 @@ def solve_batch(
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    init_objective: np.ndarray | None = None,
 ) -> BatchResult:
     """Solve the simplex least-squares problem for many targets at once.
 
     atoms is (M, n), targets (M, T) or a single (M,) target, init (n, T)
     or None. An init column that is already on the simplex and passes the
     KKT test at tol on its own support is returned as it is (screened).
+    init_objective (T,), the objective of each init column, is then that
+    column's objective as it is; without it, or for any other column, the
+    objective is computed from the weights.
     Every other column starts from its init column when that is on the
     simplex, from its projection onto the simplex when it is not, or from
     the nearest atom when init is None.
@@ -204,6 +213,8 @@ def solve_batch(
     if targets.shape[0] != m:
         raise ValueError(f"targets have {targets.shape[0]} rows, atoms have {m}")
     t_count = targets.shape[1]
+    if init_objective is not None and np.shape(init_objective) != (t_count,):
+        raise ValueError(f"init_objective shape {np.shape(init_objective)} != {(t_count,)}")
     # the solver works on rows: one row per target column
     q, r = np.linalg.qr(atoms)
     projected = _rowwise(targets.T, q)
@@ -275,9 +286,14 @@ def solve_batch(
         live[done] = False
         rows, w, support = rows[live], w[live], support[live]
         changes, entering = changes[live], entering[live]
+    if init_objective is None:
+        objective = _data_objective(atoms, targets, weights.T)
+    else:
+        objective = np.array(init_objective, dtype=float)
+        objective[~screened] = _data_objective(atoms, targets[:, ~screened], weights[~screened].T)
     return BatchResult(
         weights=weights.T,
-        objective=_data_objective(atoms, targets, weights.T),
+        objective=objective,
         iterations=iterations,
         converged=converged,
         kkt=kkt,

@@ -16,6 +16,9 @@ import numpy as np
 
 # the two boundary cells (0.0 and 1.0) prepended to every raw profile
 AUGMENTATION_CELLS = 2
+# snapshots per block of the batched icdf transform: its (block, M)
+# temporaries stay near 0.25 MB for a 1002-cell grid, as online's blocks do
+_BLOCK = 32
 
 # Quadrature for the L2([0,1]) norm of icdf vectors: rectangle rule with
 # uniform weight 1/M per node. The QP objective must use the same rule.
@@ -27,31 +30,32 @@ def icdf_size(n_raw: int) -> int:
 
 
 def augment(raw: np.ndarray) -> np.ndarray:
-    """Prepend the two boundary cells (0.0 and 1.0) to a raw profile."""
+    """Prepend the two boundary cells (0.0 and 1.0) to a raw profile (N,),
+    or to each row of a (K, N) array of them."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1:
-        raise ValueError("raw profile must be one-dimensional")
+    if raw.ndim not in (1, 2):
+        raise ValueError("raw profiles must be an (N,) or a (K, N) array")
     if np.any(raw < 0.0):
         raise ValueError("raw profile has negative entries")
-    out = np.empty(icdf_size(raw.size))
-    out[0] = 0.0
-    out[1] = 1.0
-    out[AUGMENTATION_CELLS:] = raw
+    out = np.empty(raw.shape[:-1] + (icdf_size(raw.shape[-1]),))
+    out[..., 0] = 0.0
+    out[..., 1] = 1.0
+    out[..., AUGMENTATION_CELLS:] = raw
     return out
 
 
 def normalize(aug: np.ndarray) -> np.ndarray:
-    """Scale an augmented profile to unit sum."""
+    """Scale an augmented profile, or each row of an array of them, to unit sum."""
     aug = np.asarray(aug, dtype=float)
-    total = aug.sum()
-    if total <= 0.0:
+    total = aug.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("cannot normalize a zero-mass profile")
     return aug / total
 
 
 def cdf(u: np.ndarray) -> np.ndarray:
-    """Running sum of a probability vector."""
-    return np.cumsum(np.asarray(u, dtype=float))
+    """Running sum of a probability vector, or along each row of an array of them."""
+    return np.cumsum(np.asarray(u, dtype=float), axis=-1)
 
 
 def icdf(c: np.ndarray, m: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
@@ -65,20 +69,33 @@ def icdf(c: np.ndarray, m: int, x_min: float = 0.0, x_max: float = 1.0) -> np.nd
     c = np.asarray(c, dtype=float)
     if m < 2:
         raise ValueError("probability grid needs at least 2 nodes")
-    x = np.linspace(x_min, x_max, c.size)
-    p = np.linspace(0.0, 1.0, m)
+    return _icdf_rows(c[None, :], m, x_min, x_max)[0]
+
+
+def _icdf_rows(c: np.ndarray, m: int, x_min: float, x_max: float) -> np.ndarray:
+    """:func:`icdf` of every row of c (B, N), (B, m); each row computes
+    exactly what it would alone."""
+    rows, size = c.shape
+    x = np.linspace(x_min, x_max, size)
     # the final cdf value is 1 up to rounding; clamping keeps the probes from
     # running past the end of the support into the flat tail
-    p = np.minimum(p, c[-1])
+    p = np.minimum(np.linspace(0.0, 1.0, m), c[:, -1:])
     # searchsorted(left) returns the first i with c[i] >= p_j; identical to the
-    # monotone two-pointer pass since both grids are sorted.
-    i = np.searchsorted(c, p, side="left")
-    i = np.clip(i, 1, c.size - 1)
-    denom = c[i] - c[i - 1]
+    # monotone two-pointer pass since both grids are sorted. One exact search
+    # per row: the rows need not share a grid
+    i = np.empty((rows, m), dtype=np.intp)
+    for r in range(rows):
+        i[r] = c[r].searchsorted(p[r], side="left")
+    np.clip(i, 1, size - 1, out=i)
+    lo_x = np.take(x, i - 1)
+    width = np.take(x, i) - lo_x
+    i += (size * np.arange(rows))[:, None]  # flat index into c
+    lo = np.take(c, i - 1)
+    denom = np.take(c, i) - lo
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = (p - c[i - 1]) / denom
-    frac = np.where(denom > 0.0, frac, 0.0)
-    return x[i - 1] + (x[i] - x[i - 1]) * np.clip(frac, 0.0, 1.0)
+        frac = (p - lo) / denom
+    frac[~(denom > 0.0)] = 0.0
+    return lo_x + width * np.clip(frac, 0.0, 1.0, out=frac)
 
 
 def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
@@ -157,22 +174,39 @@ def snapshot_to_icdf(
     x_min: float = 0.0,
     x_max: float = 1.0,
 ) -> np.ndarray:
-    """Full augment -> normalize -> cdf -> icdf chain for one raw snapshot.
+    """Full augment -> normalize -> cdf -> icdf chain for one raw snapshot:
+    the one-row call of :func:`snapshots_to_icdfs`.
 
     The icdf has M = N + 2 nodes, one per augmented cell. `m` is accepted
     for callers that spell the grid out and must equal N + 2.
     """
-    c = cdf(normalize(augment(raw)))
-    if m is not None and m != c.size:
-        raise ValueError(f"icdf grid of a {c.size - AUGMENTATION_CELLS}-cell profile "
-                         f"has {c.size} nodes, not {m}")
-    return icdf(c, c.size, x_min=x_min, x_max=x_max)
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 1:
+        raise ValueError("raw profile must be one-dimensional")
+    if m is not None and m != icdf_size(raw.size):
+        raise ValueError(f"icdf grid of a {raw.size}-cell profile "
+                         f"has {icdf_size(raw.size)} nodes, not {m}")
+    return snapshots_to_icdfs(raw[None, :], x_min, x_max)[:, 0]
 
 
 def snapshots_to_icdfs(values: np.ndarray, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
     """Training matrix of a (K, N) snapshot array: one icdf column per
-    snapshot, (N + 2, K)."""
-    return np.column_stack([snapshot_to_icdf(raw, x_min=x_min, x_max=x_max) for raw in values])
+    snapshot, (N + 2, K), C-ordered.
+
+    The snapshots run through :func:`augment`, :func:`normalize`, :func:`cdf`
+    and :func:`icdf` in blocks of _BLOCK rows, and each column is bit for
+    bit the icdf of its snapshot alone.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("snapshots must be a (K, N) array")
+    m = icdf_size(values.shape[1])
+    out = np.empty((m, values.shape[0]))
+    for start in range(0, values.shape[0], _BLOCK):
+        block = values[start:start + _BLOCK]
+        c = cdf(normalize(augment(block)))
+        out[:, start:start + block.shape[0]] = _icdf_rows(c, m, x_min, x_max).T
+    return out
 
 
 def icdf_to_density(

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from baryrom import cli, config, online, store
+from baryrom import cli, config, greedy, online, simplexqp, store, transport
 
 
 def mini_config(n_max=5, times=(1.0, 2.5, 4.0)):
@@ -455,6 +455,59 @@ class TestOffline:
         err = capsys.readouterr().err
         assert "at least 2 snapshots" in err and "holds 1" in err and "Traceback" not in err
         assert not model_dir.exists()
+
+    def test_rerun_is_byte_identical(self, mini_run, tmp_path):
+        # nothing carried from sweep to sweep leaks from one run into the next
+        _, _, store_dir, model_dir = mini_run
+        for name in ("a", "b"):
+            argv = ["offline", "--store", str(store_dir), "--out", str(tmp_path / name)]
+            assert cli.main(argv) == 0
+        for artefact in (store.MODEL_ARRAYS_NAME, "greedy_report.csv"):
+            first = (model_dir / artefact).read_bytes()
+            assert (tmp_path / "a" / artefact).read_bytes() == first
+            assert (tmp_path / "b" / artefact).read_bytes() == first
+
+    def test_carried_values_match_a_full_recompute(self, mini_run, tmp_path, monkeypatch):
+        # each sweep carries the objectives and L1 errors of the solves that
+        # kept their warm start; a full recompute of every column must agree
+        _, _, store_dir, _ = mini_run
+        st = store.load_store(store_dir)
+        train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
+        sweeps = []
+        run = greedy.run
+
+        def recording_run(*args, on_iteration, **kwargs):
+            def record(n, indices, step):
+                sweeps.append((indices, step))
+                on_iteration(n, indices, step)
+            return run(*args, on_iteration=record, **kwargs)
+
+        monkeypatch.setattr(cli.greedy, "run", recording_run)
+        out = tmp_path / "m"
+        assert cli.main(["offline", "--store", str(store_dir), "--out", str(out)]) == 0
+        _, l1_mean, l1_max = store.load_model_report(out)
+        assert len(sweeps) == len(l1_mean) >= 3
+        assert any(step.screened.any() for _, step in sweeps)
+        for (indices, step), mean, worst in zip(sweeps, l1_mean, l1_max):
+            objective = simplexqp._data_objective(train[:, indices], train, step.weights)
+            np.testing.assert_allclose(step.objective, objective, rtol=1e-14,
+                                       atol=1e-14 * objective.max())
+            rec = online.profile_from_weights(
+                train[:, indices], step.weights, st.masses, st.n_cells, st.x_min, st.x_max
+            )
+            rels = online.relative_l1_error(rec, st.values)
+            assert mean == pytest.approx(rels.mean(), rel=1e-14, abs=0)
+            assert worst == pytest.approx(rels.max(), rel=1e-14, abs=0)
+
+    def test_summary_reports_the_stage_times(self, mini_run, tmp_path, capsys):
+        _, _, store_dir, _ = mini_run
+        argv = ["offline", "--store", str(store_dir), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("offline stages:"))
+        assert re.fullmatch(r"offline stages: training icdfs [\d.]+ s, greedy QP [\d.]+ s, "
+                            r"L1 tracking [\d.]+ s, fit \+ save [\d.]+ s", line), line
+        assert cli.build_parser() is cli.build_parser()
 
     def test_override_applies(self, mini_run, tmp_path):
         _, _, store_dir, _ = mini_run

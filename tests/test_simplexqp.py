@@ -253,6 +253,37 @@ class TestSolve:
         np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10)
         assert_kkt(atoms, targets, res)
 
+    def test_init_objective_is_kept_for_screened_columns_only(self):
+        rng = np.random.default_rng(83)
+        atoms = random_icdf_atoms(rng, 100, 6)[:, [0, 1, 2, 4, 5, 3]]
+        cells = (np.arange(98) + 0.5) / 98
+        targets = np.stack(
+            [
+                tr.snapshot_to_icdf(np.where(cells <= w, 1.0 + 0.5 * rng.random(98), 0.0))
+                for w in rng.uniform(0.05, 1.0, 16)
+            ],
+            axis=1,
+        )
+        prev = sq.solve_batch(atoms[:, :-1], targets)
+        init = np.vstack([prev.weights, np.zeros((1, 16))])
+        full = sq.solve_batch(atoms, targets, init=init)
+        # markers that no solve would compute show which values are passed on
+        marker = -np.arange(1.0, 17.0)
+        res = sq.solve_batch(atoms, targets, init=init, init_objective=marker)
+        screened = res.screened
+        assert 0 < screened.sum() < 16
+        np.testing.assert_array_equal(screened, full.screened)
+        np.testing.assert_array_equal(res.objective[screened], marker[screened])
+        np.testing.assert_allclose(res.objective[~screened], full.objective[~screened],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(res.weights, full.weights)
+        # the greedy sweep passes last sweep's objectives, which the zero
+        # weight on the appended atom leaves as they are
+        res = sq.solve_batch(atoms, targets, init=init, init_objective=prev.objective)
+        np.testing.assert_allclose(res.objective, full.objective, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="init_objective"):
+            sq.solve_batch(atoms, targets, init=init, init_objective=marker[:-1])
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_random_init_is_not_screened(self, sparse):
         # a dense init has no outside atom, so only the spread of the support

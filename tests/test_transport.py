@@ -4,6 +4,22 @@ import pytest
 from baryrom import transport as tr
 
 
+def _snapshot_icdf_reference(raw, x_min, x_max):
+    """The icdf of one raw snapshot, written out for one row: the two
+    boundary cells, unit sum, running sum, then searchsorted and linear
+    interpolation on M = N + 2 probability nodes."""
+    aug = np.concatenate([[0.0, 1.0], raw])
+    c = np.cumsum(aug / aug.sum())
+    x = np.linspace(x_min, x_max, c.size)
+    p = np.minimum(np.linspace(0.0, 1.0, c.size), c[-1])
+    i = np.clip(np.searchsorted(c, p, side="left"), 1, c.size - 1)
+    denom = c[i] - c[i - 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = (p - c[i - 1]) / denom
+    frac = np.where(denom > 0.0, frac, 0.0)
+    return x[i - 1] + (x[i] - x[i - 1]) * np.clip(frac, 0.0, 1.0)
+
+
 def uniform_block(n, upto, height):
     cells = (np.arange(n) + 0.5) / n
     return np.where(cells <= upto, height, 0.0)
@@ -163,6 +179,35 @@ class TestSnapshotPipeline:
             np.testing.assert_array_equal(
                 train[:, k], tr.snapshot_to_icdf(values[k], x_min=0.0, x_max=2.0)
             )
+
+    @pytest.mark.parametrize("k_count", [1, 31, 32, 33, 70])
+    def test_batched_transform_is_the_per_row_chain(self, k_count):
+        # blocks of 32 snapshots: a partial block, one full block, and runs
+        # over one and two block edges
+        rng = np.random.default_rng(k_count)
+        values = rng.random((k_count, 45))
+        values[0, 10:30] = 0.0  # a flat stretch of the cdf
+        values[-1, 20:] = 0.0  # support ends mid-domain
+        got = tr.snapshots_to_icdfs(values, 0.0, 2.0)
+        assert got.shape == (47, k_count)
+        assert got.flags.c_contiguous
+        for k in range(k_count):
+            want = _snapshot_icdf_reference(values[k], 0.0, 2.0)
+            assert got[:, k].tobytes() == want.tobytes()
+            c = tr.cdf(tr.normalize(tr.augment(values[k])))
+            np.testing.assert_array_equal(got[:, k], tr.icdf(c, 47, 0.0, 2.0))
+
+    def test_batched_transform_rejects_bad_input(self):
+        values = np.random.default_rng(29).random((40, 12))
+        values[35, 3] = -1e-9
+        with pytest.raises(ValueError, match="negative"):
+            tr.snapshots_to_icdfs(values)
+        with pytest.raises(ValueError, match="negative"):
+            tr.snapshot_to_icdf(values[35])
+        with pytest.raises(ValueError):
+            tr.snapshots_to_icdfs(values[0])
+        with pytest.raises(ValueError):
+            tr.snapshot_to_icdf(np.abs(values[:2]))
 
     def test_columns_equal_column_loop(self):
         rng = np.random.default_rng(23)
