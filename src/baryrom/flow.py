@@ -13,11 +13,23 @@ q = (p_left - p_right) / sum_i resist_i / lambda_t(upwind s_i).
 and boundary-flux audit, and a row that fails stops alone.
 `run_simulation` is its one-row call. The step works on buffers allocated
 once per batch: two (C, N + 1) saturation arrays whose inlet ghost column
-is written once and which swap roles every step, plus the mobilities,
-face resistances and fluxes, all written through `out=`. The rows are
-sorted by relative-permeability exponent, so each exponent is one
+is written once and which swap roles every step, plus the mobility terms,
+face resistances and flux differences, all written through `out=`. The
+rows are sorted by relative-permeability exponent, so each exponent is one
 contiguous group of rows; a small positive integer exponent is computed
 by repeated multiplication rather than numpy's general power.
+
+The step is fused around one denominator, D = r s^beta + (1 - s)^beta
+with r = mu_nw / mu_w, which is mu_nw lambda_t: the face resistances are
+(R mu_nw) / D and the fractional flow is f = r s^beta / D. As q is the
+same through every face, the update is s - (q dt) / (phi dx) * div(f).
+What does not change between steps is computed once per batch: r, the
+mu_nw-scaled rock resistance R mu_nw, 1 / (phi dx), and the CFL
+coefficient safety min(phi dx) / (max|f'| |p_left - p_right|), which
+times the row's total resistance is its CFL step. The singular-resistance
+and maximum-principle checks are one scalar test of the whole batch; only
+when it fails are the rows at fault looked for, and the update is clipped
+to [0, 1] only when a value left it.
 
 The domain is stored in km to match the reporting convention of the
 snapshots; all Darcy computations convert to SI internally.
@@ -165,22 +177,23 @@ def _power(base, p: float, out) -> None:
             np.multiply(out, base, out=out)
 
 
-def _mobilities(s, mu_w, mu_nw, groups, out):
-    """(lambda_w, lambda_t) of saturations in [0, 1].
+def _mobilities(s, ratio, groups, out):
+    """mu_nw times (lambda_w, lambda_t) of saturations in [0, 1]: the wetting
+    term r s^beta and the denominator D = r s^beta + (1 - s)^beta, with the
+    viscosity ratio r = mu_nw / mu_w.
 
     groups is a list of (rows, exponent) pairs whose row slices cover s;
-    mu_w and mu_nw are floats or (C, 1) columns. out = (lam_w, lam_t, work)
-    are buffers of the shape of s.
+    ratio is a float or a (C, 1) column. out = (wet, denom, work) are
+    buffers of the shape of s.
     """
-    lam_w, lam_t, work = out
+    wet, denom, work = out
     np.subtract(1.0, s, out=work)
     for rows, p in groups:
-        _power(s[rows], p, lam_w[rows])
-        _power(work[rows], p, lam_t[rows])
-    np.divide(lam_w, mu_w, out=lam_w)
-    np.divide(lam_t, mu_nw, out=lam_t)
-    np.add(lam_t, lam_w, out=lam_t)
-    return lam_w, lam_t
+        _power(s[rows], p, wet[rows])
+        _power(work[rows], p, denom[rows])
+    np.multiply(wet, ratio, out=wet)
+    np.add(denom, wet, out=denom)
+    return wet, denom
 
 
 def fractional_flow_derivative(s, fluids: FluidParams):
@@ -231,27 +244,22 @@ def _padded(rows, bc: BoundaryConditions, fill: float) -> np.ndarray:
     return out
 
 
-def _explicit_update(s, flux, dt, phi_dx, out, work, ghost: int):
-    """Upwind update s - dt / (phi dx) * div(flux) of padded (..., N + 1)
-    rows into out, clipped to [0, 1]; the ghost column keeps its value,
-    which lies in [0, 1]. Returns how far each row left [0, 1] before the
-    clip.
+def _explicit_update(s, f, qdt, inv_phi_dx, out, work, ghost: int):
+    """Upwind update s - (q dt) / (phi dx) * div(f) of padded (..., N + 1)
+    rows into out, for the fractional flows f and each row's total flux q
+    times its step dt, a (C, 1) column; the ghost column keeps its value.
 
-    Every operand but dt is a C-contiguous array of the shape of s, so each
+    Every other operand is a C-contiguous array of the shape of s, so each
     operation runs over whole rows; out and work alias no input.
     """
-    # each cell's outflow-face flux minus its inflow-face flux, as one
-    # difference of the flattened rows; what it leaves in the ghost column
-    # straddles two rows and is zeroed
-    flat, diff = flux.reshape(-1), work.reshape(-1)
+    # each cell's outflow-face f minus its inflow-face f, as one difference
+    # of the flattened rows; what it leaves in the ghost column straddles two
+    # rows and is zeroed
+    flat, diff = f.reshape(-1), work.reshape(-1)
     np.subtract(flat[1:], flat[:-1], out=diff[1:] if ghost == 0 else diff[:-1])
     work[..., ghost] = 0.0
-    np.multiply(np.divide(dt, phi_dx, out=out), work, out=work)
+    np.multiply(np.multiply(qdt, inv_phi_dx, out=out), work, out=work)
     np.subtract(s, work, out=out)
-    worst = np.maximum(out.max(axis=-1) - 1.0, -out.min(axis=-1))
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, 1.0, out=out)
-    return worst
 
 
 @dataclass
@@ -280,9 +288,10 @@ class SimulationResult:
 
 class _Rows:
     """Per-row arrays of the simulations of a batch that are still running,
-    the step's buffers among them; a float attribute is shared by every row.
-    The rows are sorted by `beta`, and `groups` holds the (rows, exponent)
-    slice of each exponent for `_mobilities`."""
+    the step's buffers and the constants hoisted out of the step among them;
+    a float attribute is shared by every row. The rows are sorted by `beta`,
+    and `groups` holds the (rows, exponent) slice of each exponent for
+    `_mobilities`."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
@@ -302,7 +311,7 @@ class _Rows:
 
 
 def _shared_or_column(values):
-    """A per-row viscosity as a (C, 1) column, or as a float when every row
+    """A per-row viscosity ratio as a (C, 1) column, or as a float when every row
     has the same value: numpy has faster kernels for scalar operands. The
     exponent needs no column: the rows are sorted by it, so each exponent is
     a scalar over one contiguous group of rows (`_Rows.groups`)."""
@@ -376,69 +385,76 @@ def simulate_batch(
         slack=np.full(n_rows, slack[0]),
         flux_sum=np.zeros((n_rows, 2)),
         min_dt=np.full(n_rows, np.inf),
-        rock_resist=np.array([_rock_resistance(rocks[c], grid) for c in order]).reshape(
-            n_rows, n + 1),
-        phi_dx=_padded(phi_dx[order], bc, 1.0),
-        phi_dx_min=phi_dx[order].min(axis=1),
-        lf=np.zeros(n_rows),
-        mu_w=_shared_or_column([fluids[c].mu_w for c in order]),
-        mu_nw=_shared_or_column([fluids[c].mu_nw for c in order]),
+        # the face resistances are resist_mu / D, with D = mu_nw lambda_t
+        resist_mu=np.array([_rock_resistance(rocks[c], grid) * fluids[c].mu_nw
+                            for c in order]).reshape(n_rows, n + 1),
+        inv_phi_dx=1.0 / _padded(phi_dx[order], bc, 1.0),
+        # the CFL step is cfl_coef times the row's total resistance, once
+        # divided by max|f'| |p_left - p_right| below
+        cfl_coef=safety * phi_dx[order].min(axis=1),
+        ratio=_shared_or_column([fluids[c].mu_nw / fluids[c].mu_w for c in order]),
         beta=np.array([fluids[c].beta for c in order], dtype=float),
-        lam_w=np.empty((n_rows, n + 1)),
-        lam_t=np.empty((n_rows, n + 1)),
+        wet=np.empty((n_rows, n + 1)),
+        denom=np.empty((n_rows, n + 1)),
         resist=np.empty((n_rows, n + 1)),
         work=np.empty((n_rows, n + 1)),
     )
     retire(st.k == n_times)
     for a, c in enumerate(st.index):
         try:
-            st.lf[a] = _max_flux_derivative(fluids[c])
+            st.cfl_coef[a] /= _max_flux_derivative(fluids[c]) * abs(bc.p_left - bc.p_right)
         except FlowError as err:
             fail(a, err)
-    st.keep(st.lf > 0.0)
+            st.cfl_coef[a] = 0.0
+    st.keep(st.cfl_coef > 0.0)
 
-    with np.errstate(divide="ignore"):  # q = 0: the step runs to the next snapshot
-        while st.index.size:
-            remaining = st.target - st.t
-            due = remaining <= st.slack
-            if due.any():
-                for a in np.flatnonzero(due):
-                    c, k = st.index[a], st.k[a]
-                    st.t[a] = targets[k]
-                    values[c, k] = st.s[a, cells]
-                    fluxes[c, k] = st.flux_sum[a]
-                    st.k[a], st.target[a], st.slack[a] = k + 1, targets[k + 1], slack[k + 1]
-                retire(st.k == n_times)
-                continue
+    while st.index.size:
+        remaining = st.target - st.t
+        due = remaining <= st.slack
+        if due.any():
+            for a in np.flatnonzero(due):
+                c, k = st.index[a], st.k[a]
+                st.t[a] = targets[k]
+                values[c, k] = st.s[a, cells]
+                fluxes[c, k] = st.flux_sum[a]
+                st.k[a], st.target[a], st.slack[a] = k + 1, targets[k + 1], slack[k + 1]
+            retire(st.k == n_times)
+            continue
 
-            # one IMPES step of every running row: the closed-form total flux q,
-            # then the explicit upwind saturation update into the other buffer
-            lam_w, lam_t = _mobilities(
-                st.s, st.mu_w, st.mu_nw, st.groups, (st.lam_w, st.lam_t, st.work))
-            resist = np.divide(st.rock_resist, lam_t, out=st.resist)
-            total = resist.sum(axis=1)
-            q = (bc.p_left - bc.p_right) / total
-            cfl = safety * (st.phi_dx_min / (np.abs(q) * st.lf))
-            dt = np.minimum(cfl, remaining)
-            flux = np.multiply(q[:, None], np.divide(lam_w, lam_t, out=lam_w), out=lam_w)
-            worst = _explicit_update(
-                st.s, flux, dt[:, None], st.phi_dx, st.s_next, st.work, ghost)
-            # every face resistance positive and their sum finite
+        # one IMPES step of every running row: the closed-form total flux q,
+        # then the explicit upwind saturation update into the other buffer
+        wet, denom = _mobilities(st.s, st.ratio, st.groups, (st.wet, st.denom, st.work))
+        resist = np.divide(st.resist_mu, denom, out=st.resist)
+        total = resist.sum(axis=1)  # a total flux of 0 when infinite
+        cfl = st.cfl_coef * total
+        dt = np.minimum(cfl, remaining)
+        qdt = (bc.p_left - bc.p_right) / total * dt
+        f = np.divide(wet, denom, out=wet)
+        out = st.s_next
+        _explicit_update(st.s, f, qdt[:, None], st.inv_phi_dx, out, st.work, ghost)
+        lo, hi = out.min(), out.max()
+        # every face resistance positive, their sums finite and the update
+        # within the maximum-principle band, as one test of the whole batch;
+        # only a failed test looks for the rows at fault
+        failed = not (resist.min() > 0.0 and np.isfinite(total).all()
+                      and hi - 1.0 <= MAX_PRINCIPLE_TOL and -lo <= MAX_PRINCIPLE_TOL)
+        if failed:
             singular = ~((resist.min(axis=1) > 0.0) & np.isfinite(total))
+            worst = np.maximum(out.max(axis=1) - 1.0, -out.min(axis=1))
             bad = singular | (worst > MAX_PRINCIPLE_TOL)
-            failed = bad.any()
-            if failed:
-                for a in np.flatnonzero(bad):
-                    fail(a, SingularSystemError("nonpositive or non-finite face resistance")
-                         if singular[a] else
-                         CflViolationError(f"saturation left [0,1] by {worst[a]:.3e}"))
-            st.s, st.s_next = st.s_next, st.s
-            st.t += dt
-            st.flux_sum += flux[:, ::n] * dt[:, None]
-            np.minimum(st.min_dt, cfl, out=st.min_dt)
-            steps += 1
-            if failed:
-                st.keep(~bad)
+            for a in np.flatnonzero(bad):
+                fail(a, SingularSystemError("nonpositive or non-finite face resistance")
+                     if singular[a] else
+                     CflViolationError(f"saturation left [0,1] by {worst[a]:.3e}"))
+        if not (lo >= 0.0 and hi <= 1.0):
+            np.clip(out, 0.0, 1.0, out=out)
+        st.s, st.s_next = out, st.s
+        st.t += dt
+        st.flux_sum += f[:, ::n] * qdt[:, None]
+        np.minimum(st.min_dt, cfl, out=st.min_dt)
+        steps += 1
+        if failed:
+            st.keep(~bad)
     return results
 
 

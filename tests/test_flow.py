@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from baryrom import cli, flow, store
+from oracles import impes_textbook
 
 
 def example1_setup(n=1002, mu=1.0, beta=2.0):
@@ -40,11 +41,20 @@ class TestTypes:
         assert snap.mass == pytest.approx(snap.values.sum() * grid.dx, rel=1e-12)
 
 
-def mobilities(s, mu_w, mu_nw, beta):
-    """flow._mobilities of one exponent over a 1d array of saturations."""
+def powers(s, beta, ratio=1.0):
+    """flow._mobilities of one exponent over a 1d array of saturations:
+    ratio * s**beta and that plus (1 - s)**beta."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     out = tuple(np.empty_like(s) for _ in range(3))
-    return flow._mobilities(s, mu_w, mu_nw, [(slice(None), float(beta))], out)
+    return flow._mobilities(s, ratio, [(slice(None), float(beta))], out)
+
+
+def mobilities(s, mu_w, mu_nw, beta):
+    """(lambda_w, lambda_t) built from s**beta and (1 - s)**beta, each the
+    wetting term of flow._mobilities at viscosity ratio 1."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    lam_w = powers(s, beta)[0] / mu_w
+    return lam_w, lam_w + powers(1.0 - s, beta)[0] / mu_nw
 
 
 def f_w(s, fluids):
@@ -91,6 +101,18 @@ class TestMobility:
         np.testing.assert_array_max_ulp(lam_w, ref_w, maxulp=4)
         np.testing.assert_array_max_ulp(lam_t, ref_t, maxulp=4)
         assert lam_w[0] == 0.0 and lam_t[0] == 1 / 0.018 and lam_w[-1] == 1 / 0.003
+
+    @pytest.mark.parametrize("beta", [2.0, 2.5, 6.0])
+    def test_fused_terms_are_mu_nw_times_the_mobilities(self, beta):
+        # the step's wetting term r s^beta and denominator D, r = mu_nw / mu_w,
+        # are mu_nw lambda_w and mu_nw lambda_t; their quotient is f_w
+        s = np.linspace(0.0, 1.0, 1001)
+        fluids = flow.FluidParams(0.003, 0.018, beta)
+        wet, denom = powers(s, beta, ratio=fluids.mu_nw / fluids.mu_w)
+        lam_w, lam_t = mobilities(s, fluids.mu_w, fluids.mu_nw, beta)
+        np.testing.assert_allclose(wet, fluids.mu_nw * lam_w, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(denom, fluids.mu_nw * lam_t, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(wet / denom, f_w(s, fluids), rtol=1e-14, atol=0)
 
     def test_non_integer_power_is_np_power(self):
         s = np.linspace(0.0, 1.0, 1001)
@@ -397,6 +419,75 @@ class TestBatch:
             np.testing.assert_array_equal(out[c].values, [snap.values for snap in expected[c]])
         with pytest.raises(flow.FlowError, match="saturation left"):
             flow.run_simulation(grid, rock, fluids[0], bc, times)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_textbook_impes(self, reverse):
+        # the fused step against the unfused textbook formulas, row by row:
+        # two-rock media, per-row viscosities, integer and fractional exponents
+        n = 80
+        grid = flow.Grid1D(0.0, 1.0, n)
+        p_hi, p_lo = 4.137e7, 2.758e7
+        bc = flow.BoundaryConditions(*((p_lo, p_hi) if reverse else (p_hi, p_lo)), 1.0, 0.0)
+        rocks = [two_region_rock(grid, gamma=g, k_right=k)
+                 for g, k in [(0.3, 5e-14), (0.55, 9e-14), (0.15, 7e-14)]]
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta)
+                  for mu, beta in [(10, 2.0), (3, 2.5), (1.5, 6.0)]]
+        times = [0.3, 1.0, 2.0]
+        batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
+        for rock, fl, res in zip(rocks, fluids, batch):
+            values, steps, min_dt = impes_textbook(
+                grid.dx_m, rock.porosity, rock.permeability, fl.mu_w, fl.mu_nw, fl.beta,
+                bc.p_left, bc.p_right, bc.s_inflow, bc.s_initial,
+                [t * flow.SECONDS_PER_YEAR for t in times])
+            assert res.values.max() > 0.2
+            assert res.steps == steps
+            rel_l1 = np.abs(res.values - values).sum(axis=1) / np.abs(values).sum(axis=1)
+            assert rel_l1.max() <= 1e-12, rel_l1
+            assert res.min_dt_s == pytest.approx(min_dt, rel=1e-13)
+
+    def test_singular_row_fails_alone(self):
+        # a permeability of 1e-320 makes that row's face resistances overflow
+        # to inf: it alone stops, at its first step, and the others run on
+        n = 60
+        grid, rock, _, bc = example1_setup(n)
+        tight = flow.RockField.homogeneous(n, 0.1, 1e-320)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
+                  [(1, 2.0), (6, 4.0), (3, 2.5)]]
+        times = [0.5, 1.5]
+        with np.errstate(divide="ignore", over="ignore"):  # building the resistances
+            out = flow.simulate_batch(grid, [rock, tight, rock], fluids, bc, times)
+        assert isinstance(out[1], flow.FlowError)
+        assert isinstance(out[1].__cause__, flow.SingularSystemError)
+        assert str(out[1]) == (
+            "simulation failed at t = 0 yr (target snapshot 0.5 yr): "
+            "nonpositive or non-finite face resistance")
+        for c in (0, 2):
+            (single,) = flow.simulate_batch(grid, [rock], [fluids[c]], bc, times)
+            np.testing.assert_array_equal(out[c].values, single.values)
+            assert out[c].steps == single.steps
+
+    def test_clip_keeps_an_overshooting_row_in_range(self, monkeypatch):
+        # a CFL step three times too long overshoots [0, 1]; past a widened
+        # maximum-principle band the step clips, and only that row changes
+        n = 100
+        grid, rock, _, bc = example1_setup(n)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
+                  [(1, 2.0), (6, 4.0), (3, 3.0)]]
+        times = [0.5, 1.5]
+        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times)[0] for fl in fluids]
+        lf = flow._max_flux_derivative(fluids[0])
+        _understate_cfl_bound(monkeypatch, fluids[0])
+        # at the default band the row fails at its first step, which fills the
+        # inlet cell to the Courant number 3 * 0.9 / lf
+        failed = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)[0]
+        assert isinstance(failed.__cause__, flow.CflViolationError)
+        assert str(failed.__cause__) == f"saturation left [0,1] by {3 * 0.9 / lf - 1.0:.3e}"
+        monkeypatch.setattr(flow, "MAX_PRINCIPLE_TOL", 10.0)
+        out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
+        assert out[0].values.min() >= 0.0 and out[0].values.max() == 1.0
+        assert out[0].steps < expected[0].steps
+        for c in (1, 2):
+            np.testing.assert_array_equal(out[c].values, expected[c].values)
 
     def test_unbounded_flux_derivative_raises_without_warnings(self):
         # beta < 1 makes the fractional-flow derivative blow up at s = 0 and
