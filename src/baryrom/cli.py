@@ -154,6 +154,7 @@ def cmd_offline(args) -> int:
         on_iteration=track_l1,
     )
     greedy_s = time.perf_counter() - start - track_s
+    report.l1_mean, report.l1_max = l1_mean, l1_max
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     start = time.perf_counter()
@@ -167,7 +168,7 @@ def cmd_offline(args) -> int:
         x_min=st.x_min,
         x_max=st.x_max,
     )
-    store.save_model(args.out, model, report, l1_mean, l1_max)
+    store.save_model(args.out, model, report)
     save_s = time.perf_counter() - start
     print(
         f"model saved to {args.out}: {dictionary.size} atoms, "
@@ -180,7 +181,23 @@ def cmd_offline(args) -> int:
     return EXIT_OK
 
 
-def _point_values(names: tuple, spec: dict) -> list[float]:
+def _at_spec(item: str) -> dict:
+    """The point of one --at option; a component set twice is a ConfigError."""
+    spec = {}
+    for part in item.split(","):
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise ConfigError(f"cannot parse --at component {part!r}")
+        if name.strip() in spec:
+            raise ConfigError(f"--at {item!r} sets {name.strip()!r} twice")
+        spec[name.strip()] = value
+    return spec
+
+
+def _point_values(names: tuple, spec) -> list[float]:
+    """A point's values in axis order, from a params-file object or an --at string."""
+    if isinstance(spec, str):
+        spec = _at_spec(spec)
     if spec.keys() != set(names):
         missing = [name for name in names if name not in spec]
         extra = [name for name in spec if name not in names]
@@ -188,13 +205,15 @@ def _point_values(names: tuple, spec: dict) -> list[float]:
             f"parameter point must set exactly {list(names)}; "
             f"missing {missing}, unknown {extra}"
         )
+    if bool in map(type, spec.values()):
+        raise ConfigError(f"parameter point {spec!r}: a bool is not a number here")
     try:
         return [float(spec[name]) for name in names]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"parameter point {spec!r} is not numeric") from err
 
 
-def _parse_points(model: online.ReducedModel, specs: list[dict]) -> np.ndarray:
+def _parse_points(model: online.ReducedModel, specs: list[dict | str]) -> np.ndarray:
     """The (P, d) array of the parameter points, checked for finiteness as
     one array. The error names the first bad point in list order."""
     names = tuple(model.axis_names)
@@ -216,7 +235,7 @@ def _parse_points(model: online.ReducedModel, specs: list[dict]) -> np.ndarray:
 
 def cmd_online(args) -> int:
     model = store.load_model(args.model)
-    specs: list[dict] = []
+    specs: list[dict | str] = []
     if args.params_file:
         try:
             payload = json.loads(Path(args.params_file).read_text())
@@ -227,14 +246,7 @@ def cmd_online(args) -> int:
         if not isinstance(payload, list) or not all(isinstance(p, dict) for p in payload):
             raise ConfigError("params file must hold a JSON list of objects")
         specs.extend(payload)
-    for item in args.at or []:
-        spec = {}
-        for part in item.split(","):
-            name, _, value = part.partition("=")
-            if not _:
-                raise ConfigError(f"cannot parse --at component {part!r}")
-            spec[name.strip()] = value
-        specs.append(spec)
+    specs.extend(args.at or [])
     if not specs:
         raise ConfigError("no evaluation points: pass --params-file and/or --at")
     points = _parse_points(model, specs)
@@ -307,14 +319,14 @@ def cmd_pod(args) -> int:
 
 def cmd_tables(args) -> int:
     st = store.load_store(args.store)
-    report, l1_mean, _ = store.load_model_report(args.model)
+    report = store.load_report(args.model)
     eps_list = _parse_eps(args.eps)
     _, pod_errors = _pod_artifacts(st)
     pod_means = pod_errors.mean(axis=1)
     rows = [
         (
             eps,
-            _table_cell(pod.size_for_tolerance(l1_mean, eps, report.sizes)),
+            _table_cell(pod.size_for_tolerance(report.l1_mean, eps, report.n)),
             _table_cell(pod.size_for_tolerance(pod_means, eps)),
         )
         for eps in eps_list
@@ -326,10 +338,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    report, _, _ = store.load_model_report(args.model)
+    report = store.load_report(args.model)
     out = store.make_dir(args.out)
-    store.write_csv(out / "condition.csv", ("n", "condition"), zip(report.sizes, report.condition))
-    store.write_csv(out / "volume.csv", ("n", "volume"), zip(report.sizes, report.simplex_volume))
+    for name in ("condition", "volume"):
+        store.write_csv(out / f"{name}.csv", ("n", name), zip(report.n, getattr(report, name)))
     print(f"diagnostic curves written to {out}")
     return EXIT_OK
 

@@ -219,8 +219,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("axis name 't' is reserved for snapshot times")
         if not _numbers(values):
             raise ConfigError(f"axes[{i}] ({ax_name}): values must be a list of finite numbers")
-        if not values or values != sorted(values):
-            raise ConfigError(f"axes[{i}] ({ax_name}): values must be nonempty and sorted")
+        if not values or not np.all(np.diff(values) > 0):
+            raise ConfigError(f"axes[{i}] ({ax_name}): values must be nonempty and strictly "
+                              "increasing (sorted, no repeats)")
         axes.append(Axis(name=str(ax_name), values=tuple(float(v) for v in values)))
     axis_names = {ax.name for ax in axes}
     if len(axis_names) != len(axes):
@@ -261,9 +262,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             }
 
     times = _require(raw, "snapshot_times_yr", "config")
-    if not _numbers(times) or not times or times != sorted(times) or times[0] < 0:
-        raise ConfigError("snapshot_times_yr must be a nonempty, sorted list of finite "
-                          "nonnegative numbers")
+    if not _numbers(times) or not times or not np.all(np.diff(times) > 0) or times[0] < 0:
+        raise ConfigError("snapshot_times_yr must be a nonempty list of finite nonnegative "
+                          "numbers, strictly increasing (sorted, no repeats)")
 
     safety = raw.get("cfl_safety", 0.9)
     if not _number(safety) or not 0.0 < safety <= 1.0:

@@ -30,13 +30,9 @@ def polygon_vertices(n: int) -> np.ndarray:
 
 
 def _edge_areas(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Signed area of triangle (v_i, v_{i+1}, x) for every edge; positive
-    inside a ccw polygon. x may be (2,) or (P, 2)."""
-    nxt = np.roll(verts, -1, axis=0)
-    e = nxt - verts  # (n, 2)
-    if x.ndim == 1:
-        d = x[None, :] - verts
-        return 0.5 * (e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0])
+    """Signed area of triangle (v_i, v_{i+1}, x) for every edge and every
+    row of x (P, 2), (P, n); positive inside a ccw polygon."""
+    e = np.roll(verts, -1, axis=0) - verts  # (n, 2)
     d0 = x[:, None, 0] - verts[None, :, 0]
     d1 = x[:, None, 1] - verts[None, :, 1]
     return 0.5 * (e[None, :, 0] * d1 - e[None, :, 1] * d0)
@@ -51,7 +47,7 @@ def wachspress_weights(x, n: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     verts = polygon_vertices(n)
-    areas = _edge_areas(verts, x)  # A(v_i, v_{i+1}, x)
+    areas = _edge_areas(verts, x[None, :])[0]  # A(v_i, v_{i+1}, x)
     if np.any(areas < -BOUNDARY_TOL):
         raise OutsidePolygonError(f"point {tuple(x)} lies outside the {n}-gon")
     on_edge = np.flatnonzero(np.abs(areas) <= BOUNDARY_TOL)
@@ -72,19 +68,20 @@ def wachspress_weights(x, n: int) -> np.ndarray:
         w[i] = lam
         w[j] = 1.0 - lam
         return w
-    corner = _corner_areas(verts)
-    w = corner / (np.roll(areas, 1) * areas)
-    return w / w.sum()
+    return _interior_weights(verts, areas[None, :])[0]
 
 
-def _corner_areas(verts: np.ndarray) -> np.ndarray:
-    """A(v_{i-1}, v_i, v_{i+1}) per vertex; constant for a regular polygon
-    but computed exactly from the geometry."""
+def _interior_weights(verts: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Wachspress weights (P, n) of interior points from their edge areas
+    (P, n): the rational cross-ratio of adjacent triangle areas. The corner
+    areas A(v_{i-1}, v_i, v_{i+1}) are equal for a regular polygon but
+    computed exactly from the geometry."""
     prv = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
     e1 = verts - prv
-    e2 = nxt - prv
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    e2 = np.roll(verts, -1, axis=0) - prv
+    corner = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    w = corner[None, :] / (np.roll(areas, 1, axis=1) * areas)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,7 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
     inside = np.all(areas > BOUNDARY_TOL, axis=1)
     pts, pix, areas = pts[inside], pix[inside], areas[inside]
 
-    corner = _corner_areas(verts)
-    w = corner[None, :] / (np.roll(areas, 1, axis=1) * areas)
-    w = w / w.sum(axis=1, keepdims=True)
+    w = _interior_weights(verts, areas)
 
     # data-form residuals: the quadratic Gram form cancels catastrophically
     # near exact fits. A lone last pixel joins the block before it: numpy

@@ -35,13 +35,17 @@ class Dictionary:
 
 @dataclass
 class GreedyReport:
-    """Per-iteration diagnostics; entry k describes the dictionary of size sizes[k]."""
+    """Per-iteration diagnostics, one list per column of greedy_report.csv:
+    entry k describes the dictionary of n[k] atoms. `run` fills every
+    column but l1_mean and l1_max, which its caller tracks."""
 
-    sizes: list[int] = field(default_factory=list)
+    n: list[int] = field(default_factory=list)
     delta: list[float] = field(default_factory=list)
-    avg_error: list[float] = field(default_factory=list)
+    mean_w2: list[float] = field(default_factory=list)
     condition: list[float] = field(default_factory=list)
-    simplex_volume: list[float] = field(default_factory=list)
+    volume: list[float] = field(default_factory=list)
+    l1_mean: list[float] = field(default_factory=list)
+    l1_max: list[float] = field(default_factory=list)
     qp_iters_max: list[int] = field(default_factory=list)
     n_unconverged: list[int] = field(default_factory=list)
     kkt_max: list[float] = field(default_factory=list)
@@ -195,11 +199,11 @@ def run(
         dictionary = make_dictionary(train, params, selected)
         step = greedy_step(dictionary, train, warm, tol, max_iter, warm_objective)
         n = dictionary.size
-        report.sizes.append(n)
+        report.n.append(n)
         report.delta.append(step.delta)
-        report.avg_error.append(float(step.errors.mean()))
+        report.mean_w2.append(float(step.errors.mean()))
         report.condition.append(simplexqp.condition_of_gram(dictionary.atoms.T @ dictionary.atoms))
-        report.simplex_volume.append(cayley_menger_volume(dictionary.atoms))
+        report.volume.append(cayley_menger_volume(dictionary.atoms))
         bad = int(np.count_nonzero(~step.converged))
         report.qp_iters_max.append(int(step.iterations.max()))
         report.n_unconverged.append(bad)

@@ -87,7 +87,7 @@ def fit(
             int(np.searchsorted(axes[j], params[row, j])) for j in range(d)
         )
         if seen[idx]:
-            raise NotOnTensorGridError(f"duplicate training node {tuple(params[row])}")
+            raise NotOnTensorGridError(f"duplicate training node {tuple(params[row].tolist())}")
         seen[idx] = True
         weight_table[idx] = weights[:, row]
         mass_table[idx] = masses[row]

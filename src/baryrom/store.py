@@ -237,30 +237,22 @@ REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",
                   "l1_mean", "l1_max", "qp_iters_max", "n_unconverged", "kkt_max")
 
 
-def save_report(path, report: GreedyReport, l1_mean, l1_max):
-    rows = []
-    last = len(report.sizes) - 1
-    for i, n in enumerate(report.sizes):
-        rows.append(
-            (
-                n,
-                report.delta[i],
-                report.avg_error[i],
-                report.condition[i],
-                report.simplex_volume[i],
-                report.termination if i == last else "",
-                l1_mean[i],
-                l1_max[i],
-                report.qp_iters_max[i],
-                report.n_unconverged[i],
-                report.kkt_max[i],
-            )
-        )
-    write_csv(path, REPORT_COLUMNS, rows)
+def save_report(path, report: GreedyReport):
+    """Write the report's columns by name, its termination in the last
+    criterion cell; ValueError when the columns are empty or differ in length."""
+    criterion = [""] * (len(report.n) - 1) + [report.termination]
+    cols = {name: criterion if name == "criterion" else getattr(report, name)
+            for name in REPORT_COLUMNS}
+    lengths = {name: len(col) for name, col in cols.items()}
+    if len(set(lengths.values())) != 1:
+        raise ValueError(f"greedy report columns must be nonempty and of one length: {lengths}")
+    write_csv(path, REPORT_COLUMNS, zip(*cols.values()))
 
 
-def load_report(path) -> tuple[GreedyReport, np.ndarray, np.ndarray]:
-    """Read a greedy report; StoreError when it is missing or malformed."""
+def load_report(model_dir) -> GreedyReport:
+    """Read a model directory's greedy report (its warnings stay in
+    model.json); StoreError when it is missing or malformed."""
+    path = Path(model_dir) / REPORT_NAME
     try:
         header, rows = read_csv(path)
     except (OSError, IndexError) as err:
@@ -280,17 +272,12 @@ def load_report(path) -> tuple[GreedyReport, np.ndarray, np.ndarray]:
         }
     except ValueError as err:
         raise StoreError(f"report {path}: {err}") from err
-    report = GreedyReport(
-        sizes=num["n"], delta=num["delta"], avg_error=num["mean_w2"],
-        condition=num["condition"], simplex_volume=num["volume"],
-        qp_iters_max=num["qp_iters_max"], n_unconverged=num["n_unconverged"],
-        kkt_max=num["kkt_max"], termination=cols["criterion"][-1],
-    )
-    return report, np.asarray(num["l1_mean"]), np.asarray(num["l1_max"])
+    return GreedyReport(**num, termination=cols["criterion"][-1])
 
 
-def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1_max):
+def save_model(directory, model: ReducedModel, report: GreedyReport):
     directory = make_dir(directory)
+    save_report(directory / REPORT_NAME, report)  # first: a bad report leaves no model
     arrays = {
         "atoms": model.dictionary.atoms,
         "atom_params": model.dictionary.atom_params,
@@ -315,7 +302,6 @@ def save_model(directory, model: ReducedModel, report: GreedyReport, l1_mean, l1
             "warnings": report.warnings,
         },
     )
-    save_report(directory / REPORT_NAME, report, l1_mean, l1_max)
 
 
 def load_model(directory) -> ReducedModel:
@@ -336,6 +322,10 @@ def load_model(directory) -> ReducedModel:
     axis_keys = tuple(f"axis_{i}" for i in range(len(axis_names)))
     data = _read_npz(directory / MODEL_ARRAYS_NAME, MODEL_ARRAYS + axis_keys)
     axes = tuple(data[key] for key in axis_keys)
+    for key, ax in zip(axis_keys, axes):
+        ok = ax.ndim == 1 and ax.dtype.kind == "f" and ax.size and np.isfinite(ax).all()
+        if not (ok and (np.diff(ax) > 0).all()):
+            raise StoreError(f"array {key!r} is not a nonempty, finite, strictly increasing axis")
     shape = tuple(ax.size for ax in axes)
     expected = dict(
         atoms=(transport.icdf_size(n_raw), n_atoms), atom_params=(n_atoms, len(axis_names)),
@@ -357,7 +347,3 @@ def load_model(directory) -> ReducedModel:
         x_min=x_min,
         x_max=x_max,
     )
-
-
-def load_model_report(directory):
-    return load_report(Path(directory) / REPORT_NAME)

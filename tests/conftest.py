@@ -25,8 +25,6 @@ class ExampleData:
     store: store.SnapshotStore
     model: object
     report: object
-    l1_mean: np.ndarray
-    l1_max: np.ndarray
     pod_basis: pod.PodBasis
     pod_mean_errors: np.ndarray
     model_dir: Path
@@ -35,7 +33,7 @@ class ExampleData:
         return transport.snapshots_to_icdfs(self.store.values, self.store.x_min, self.store.x_max)
 
     def n_gbar(self, eps: float):
-        return pod.size_for_tolerance(self.l1_mean, eps, self.report.sizes)
+        return pod.size_for_tolerance(self.report.l1_mean, eps, self.report.n)
 
     def n_pod(self, eps: float):
         return pod.size_for_tolerance(self.pod_mean_errors, eps)
@@ -52,7 +50,7 @@ def _build(cache: Path, name: str) -> ExampleData:
         assert rc == 0, f"offline training failed for {name}"
     st = store.load_store(store_dir)
     model = store.load_model(model_dir)
-    report, l1_mean, l1_max = store.load_model_report(model_dir)
+    report = store.load_report(model_dir)
     snaps = st.values.T
     basis = pod.compute(snaps)
     pod_means = pod.relative_l1_errors(basis, snaps).mean(axis=1)
@@ -60,8 +58,6 @@ def _build(cache: Path, name: str) -> ExampleData:
         store=st,
         model=model,
         report=report,
-        l1_mean=l1_mean,
-        l1_max=l1_max,
         pod_basis=basis,
         pod_mean_errors=pod_means,
         model_dir=model_dir,

@@ -93,9 +93,9 @@ def test_criterion_4_example2_tables(example1, example2):
 
 def test_criterion_5_greedy_diagnostics(example1):
     report = example1.report
-    sizes = report.sizes
+    sizes = report.n
     cond = dict(zip(sizes, report.condition))
-    vol = dict(zip(sizes, report.simplex_volume))
+    vol = dict(zip(sizes, report.volume))
     assert 3 in cond and 25 in cond and 10 in vol and 20 in vol
     growth = cond[25] / cond[3]
     assert growth >= 1e4
@@ -326,5 +326,5 @@ def test_example1_weight_solves_converge(example1):
     # every greedy sweep solves its simplex least squares to the KKT tolerance
     meta = json.loads((example1.model_dir / "model.json").read_text())
     assert meta["warnings"] == []
-    assert example1.report.n_unconverged == [0] * len(example1.report.sizes)
+    assert example1.report.n_unconverged == [0] * len(example1.report.n)
     assert max(example1.report.kkt_max) <= 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -139,6 +140,8 @@ class TestConfig:
         pytest.param(("grid", "x_max_km"), float("inf"), id="x-max-inf"),
         pytest.param(("grid", "n_cells"), 102.7, id="cells-fractional"),
         pytest.param(("boundary", "s_inflow"), True, id="inflow-bool"),
+        pytest.param(("axes", 0, "values"), [1, 1, 6], id="axis-value-repeated"),
+        pytest.param(("snapshot_times_yr",), [1.0, 1.0, 2.5], id="time-repeated"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, path, value):
         bad = mini_config()
@@ -312,7 +315,7 @@ class TestStoreValidation:
 
 
 class TestModelValidation:
-    """load_model and load_model_report refuse every malformed model
+    """load_model and load_report refuse every malformed model
     directory with StoreError (exit 3)."""
 
     @pytest.fixture
@@ -335,7 +338,7 @@ class TestModelValidation:
 
     def test_valid_copy_loads(self, copy):
         assert store.load_model(copy).n_atoms == 5
-        assert len(store.load_model_report(copy)[0].sizes) == 4
+        assert len(store.load_report(copy).n) == 4
 
     def test_missing_npz(self, copy):
         (copy / store.MODEL_ARRAYS_NAME).unlink()
@@ -373,25 +376,45 @@ class TestModelValidation:
         with pytest.raises(store.StoreError, match=name):
             store.load_model(copy)
 
+    @pytest.mark.parametrize("axis", [
+        pytest.param([1.0, 1.0], id="repeated"),
+        pytest.param([6.0, 1.0], id="decreasing"),
+        pytest.param([1.0, np.inf], id="infinite"),
+        pytest.param([[1.0, 6.0]], id="two-dimensional"),
+    ])
+    def test_malformed_axis(self, copy, tmp_path, capsys, axis):
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["axis_1"] = np.array(axis)
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match="'axis_1'.*strictly increasing"):
+            store.load_model(copy)
+        out = tmp_path / "o"
+        argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=1,mu=1,beta=3"]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert "axis_1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_report(self, copy):
         (copy / store.REPORT_NAME).unlink()
         with pytest.raises(store.StoreError, match="greedy_report.csv"):
-            store.load_model_report(copy)
+            store.load_report(copy)
 
     def test_short_report_row(self, copy):
         self._edit_report(copy, lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]])
         with pytest.raises(store.StoreError, match="11 cells"):
-            store.load_model_report(copy)
+            store.load_report(copy)
 
     def test_non_numeric_report_cell(self, copy):
         self._edit_report(copy, lambda lines: lines[:1] + ["x" + lines[1]] + lines[2:])
         with pytest.raises(store.StoreError, match="'x2'"):
-            store.load_model_report(copy)
+            store.load_report(copy)
 
     def test_header_only_report(self, copy):
         self._edit_report(copy, lambda lines: lines[:1])
         with pytest.raises(store.StoreError, match="no iterations"):
-            store.load_model_report(copy)
+            store.load_report(copy)
 
     def test_cli_exit_codes(self, copy, tmp_path):
         self._edit_report(copy, lambda lines: lines[:1])
@@ -409,9 +432,9 @@ class TestOffline:
         again = store.load_model(model_dir)
         np.testing.assert_array_equal(model.weight_table, again.weight_table)
         assert model.axis_names == ("t", "mu", "beta")
-        report, l1_mean, l1_max = store.load_model_report(model_dir)
+        report = store.load_report(model_dir)
         assert report.termination in ("absolute", "relative", "max_atoms", "exhausted")
-        assert len(l1_mean) == len(report.sizes)
+        assert len(report.l1_mean) == len(report.n)
         assert not (model_dir / "dictionary.npz").exists()
 
     def test_model_with_a_gram_array_loads(self, mini_run, tmp_path):
@@ -440,7 +463,7 @@ class TestOffline:
         assert cli.main(["offline", "--store", str(store_dir), "--out", str(model_dir)]) == 0
         model = store.load_model(model_dir)
         assert model.n_atoms == 2
-        report, _, _ = store.load_model_report(model_dir)
+        report = store.load_report(model_dir)
         assert len(report.delta) >= 1
 
     def test_one_snapshot_store_exits_3(self, tmp_path, capsys):
@@ -485,10 +508,10 @@ class TestOffline:
         monkeypatch.setattr(cli.greedy, "run", recording_run)
         out = tmp_path / "m"
         assert cli.main(["offline", "--store", str(store_dir), "--out", str(out)]) == 0
-        _, l1_mean, l1_max = store.load_model_report(out)
-        assert len(sweeps) == len(l1_mean) >= 3
+        report = store.load_report(out)
+        assert len(sweeps) == len(report.l1_mean) >= 3
         assert any(step.screened.any() for _, step in sweeps)
-        for (indices, step), mean, worst in zip(sweeps, l1_mean, l1_max):
+        for (indices, step), mean, worst in zip(sweeps, report.l1_mean, report.l1_max):
             objective = simplexqp._data_objective(train[:, indices], train, step.weights)
             np.testing.assert_allclose(step.objective, objective, rtol=1e-14,
                                        atol=1e-14 * objective.max())
@@ -535,10 +558,80 @@ class TestOffline:
         assert rows[-1][5] == "max_atoms"
         assert all(r[5] == "" for r in rows[:-1])
         assert header[8:] == ["qp_iters_max", "n_unconverged", "kkt_max"]
-        report, _, _ = store.load_model_report(model_dir)
+        report = store.load_report(model_dir)
         assert report.n_unconverged == [0] * len(rows)
         assert max(report.kkt_max) <= 1e-10
         assert min(report.qp_iters_max) >= 0
+
+
+class TestGreedyReport:
+    """greedy_report.csv holds the fields of greedy.GreedyReport, one column
+    each under the same name."""
+
+    def make_report(self):
+        return greedy.GreedyReport(
+            n=[2, 3, 4], delta=[0.5, 0.1 + 0.2, 1e-300], mean_w2=[0.25, 2.0 / 3.0, 5e-324],
+            condition=[1.0, 1e16, np.inf], volume=[1.0, 0.0, 1.0 / 3.0],
+            l1_mean=[0.5, 0.125, 1.0 / 7.0], l1_max=[1.0, 0.75, 0.2],
+            qp_iters_max=[0, 3, 12], n_unconverged=[0, 0, 1], kkt_max=[0.0, 1e-12, 3e-11],
+            termination=greedy.TERM_RELATIVE,
+        )
+
+    def test_fields_are_the_csv_columns(self):
+        names = {f.name for f in dataclasses.fields(greedy.GreedyReport)}
+        assert names == set(store.REPORT_COLUMNS) - {"criterion"} | {"termination", "warnings"}
+
+    def test_round_trip(self, tmp_path):
+        report = self.make_report()
+        store.save_report(tmp_path / store.REPORT_NAME, report)
+        assert store.load_report(tmp_path) == report
+        header, rows = store.read_csv(tmp_path / store.REPORT_NAME)
+        assert [row[header.index("criterion")] for row in rows] == ["", "", "relative"]
+
+    def test_saved_report_round_trips_byte_identical(self, mini_run, tmp_path):
+        *_, model_dir = mini_run
+        report = store.load_report(model_dir)
+        assert len(report.l1_mean) == len(report.l1_max) == len(report.n) == 4
+        store.save_report(tmp_path / store.REPORT_NAME, report)
+        saved = (model_dir / store.REPORT_NAME).read_bytes()
+        assert (tmp_path / store.REPORT_NAME).read_bytes() == saved
+        assert store.load_report(tmp_path) == report
+
+    @pytest.mark.parametrize("column", ["l1_mean", "l1_max", "n", "kkt_max"])
+    def test_short_column_raises(self, tmp_path, column):
+        report = self.make_report()
+        getattr(report, column).pop()
+        with pytest.raises(ValueError, match=column):
+            store.save_report(tmp_path / store.REPORT_NAME, report)
+        assert not (tmp_path / store.REPORT_NAME).exists()
+
+    def test_model_without_l1_columns_writes_nothing(self, mini_run, tmp_path):
+        *_, model_dir = mini_run
+        model = store.load_model(model_dir)
+        report = dataclasses.replace(store.load_report(model_dir), l1_mean=[], l1_max=[])
+        with pytest.raises(ValueError, match="l1_mean"):
+            store.save_model(tmp_path / "m", model, report)
+        assert list((tmp_path / "m").iterdir()) == []
+
+    def test_greedy_fills_all_but_the_l1_columns(self, mini_run):
+        _, _, store_dir, _ = mini_run
+        st = store.load_store(store_dir)
+        train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
+        _, report, _ = greedy.run(train, st.params, n_max=4)
+        assert report.n == [2, 3, 4] and report.termination == greedy.TERM_MAX_ATOMS
+        for name in set(store.REPORT_COLUMNS) - {"criterion", "l1_mean", "l1_max"}:
+            assert len(getattr(report, name)) == 3, name
+        assert report.l1_mean == report.l1_max == []
+
+    def test_diag_curves_are_the_report_columns(self, mini_run, tmp_path):
+        *_, model_dir = mini_run
+        report = store.load_report(model_dir)
+        assert cli.main(["diag", "--model", str(model_dir), "--out", str(tmp_path)]) == 0
+        for name in ("condition", "volume"):
+            header, rows = store.read_csv(tmp_path / f"{name}.csv")
+            assert header == ["n", name]
+            assert [int(row[0]) for row in rows] == report.n
+            assert [float(row[1]) for row in rows] == getattr(report, name)
 
 
 class TestOnline:
@@ -599,6 +692,25 @@ class TestOnline:
              "--at", "t=abc,mu=3,beta=3"]
         )
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("file_points, at, named", [
+        pytest.param([], ["t=1,t=2,mu=3,beta=3"], "sets 't' twice", id="repeated-at"),
+        pytest.param([{"t": True, "mu": 3, "beta": 3}], [], "bool", id="bool-in-file"),
+        pytest.param([{"t": 1.0, "mu": 3, "beta": 3}, {"t": 2.0, "mu": float("nan"), "beta": 3}],
+                     ["t=1,t=2,mu=3,beta=3"], "'mu': nan", id="nan-before-repeated-at"),
+        pytest.param([{"t": 1.0, "mu": 3, "beta": 3}, {"t": 2.0, "mu": 3, "beta": False}],
+                     ["t=nan,mu=3,beta=3"], "bool", id="bool-before-nan-at"),
+    ])
+    def test_first_bad_point_exits_2(self, mini_run, tmp_path, capsys, file_points, at, named):
+        _, _, _, model_dir = mini_run
+        path, out = tmp_path / "points.json", tmp_path / "out"
+        path.write_text(json.dumps(file_points))
+        argv = ["online", "--model", str(model_dir), "--out", str(out), "--params-file", str(path)]
+        for item in at:
+            argv += ["--at", item]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_params_file(self, mini_run, tmp_path):
         _, _, _, model_dir = mini_run

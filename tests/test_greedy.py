@@ -167,8 +167,8 @@ class TestRun:
         assert len(set(d.atom_indices.tolist())) == d.size
         for j, idx in enumerate(d.atom_indices):
             np.testing.assert_array_equal(d.atoms[:, j], train[:, idx])
-        assert len(report.sizes) == len(report.delta) == len(report.condition)
-        assert len(report.simplex_volume) == len(report.sizes)
+        assert len(report.n) == len(report.delta) == len(report.condition)
+        assert len(report.volume) == len(report.n)
 
     def test_callback_called_per_iteration(self):
         train, params = block_family([0.1, 0.3, 0.5, 0.7, 0.9])

@@ -83,6 +83,15 @@ class TestFit:
         with pytest.raises(online.NotOnTensorGridError):
             online.fit(dictionary, bad, weights, masses, ("t", "y"), 200)
 
+    def test_duplicate_node_message_prints_plain_floats(self):
+        params, raws, train, masses = make_training()
+        dictionary, _, weights = greedy.run(train, params, n_max=2)
+        bad = params.copy()
+        bad[3] = bad[2]
+        with pytest.raises(online.NotOnTensorGridError) as err:
+            online.fit(dictionary, bad, weights, masses, ("t", "y"), 200)
+        assert str(err.value) == "duplicate training node (1.0, 0.5)"
+
 
 class TestEvaluateRaw:
     def test_midpoint_is_mean_of_neighbors(self, fitted):
