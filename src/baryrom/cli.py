@@ -250,14 +250,16 @@ def cmd_online(args) -> int:
     if not specs:
         raise ConfigError("no evaluation points: pass --params-file and/or --at")
     points = _parse_points(model, specs)
+    st = store.load_store(args.store) if args.store else None
+    if st is not None:
+        store.check_same_grid(model, st)
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = store.make_dir(args.out)
     store.savez_atomic(out / "reconstructions.npz", params=points, profiles=profiles)
 
     rows = []
-    if args.store:
-        st = store.load_store(args.store)
+    if st is not None:
         for q, z in enumerate(points):
             match = np.flatnonzero(np.all(st.params == z[None, :], axis=1))
             if match.size == 0:
@@ -349,6 +351,7 @@ def cmd_diag(args) -> int:
 def cmd_landscape(args) -> int:
     model = store.load_model(args.model)
     st = store.load_store(args.store)
+    store.check_same_grid(model, st)
     n = args.n
     if n < 3 or n > model.n_atoms:
         raise ConfigError(f"landscape needs 3 <= n <= {model.n_atoms} atoms, got {n}")

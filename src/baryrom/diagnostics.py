@@ -4,6 +4,11 @@ The (n-1)-simplex is visualized through the regular n-gon inscribed in the
 unit circle (vertex 1 at 90 degrees): Wachspress coordinates map interior
 points of the polygon to simplex weights, and the W2 error of the induced
 barycenters is rasterized into an energy landscape.
+
+A pixel's W2 needs no pass over the icdf nodes: for the R factor of
+B = [atoms, target], ||atoms w - target|| = ||R [w; -1]||. Householder QR
+is backward stable, so this is as accurate as the data-form residual even
+at a near-exact fit, where the Gram form (squared conditioning) cancels.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 BOUNDARY_TOL = 1e-12
-LANDSCAPE_BLOCK = 256  # pixels per residual block: 2 MB for a 1000-node icdf
 
 
 class OutsidePolygonError(ValueError):
@@ -104,10 +108,16 @@ class LandscapeGrid:
 
 def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 201) -> LandscapeGrid:
     """log10 W2 between the target icdf and the barycenters induced by every
-    interior pixel of the n-gon raster."""
+    interior pixel of the n-gon raster.
+
+    W2^2 of weights w is ||R [w; -1]||^2 / M for the R factor of the (M, n+1)
+    matrix [atoms, target]: one QR, then O(n^2) work per pixel. The QR is
+    backward stable, so this matches the data form atoms w - target to
+    rounding; the Gram form would square the conditioning.
+    """
     atoms = np.asarray(atoms, dtype=float)
     target = np.asarray(target, dtype=float)
-    _, n = atoms.shape
+    m, n = atoms.shape
     if n < 3:
         raise ValueError("landscape needs at least 3 atoms")
     if resolution < 2:
@@ -126,21 +136,9 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
 
     w = _interior_weights(verts, areas)
 
-    # data-form residuals: the quadratic Gram form cancels catastrophically
-    # near exact fits. A lone last pixel joins the block before it: numpy
-    # rounds a one-column product and sum differently from a wider block
-    count = w.shape[0]
-    starts = list(range(0, count, LANDSCAPE_BLOCK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    w2_sq = np.empty(count)
-    for lo, hi in zip(starts, starts[1:] + [count]):
-        resid = atoms @ w[lo:hi].T
-        resid -= target[:, None]
-        np.square(resid, out=resid)
-        w2_sq[lo:hi] = resid.mean(axis=0)
+    r = np.linalg.qr(np.column_stack([atoms, target]), mode="r")
+    w2_sq = np.square(w @ r[:, :n].T - r[:, n]).sum(axis=1) / m
     log10 = 0.5 * np.log10(np.maximum(w2_sq, 1e-300))
     return LandscapeGrid(
         n=n, resolution=resolution, xy=pts, pixel=pix, weights=w, log10_w2=log10
     )
-

@@ -71,12 +71,18 @@ def fmt(value) -> str:
 
 def write_csv(path, header, rows):
     """CSV of a header and rows of cells; a 2-D float array as rows is
-    written through Python floats, the same text as `fmt`, without a call
-    per cell."""
+    written with the same text as `fmt`, each distinct value of a column
+    formatted once. Values are told apart by their bits, not by `==`: -0.0
+    and 0.0 compare equal but print differently."""
     path = Path(path)
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+        cols = []
+        for col in rows.T:
+            bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            cols.append(text[inverse].tolist())
+        lines.extend(map(",".join, zip(*cols)))
     else:
         lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -332,6 +338,9 @@ def load_model(directory) -> ReducedModel:
         atom_indices=(n_atoms,), weight_table=shape + (n_atoms,), mass_table=shape,
     )
     _check_shapes(data, expected, f"{n_atoms} atoms of {n_raw} cells on a {shape} grid")
+    for name in ("atoms", "weight_table", "mass_table"):
+        if data[name].dtype.kind != "f" or not np.isfinite(data[name]).all():
+            raise StoreError(f"array {name!r} is not a finite float array")
     dictionary = Dictionary(
         atoms=data["atoms"],
         atom_params=data["atom_params"],
@@ -347,3 +356,16 @@ def load_model(directory) -> ReducedModel:
         x_min=x_min,
         x_max=x_max,
     )
+
+
+def check_same_grid(model: ReducedModel, st: SnapshotStore) -> None:
+    """StoreError, naming both grids, when a store's snapshots live on
+    another cell grid than the model's profiles."""
+    model_grid = (model.n_raw, model.x_min, model.x_max)
+    store_grid = (st.n_cells, st.x_min, st.x_max)
+    if model_grid != store_grid:
+        describe = "{} cells on [{}, {}] km".format
+        raise StoreError(
+            f"the model's grid ({describe(*model_grid)}) is not the store's "
+            f"({describe(*store_grid)})"
+        )

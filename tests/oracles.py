@@ -115,3 +115,11 @@ def impes_textbook(dx_m, porosity, permeability, mu_w, mu_nw, beta, p_left, p_ri
         t = target
         out.append(s.copy())
     return np.array(out), steps, min_dt
+
+
+def landscape_log10_w2(atoms: np.ndarray, weights: np.ndarray, target: np.ndarray):
+    """log10 W2 of every pixel's barycenter, the plain data form: the
+    residual atoms @ w - target over all icdf nodes, one pixel at a time,
+    with the landscape's 1e-300 floor on W2^2."""
+    w2_sq = np.array([np.mean((atoms @ w - target) ** 2) for w in weights])
+    return 0.5 * np.log10(np.maximum(w2_sq, 1e-300))

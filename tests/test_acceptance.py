@@ -11,13 +11,14 @@ import pytest
 from scipy import ndimage
 
 from baryrom import diagnostics as dg
-from baryrom import flow, online, pod
+from baryrom import cli, flow, online, pod
 from baryrom import simplexqp as sq
 from baryrom import transport as tr
 
-from oracles import simplex_ls_active_set
+from oracles import landscape_log10_w2, simplex_ls_active_set
 
 EPS_TABLE = (0.1, 0.05, 0.01, 0.005)
+CRITERION_7_TARGETS = (50, 175, 300, 425, 620)  # snapshot indices of example1
 
 
 def _announce(num, detail):
@@ -204,7 +205,7 @@ def test_criterion_7_landscape_sanity(example1):
     radius = 0.5 * np.sqrt(2.0) * cell * (1.0 + np.sqrt(ev[-1] / ev[0]))
 
     worst_dist = 0.0
-    for k in (50, 175, 300, 425, 620):
+    for k in CRITERION_7_TARGETS:
         target = tr.snapshot_to_icdf(st.values[k], x_min=st.x_min, x_max=st.x_max)
         qp = sq.solve_batch(atoms, target)
         grid = dg.energy_landscape(atoms, target, resolution=resolution)
@@ -226,6 +227,31 @@ def test_criterion_7_landscape_sanity(example1):
         f"grid minima within {worst_dist / cell:.1f} cells of the QP optimum "
         f"(anisotropy allowance {radius / cell:.1f}); sublevel sets connected",
     )
+
+
+def test_landscape_matches_the_data_form_oracle(example1):
+    st = example1.store
+    atoms = example1.model.dictionary.atoms[:, :3]
+    for k in CRITERION_7_TARGETS:
+        target = tr.snapshot_to_icdf(st.values[k], x_min=st.x_min, x_max=st.x_max)
+        grid = dg.energy_landscape(atoms, target, resolution=201)
+        want = landscape_log10_w2(atoms, grid.weights, target)
+        np.testing.assert_allclose(grid.log10_w2, want, rtol=0.0, atol=1e-10)
+
+
+def test_landscape_csv_is_a_per_cell_repr(example1, tmp_path):
+    # the whole landscape.csv of a criterion-7 target, byte for byte
+    st = example1.store
+    store_dir = example1.model_dir.parent / "example1_store"
+    argv = ["landscape", "--model", str(example1.model_dir), "--store", str(store_dir),
+            "--out", str(tmp_path), "--n", "3", "--target-index", "300"]
+    assert cli.main(argv) == 0
+    target = tr.snapshot_to_icdf(st.values[300], x_min=st.x_min, x_max=st.x_max)
+    grid = dg.energy_landscape(example1.model.dictionary.atoms[:, :3], target)
+    table = np.column_stack([grid.xy, grid.weights, grid.log10_w2])
+    lines = ["x,y,lam_1,lam_2,lam_3,log10_w2"]
+    lines += [",".join(repr(v) for v in row) for row in table.tolist()]
+    assert (tmp_path / "landscape.csv").read_text() == "\n".join(lines) + "\n"
 
 
 class TestPaperBehaviors:

@@ -396,6 +396,30 @@ class TestModelValidation:
         assert "axis_1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("mass_table", np.nan), ("atoms", np.inf), ("weight_table", -np.inf),
+    ])
+    def test_non_finite_array(self, mini_run, copy, tmp_path, capsys, name, value):
+        _, _, store_dir, _ = mini_run
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[name].flat[1] = value
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match=f"'{name}' is not a finite float array"):
+            store.load_model(copy)
+        capsys.readouterr()
+        for argv in (
+            ["online", "--model", str(copy), "--at", "t=2.5,mu=1,beta=2"],
+            ["landscape", "--model", str(copy), "--store", str(store_dir),
+             "--target-index", "5", "--resolution", "11"],
+        ):
+            out = tmp_path / argv[0]
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_STORE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and name in err
+            assert not out.exists()
+
     def test_missing_report(self, copy):
         (copy / store.REPORT_NAME).unlink()
         with pytest.raises(store.StoreError, match="greedy_report.csv"):
@@ -423,6 +447,76 @@ class TestModelValidation:
         argv = ["online", "--model", str(copy), "--out", str(tmp_path / "o"),
                 "--at", "t=1,mu=1,beta=2"]
         assert cli.main(argv) == cli.EXIT_STORE
+
+
+def per_cell_csv(header, table) -> bytes:
+    """The reference text of a float table: one repr per cell."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    """The float-array path of write_csv formats each distinct value once,
+    byte-identical to a per-cell repr."""
+
+    @pytest.mark.parametrize("table", [
+        pytest.param(np.tile([[0.1, 2.0, 1e-300], [0.1, 0.1, 2.0]], (50, 1)), id="repeated"),
+        pytest.param(np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]), id="signed-zeros"),
+        pytest.param(np.array([[np.nan, np.inf], [-np.inf, np.nan], [1.5, -np.inf]]), id="non-finite"),
+        pytest.param(np.random.default_rng(7).normal(size=(40, 5)) * 1e3, id="all-distinct"),
+        pytest.param(np.array([[1.0, 2.0]], dtype=np.float32) / 3, id="float32"),
+        pytest.param(np.empty((0, 3)), id="no-rows"),
+    ])
+    def test_matches_per_cell_repr(self, tmp_path, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        store.write_csv(tmp_path / "t.csv", header, table)
+        assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, table)
+
+    def test_column_slice_and_nan_payloads(self, tmp_path):
+        # a non-contiguous view, and two NaNs of different bits print alike
+        table = np.arange(24.0).reshape(4, 6)[:, ::2].copy()
+        table[0, 0] = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(), np.float64)[0]
+        table[1, 1] = np.nan
+        view = np.arange(24.0).reshape(4, 6)[:, ::2]
+        for t in (table, view):
+            store.write_csv(tmp_path / "t.csv", ["a", "b", "c"], t)
+            assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(["a", "b", "c"], t)
+
+
+class TestGridMismatch:
+    """A store on another cell grid than the model's is a data error
+    (exit 3) for every command that reads both, before any output."""
+
+    @pytest.fixture(scope="class", params=[
+        pytest.param({"n_cells": 60}, id="cells"),
+        pytest.param({"x_max_km": 2.0}, id="extent"),
+    ])
+    def other_store(self, request, tmp_path_factory):
+        cfg = mini_config()
+        cfg["grid"].update(request.param)
+        root = tmp_path_factory.mktemp("other_grid")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["generate", "--config", str(root / "cfg.json"), "--out", str(root / "store")]
+        assert cli.main(argv) == 0
+        return root / "store"
+
+    @pytest.mark.parametrize("command", ["online", "landscape"])
+    def test_exit_3_naming_both_grids(self, mini_run, other_store, tmp_path, capsys, command):
+        *_, model_dir = mini_run
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model_dir), "--store", str(other_store), "--out", str(out)]
+        if command == "online":
+            argv += ["--at", "t=2.5,mu=1,beta=2"]
+        else:
+            argv += ["--target-index", "5", "--resolution", "11"]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        other = store.load_store(other_store)
+        assert "102 cells on [0.0, 1.0] km" in err
+        assert f"{other.n_cells} cells on [0.0, {other.x_max}] km" in err
+        assert not out.exists()
 
 
 class TestOffline:

@@ -5,6 +5,8 @@ from scipy import ndimage
 from baryrom import diagnostics as dg
 from baryrom import simplexqp as sq, transport as tr
 
+from oracles import landscape_log10_w2
+
 
 def triangle_barycentric(verts, x):
     """Classical area-ratio barycentric coordinates for a triangle."""
@@ -116,6 +118,28 @@ class TestLandscape:
             bar = atoms @ grid.weights[p]
             want = np.log10(max(tr.w2_distance(bar, target), 1e-300))
             assert grid.log10_w2[p] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("widths, target_width", [
+        ([0.2, 0.5, 0.9], 0.6),
+        ([0.1, 0.3, 0.5, 0.7, 0.95], 0.42),
+    ], ids=["n3", "n5"])
+    def test_every_pixel_matches_the_data_form_oracle(self, widths, target_width):
+        atoms = synthetic_atoms(widths)
+        target = synthetic_atoms([target_width])[:, 0]
+        grid = dg.energy_landscape(atoms, target, resolution=61)
+        want = landscape_log10_w2(atoms, grid.weights, target)
+        np.testing.assert_allclose(grid.log10_w2, want, rtol=0.0, atol=1e-10)
+
+    def test_near_exact_fit_at_a_pixel(self):
+        # the target is the barycenter of one pixel's own weights, so W2 at
+        # that pixel is rounding error and the pixel is the raster minimum
+        atoms = varied_atoms()
+        probe = dg.energy_landscape(atoms, atoms[:, 0], resolution=101)
+        p = len(probe.weights) // 3
+        grid = dg.energy_landscape(atoms, atoms @ probe.weights[p], resolution=101)
+        assert 10.0 ** grid.log10_w2[p] <= 1e-14
+        others = np.delete(grid.log10_w2, p)
+        assert others.min() > grid.log10_w2[p]
 
     def test_sublevel_sets_connected(self):
         atoms = synthetic_atoms([0.15, 0.45, 0.85])
