@@ -64,11 +64,13 @@ def cmd_generate(args) -> int:
         print(f"{len(failures)} simulations failed; no snapshots written", file=sys.stderr)
         return EXIT_COMPUTE
     steps = np.array([res.steps for res in results])
-    row_steps = int(steps.sum())
+    # the rows step in lockstep, so the wall time goes with the largest count
+    row_steps, lockstep = int(steps.sum()), int(steps.max())
     if row_steps:
         print(
             f"flow batch: {wall:.2f} s for {len(combos)} simulations, {row_steps} row-steps, "
-            f"{wall / row_steps * 1e6:.1f} us per row-step"
+            f"{wall / row_steps * 1e6:.1f} us per row-step, {lockstep} lockstep steps, "
+            f"{wall / lockstep * 1e6:.1f} us per lockstep step"
         )
     mass_residual = np.array([res.mass_residual for res in results])
     store.save_store(
@@ -253,6 +255,9 @@ def cmd_online(args) -> int:
     st = store.load_store(args.store) if args.store else None
     if st is not None:
         store.check_same_grid(model, st)
+        if st.axis_names != model.axis_names:
+            raise StoreError(f"the store's axes {list(st.axis_names)} are not the "
+                             f"model's {list(model.axis_names)}")
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = store.make_dir(args.out)

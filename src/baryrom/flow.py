@@ -10,33 +10,30 @@ q = (p_left - p_right) / sum_i resist_i / lambda_t(upwind s_i).
 
 `simulate_batch` advances all simulations of a sweep in lockstep as one
 (C, N) saturation array. Each row keeps its own CFL step, snapshot clock
-and boundary-flux audit, and a row that fails stops alone.
-`run_simulation` is its one-row call. The step works on buffers allocated
-once per batch: two (C, N + 1) saturation arrays whose inlet ghost column
-is written once and which swap roles every step, plus the mobility terms,
-face resistances and flux differences, all written through `out=`. The
-rows are sorted by relative-permeability exponent, so each exponent is one
-contiguous group of rows; a small positive integer exponent is computed
-by repeated multiplication rather than numpy's general power.
+and boundary-flux audit, and a row that fails stops alone;
+`run_simulation` is its one-row call. The step writes into buffers
+allocated once per batch, and the rows are sorted by the exponent beta, so
+that a small integer exponent is a few multiplications over one group. The
+domain is in km, as the snapshots report it; Darcy computations are in SI.
 
-The step is fused around one denominator, D = r s^beta + (1 - s)^beta
-with r = mu_nw / mu_w, which is mu_nw lambda_t: the face resistances are
-(R mu_nw) / D and the fractional flow is f = r s^beta / D. As q is the
-same through every face, the update is s - (q dt) / (phi dx) * div(f).
-What does not change between steps is computed once per batch: r, the
-mu_nw-scaled rock resistance R mu_nw, 1 / (phi dx), and the CFL
-coefficient safety min(phi dx) / (max|f'| |p_left - p_right|), which
-times the row's total resistance is its CFL step. The singular-resistance
-and maximum-principle checks are one scalar test of the whole batch; only
-when it fails are the rows at fault looked for, and the update is clipped
-to [0, 1] only when a value left it.
-
-The domain is stored in km to match the reporting convention of the
-snapshots; all Darcy computations convert to SI internally.
+The step runs at a fixed Courant number. With D = r s^beta + (1 - s)^beta
+(r = mu_nw / mu_w, D = mu_nw lambda_t), the total resistance is the
+row-wise dot of the scaled rock resistance R mu_nw with 1 / D, and the
+fractional flow is f = r s^beta / D. As q = (p_left - p_right) / total
+and the CFL step is cfl_coef * total, with cfl_coef = safety min(phi dx) /
+(max|f'| |p_left - p_right|), a full step moves q dt = (p_left - p_right)
+cfl_coef: the update s - (q dt) / (phi dx) * div(f) has a per-row constant
+coefficient, and the total only advances the row's clock. A step that
+reaches a snapshot time within its 1e-9 relative slack is cut to land on
+it, its update scaled by the fraction of a full step it takes. As 0 < D <=
+max(1, r), R mu_nw is checked once; each step tests its totals for
+finiteness and its update for the maximum principle as one scalar test,
+and clips to [0, 1] only when a value left it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -244,24 +241,6 @@ def _padded(rows, bc: BoundaryConditions, fill: float) -> np.ndarray:
     return out
 
 
-def _explicit_update(s, f, qdt, inv_phi_dx, out, work, ghost: int):
-    """Upwind update s - (q dt) / (phi dx) * div(f) of padded (..., N + 1)
-    rows into out, for the fractional flows f and each row's total flux q
-    times its step dt, a (C, 1) column; the ghost column keeps its value.
-
-    Every other operand is a C-contiguous array of the shape of s, so each
-    operation runs over whole rows; out and work alias no input.
-    """
-    # each cell's outflow-face f minus its inflow-face f, as one difference
-    # of the flattened rows; what it leaves in the ghost column straddles two
-    # rows and is zeroed
-    flat, diff = f.reshape(-1), work.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], out=diff[1:] if ghost == 0 else diff[:-1])
-    work[..., ghost] = 0.0
-    np.multiply(np.multiply(qdt, inv_phi_dx, out=out), work, out=work)
-    np.subtract(s, work, out=out)
-
-
 @dataclass
 class BalanceAudit:
     """Cumulative boundary wetting fluxes [m] and pore mass [m] per snapshot.
@@ -287,11 +266,9 @@ class SimulationResult:
 
 
 class _Rows:
-    """Per-row arrays of the simulations of a batch that are still running,
-    the step's buffers and the constants hoisted out of the step among them;
-    a float attribute is shared by every row. The rows are sorted by `beta`,
-    and `groups` holds the (rows, exponent) slice of each exponent for
-    `_mobilities`."""
+    """Per-row arrays of the running simulations of a batch, buffers and
+    hoisted constants among them; a float attribute is shared by every row.
+    `groups` holds the (rows, exponent) slice of each `beta` for `_mobilities`."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
@@ -311,10 +288,8 @@ class _Rows:
 
 
 def _shared_or_column(values):
-    """A per-row viscosity ratio as a (C, 1) column, or as a float when every row
-    has the same value: numpy has faster kernels for scalar operands. The
-    exponent needs no column: the rows are sorted by it, so each exponent is
-    a scalar over one contiguous group of rows (`_Rows.groups`)."""
+    """A per-row viscosity ratio as a (C, 1) column, or as a float when every
+    row has the same value: numpy has faster kernels for scalar operands."""
     col = np.array(values, dtype=float).reshape(-1, 1)
     return float(col[0, 0]) if col.size and np.all(col == col[0, 0]) else col
 
@@ -347,6 +322,7 @@ def simulate_batch(
     targets = np.append(np.array(times) * SECONDS_PER_YEAR, np.inf)
     slack = np.append(1e-9 * np.maximum(targets[:-1], 1.0), 0.0)
     phi_dx = np.array([rock.porosity for rock in rocks]).reshape(n_rows, n) * grid.dx_m
+    dp = bc.p_left - bc.p_right
     values = np.empty((n_rows, n_times, n))
     fluxes = np.empty((n_rows, n_times, 2))  # cumulative wetting flux, left and right face
     results: list = [None] * n_rows
@@ -359,6 +335,16 @@ def simulate_batch(
         )
         wrapped.__cause__ = err
         results[st.index[a]] = wrapped
+
+    def land(a: int) -> None:  # row a takes its target snapshot and any within slack
+        c, k = st.index[a], st.k[a]
+        st.t[a] = targets[k]
+        while targets[k] - st.t[a] <= slack[k]:
+            st.t[a] = targets[k]
+            values[c, k] = st.s[a, cells]
+            fluxes[c, k] = st.flux_sum[a]
+            k += 1
+        st.k[a], st.reach[a] = k, targets[k] - slack[k]
 
     def retire(done) -> None:
         for a in np.flatnonzero(done):
@@ -381,65 +367,73 @@ def simulate_batch(
         s_next=s.copy(),
         t=np.zeros(n_rows),
         k=np.zeros(n_rows, dtype=int),
-        target=np.full(n_rows, targets[0]),
-        slack=np.full(n_rows, slack[0]),
+        # the clock reading from which the target snapshot counts as reached
+        reach=np.full(n_rows, targets[0] - slack[0]),
         flux_sum=np.zeros((n_rows, 2)),
         min_dt=np.full(n_rows, np.inf),
         # the face resistances are resist_mu / D, with D = mu_nw lambda_t
         resist_mu=np.array([_rock_resistance(rocks[c], grid) * fluids[c].mu_nw
                             for c in order]).reshape(n_rows, n + 1),
-        inv_phi_dx=1.0 / _padded(phi_dx[order], bc, 1.0),
-        # the CFL step is cfl_coef times the row's total resistance, once
-        # divided by max|f'| |p_left - p_right| below
-        cfl_coef=safety * phi_dx[order].min(axis=1),
+        # the CFL step is cfl_coef times the total resistance, with max|f'| below
+        cfl_coef=safety * phi_dx[order].min(axis=1) / abs(dp),
         ratio=_shared_or_column([fluids[c].mu_nw / fluids[c].mu_w for c in order]),
         beta=np.array([fluids[c].beta for c in order], dtype=float),
         wet=np.empty((n_rows, n + 1)),
         denom=np.empty((n_rows, n + 1)),
-        resist=np.empty((n_rows, n + 1)),
         work=np.empty((n_rows, n + 1)),
     )
     retire(st.k == n_times)
     for a, c in enumerate(st.index):
         try:
-            st.cfl_coef[a] /= _max_flux_derivative(fluids[c]) * abs(bc.p_left - bc.p_right)
+            st.cfl_coef[a] /= _max_flux_derivative(fluids[c])
         except FlowError as err:
             fail(a, err)
             st.cfl_coef[a] = 0.0
     st.keep(st.cfl_coef > 0.0)
+    # q dt of a full step, and the update coefficient (q dt) / (phi dx)
+    st.qdt = dp * st.cfl_coef[:, None]
+    st.coef = st.qdt / _padded(phi_dx[st.index], bc, 1.0)
+    if targets[0] <= slack[0]:
+        for a in range(st.index.size):
+            land(a)
+        retire(st.k == n_times)
+    singular = ~np.all((st.resist_mu > 0.0) & (st.resist_mu < np.inf), axis=1)
+    for a in np.flatnonzero(singular):
+        fail(a, SingularSystemError("nonpositive or non-finite face resistance"))
+    st.keep(~singular)
 
     while st.index.size:
-        remaining = st.target - st.t
-        due = remaining <= st.slack
-        if due.any():
-            for a in np.flatnonzero(due):
-                c, k = st.index[a], st.k[a]
-                st.t[a] = targets[k]
-                values[c, k] = st.s[a, cells]
-                fluxes[c, k] = st.flux_sum[a]
-                st.k[a], st.target[a], st.slack[a] = k + 1, targets[k + 1], slack[k + 1]
-            retire(st.k == n_times)
-            continue
-
-        # one IMPES step of every running row: the closed-form total flux q,
-        # then the explicit upwind saturation update into the other buffer
+        # one IMPES step of every running row, at its CFL step cfl_coef * total
         wet, denom = _mobilities(st.s, st.ratio, st.groups, (st.wet, st.denom, st.work))
-        resist = np.divide(st.resist_mu, denom, out=st.resist)
-        total = resist.sum(axis=1)  # a total flux of 0 when infinite
-        cfl = st.cfl_coef * total
-        dt = np.minimum(cfl, remaining)
-        qdt = (bc.p_left - bc.p_right) / total * dt
-        f = np.divide(wet, denom, out=wet)
-        out = st.s_next
-        _explicit_update(st.s, f, qdt[:, None], st.inv_phi_dx, out, st.work, ghost)
+        inv = np.divide(1.0, denom, out=denom)
+        cfl = st.cfl_coef * np.vecdot(st.resist_mu, inv)
+        # at most 0 where the step reaches the target snapshot, and not
+        # finite exactly where a total resistance is not
+        room = st.reach - st.t - cfl
+        low = room.min()
+        landing = not low > 0.0
+        if landing:
+            dt = np.minimum(cfl, targets[st.k] - st.t)
+            scale = (dt / cfl)[:, None]  # the fraction of a full step
+        f = np.multiply(wet, inv, out=wet)
+        # the upwind update s - coef * div(f): each cell's outflow-face f minus
+        # its inflow-face f, as one difference of the flattened rows; what it
+        # leaves in the ghost column straddles two rows and is zeroed
+        flat, diff = f.reshape(-1), st.work.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=diff[1:] if ghost == 0 else diff[:-1])
+        st.work[:, ghost] = 0.0
+        np.multiply(st.coef, st.work, out=st.work)
+        if landing:
+            np.multiply(st.work, scale, out=st.work)
+        out = np.subtract(st.s, st.work, out=st.s_next)
         lo, hi = out.min(), out.max()
-        # every face resistance positive, their sums finite and the update
-        # within the maximum-principle band, as one test of the whole batch;
-        # only a failed test looks for the rows at fault
-        failed = not (resist.min() > 0.0 and np.isfinite(total).all()
+        # every total finite and the update within the maximum-principle
+        # band, as one test of the whole batch; only a failed test looks for
+        # the rows at fault
+        failed = not (math.isfinite(low)
                       and hi - 1.0 <= MAX_PRINCIPLE_TOL and -lo <= MAX_PRINCIPLE_TOL)
         if failed:
-            singular = ~((resist.min(axis=1) > 0.0) & np.isfinite(total))
+            singular = ~np.isfinite(room)
             worst = np.maximum(out.max(axis=1) - 1.0, -out.min(axis=1))
             bad = singular | (worst > MAX_PRINCIPLE_TOL)
             for a in np.flatnonzero(bad):
@@ -449,12 +443,17 @@ def simulate_batch(
         if not (lo >= 0.0 and hi <= 1.0):
             np.clip(out, 0.0, 1.0, out=out)
         st.s, st.s_next = out, st.s
-        st.t += dt
-        st.flux_sum += f[:, ::n] * qdt[:, None]
+        st.t += dt if landing else cfl
+        st.flux_sum += f[:, ::n] * (st.qdt * scale if landing else st.qdt)
         np.minimum(st.min_dt, cfl, out=st.min_dt)
         steps += 1
+        if landing:  # a failed row lands too, and is dropped with its snapshots
+            for a in np.flatnonzero(room <= 0.0):
+                land(a)
         if failed:
             st.keep(~bad)
+        if landing:
+            retire(st.k == n_times)
     return results
 
 

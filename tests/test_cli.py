@@ -196,10 +196,13 @@ class TestGenerate:
         line = next(ln for ln in capsys.readouterr().out.splitlines()
                     if ln.startswith("flow batch:"))
         match = re.fullmatch(r"flow batch: ([\d.]+) s for 4 simulations, (\d+) row-steps, "
-                             r"([\d.]+) us per row-step", line)
+                             r"([\d.]+) us per row-step, (\d+) lockstep steps, "
+                             r"([\d.]+) us per lockstep step", line)
         assert match, line
-        assert int(match[2]) == int(store.load_store(out).steps.sum())
-        assert float(match[3]) > 0.0
+        steps = store.load_store(out).steps
+        assert int(match[2]) == int(steps.sum())
+        assert int(match[4]) == int(steps.max())
+        assert float(match[3]) > 0.0 and float(match[5]) >= float(match[3])
 
     def test_corrupt_manifest_exits_3(self, mini_run, tmp_path, capsys):
         _, cfg_path, _, _ = mini_run
@@ -516,6 +519,34 @@ class TestGridMismatch:
         other = store.load_store(other_store)
         assert "102 cells on [0.0, 1.0] km" in err
         assert f"{other.n_cells} cells on [0.0, {other.x_max}] km" in err
+        assert not out.exists()
+
+
+class TestStoreAxes:
+    """`online --store` on a store swept over other axes than the model's is
+    a data error (exit 3) naming both axis lists, before any output: its
+    parameter rows cannot be matched with the points."""
+
+    @pytest.mark.parametrize("axes", [("mu", "b"), ("mu",)], ids=["renamed", "fewer"])
+    def test_online_exit_3_naming_both_axis_lists(self, mini_run, tmp_path, capsys, axes):
+        *_, model_dir = mini_run
+        cfg = mini_config()
+        # the same grid and values, only beta is renamed or fixed at 2
+        cfg["axes"] = [{"name": name, "values": [1, 6] if name == "mu" else [2, 4]}
+                       for name in axes]
+        cfg["fluids"]["beta"] = {"param": "b"} if "b" in axes else 2.0
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        other = tmp_path / "store"
+        assert cli.main(["generate", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        argv = ["online", "--model", str(model_dir), "--store", str(other), "--out", str(out),
+                "--at", "t=2.5,mu=6,beta=2"]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"the store's axes {['t', *axes]} are not the model's ['t', 'mu', 'beta']" in err
         assert not out.exists()
 
 

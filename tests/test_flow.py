@@ -424,10 +424,7 @@ class TestBatch:
     def test_matches_textbook_impes(self, reverse):
         # the fused step against the unfused textbook formulas, row by row:
         # two-rock media, per-row viscosities, integer and fractional exponents
-        n = 80
-        grid = flow.Grid1D(0.0, 1.0, n)
-        p_hi, p_lo = 4.137e7, 2.758e7
-        bc = flow.BoundaryConditions(*((p_lo, p_hi) if reverse else (p_hi, p_lo)), 1.0, 0.0)
+        grid, bc = flow.Grid1D(0.0, 1.0, 80), textbook_bc(reverse)
         rocks = [two_region_rock(grid, gamma=g, k_right=k)
                  for g, k in [(0.3, 5e-14), (0.55, 9e-14), (0.15, 7e-14)]]
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta)
@@ -435,15 +432,39 @@ class TestBatch:
         times = [0.3, 1.0, 2.0]
         batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
         for rock, fl, res in zip(rocks, fluids, batch):
-            values, steps, min_dt = impes_textbook(
-                grid.dx_m, rock.porosity, rock.permeability, fl.mu_w, fl.mu_nw, fl.beta,
-                bc.p_left, bc.p_right, bc.s_inflow, bc.s_initial,
-                [t * flow.SECONDS_PER_YEAR for t in times])
             assert res.values.max() > 0.2
-            assert res.steps == steps
-            rel_l1 = np.abs(res.values - values).sum(axis=1) / np.abs(values).sum(axis=1)
-            assert rel_l1.max() <= 1e-12, rel_l1
-            assert res.min_dt_s == pytest.approx(min_dt, rel=1e-13)
+            assert_matches_textbook(res, grid, rock, fl, bc, times)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("case", ["zero", "repeated", "dense", "within_slack"])
+    def test_landing_matches_textbook_impes(self, reverse, case):
+        # snapshot times that test the landing step: t = 0, a repeated time,
+        # times closer than one CFL step, so that every step is cut short,
+        # and a time past a step boundary by half its slack, which that step
+        # reaches. A linear flux (beta = 1, equal viscosities) keeps the total
+        # resistance, and so the CFL step of the first row, constant
+        grid, bc = flow.Grid1D(0.0, 1.0, 80), textbook_bc(reverse)
+        rocks = [two_region_rock(grid, gamma=g) for g in (0.3, 0.55, 0.15)]
+        fluids = [flow.FluidParams(0.003, 0.003, 1.0), flow.FluidParams(0.003, 0.03, 2.0),
+                  flow.FluidParams(0.003, 0.0045, 6.0)]
+        cfl = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, [0.1])[0].min_dt_s
+        step_yr = cfl / flow.SECONDS_PER_YEAR
+        times = {
+            "zero": [0.0, 0.0, 0.4, 1.0],
+            "repeated": [0.4, 0.4, 1.0, 1.0, 1.0],
+            "dense": [step_yr * (1 + i) / 3 for i in range(10)],
+            "within_slack": [20 * step_yr * (1 + 5e-10), 0.5],
+        }[case]
+        batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
+        for rock, fl, res in zip(rocks, fluids, batch):
+            assert_matches_textbook(res, grid, rock, fl, bc, times)
+            if case == "zero":
+                np.testing.assert_array_equal(res.values[:2], 0.0)
+        if case == "dense":
+            assert batch[0].steps == 10  # one short step per snapshot
+        if case == "within_slack":
+            (head,) = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, times[:1])
+            assert head.steps == 20 and head.values.max() > 0.2
 
     def test_singular_row_fails_alone(self):
         # a permeability of 1e-320 makes that row's face resistances overflow
@@ -465,6 +486,57 @@ class TestBatch:
             (single,) = flow.simulate_batch(grid, [rock], [fluids[c]], bc, times)
             np.testing.assert_array_equal(out[c].values, single.values)
             assert out[c].steps == single.steps
+
+    def test_zero_face_resistance_fails_alone(self):
+        # a permeability of 1e200 overflows the inner harmonic means to inf:
+        # the inner face resistances are 0, the boundary ones positive and the
+        # total finite, yet that row alone stops, at t = 0
+        n = 60
+        grid, rock, fluids, bc = example1_setup(n)
+        loose = flow.RockField.homogeneous(n, 0.1, 1e200)
+        times = [0.0, 0.5]
+        with np.errstate(over="ignore"):  # building the resistances
+            out = flow.simulate_batch(grid, [rock, loose], [fluids] * 2, bc, times)
+        assert isinstance(out[1].__cause__, flow.SingularSystemError)
+        assert str(out[1]) == (
+            "simulation failed at t = 0 yr (target snapshot 0.5 yr): "
+            "nonpositive or non-finite face resistance")
+        (single,) = flow.simulate_batch(grid, [rock], [fluids], bc, times)
+        np.testing.assert_array_equal(out[0].values, single.values)
+
+    @pytest.mark.parametrize("step, when", [
+        (4, "0.448099 yr (target snapshot 0.5 yr)"),  # the step that lands on 0.5 yr
+        (7, "0.80722 yr (target snapshot 1.5 yr)"),  # the second step after it
+    ])
+    def test_singular_row_fails_alone_mid_run(self, monkeypatch, step, when):
+        # a mobility denominator D of 0 in one row at a later step makes its
+        # total resistance infinite: it alone stops, naming the clock before
+        # that step, and the others run on as if alone
+        n = 60
+        grid, rock, _, bc = example1_setup(n)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
+                  [(1, 2.0), (6, 4.0), (3, 2.5)]]
+        times = [0.5, 1.5]
+        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times)[0] for fl in fluids]
+        original, calls = flow._mobilities, []
+
+        def patched(s, ratio, groups, out):
+            wet, denom = original(s, ratio, groups, out)
+            calls.append(s.shape[0])
+            if len(calls) == step:
+                denom[2, 10] = 0.0  # the rows run sorted by beta: fluids[1] is the last
+            return wet, denom
+
+        monkeypatch.setattr(flow, "_mobilities", patched)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
+        assert calls[:step] == [3] * step
+        assert isinstance(out[1].__cause__, flow.SingularSystemError)
+        assert str(out[1]) == (
+            f"simulation failed at t = {when}: nonpositive or non-finite face resistance")
+        for c in (0, 2):
+            np.testing.assert_array_equal(out[c].values, expected[c].values)
+            assert out[c].steps == expected[c].steps
 
     def test_clip_keeps_an_overshooting_row_in_range(self, monkeypatch):
         # a CFL step three times too long overshoots [0, 1]; past a widened
@@ -526,6 +598,26 @@ class TestBatch:
         assert cli.main(argv) == cli.EXIT_OK
         assert store.load_store(out).count == 8
         assert sorted(p.name for p in out.iterdir()) == [store.MANIFEST_NAME, store.SNAPSHOTS_NAME]
+
+
+def textbook_bc(reverse):
+    p_hi, p_lo = 4.137e7, 2.758e7
+    return flow.BoundaryConditions(*((p_lo, p_hi) if reverse else (p_hi, p_lo)), 1.0, 0.0)
+
+
+def assert_matches_textbook(res, grid, rock, fl, bc, times):
+    """A batch row against `impes_textbook`: the same step count, relative
+    L1 within 1e-12 per snapshot and the smallest CFL step within 1e-13
+    relative."""
+    values, steps, min_dt = impes_textbook(
+        grid.dx_m, rock.porosity, rock.permeability, fl.mu_w, fl.mu_nw, fl.beta,
+        bc.p_left, bc.p_right, bc.s_inflow, bc.s_initial,
+        [t * flow.SECONDS_PER_YEAR for t in times])
+    assert res.steps == steps
+    scale = np.maximum(np.abs(values).sum(axis=1), 1e-300)
+    rel_l1 = np.abs(res.values - values).sum(axis=1) / scale
+    assert rel_l1.max() <= 1e-12, rel_l1
+    assert res.min_dt_s == pytest.approx(min_dt, rel=1e-13)
 
 
 def _understate_cfl_bound(monkeypatch, target):
