@@ -1,6 +1,6 @@
 """Experiment harness: generate snapshots, train, evaluate, compare to POD.
 
-Subcommands: generate, offline, online, pod, tables, diag, landscape.
+Subcommands: generate, offline, online, pod, tables, landscape.
 Exit codes: 0 success, 2 configuration/usage error, 3 store/model data
 error, 4 computation failure.
 """
@@ -129,9 +129,9 @@ def cmd_offline(args) -> int:
     def track_l1(n, indices, step):
         nonlocal track_s
         start = time.perf_counter()
-        cols = np.flatnonzero(~step.screened)
+        cols = np.flatnonzero(~step.qp.screened)
         rec = online.profile_from_weights(
-            train[:, indices], step.weights[:, cols], st.masses[cols],
+            train[:, indices], step.qp.weights[:, cols], st.masses[cols],
             st.n_cells, st.x_min, st.x_max,
         )
         rels[cols] = online.relative_l1_error(rec, st.values[cols])
@@ -139,8 +139,8 @@ def cmd_offline(args) -> int:
         l1_max.append(float(rels.max()))
         print(
             f"  n={n}: max W2 {step.errors.max():.3e}, mean W2 {step.errors.mean():.3e}, "
-            f"mean rel L1 {rels.mean():.3e}, {int(step.screened.sum())} of "
-            f"{step.screened.size} solves screened"
+            f"mean rel L1 {rels.mean():.3e}, {int(step.qp.screened.sum())} of "
+            f"{step.qp.screened.size} solves screened"
         )
         track_s += time.perf_counter() - start
 
@@ -241,10 +241,10 @@ def cmd_online(args) -> int:
     if args.params_file:
         try:
             payload = json.loads(Path(args.params_file).read_text())
-        except OSError as err:
-            raise ConfigError(f"cannot read params file: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"params file is not valid JSON: {err}") from err
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read params file: {err}") from err
         if not isinstance(payload, list) or not all(isinstance(p, dict) for p in payload):
             raise ConfigError("params file must hold a JSON list of objects")
         specs.extend(payload)
@@ -344,15 +344,6 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-def cmd_diag(args) -> int:
-    report = store.load_report(args.model)
-    out = store.make_dir(args.out)
-    for name in ("condition", "volume"):
-        store.write_csv(out / f"{name}.csv", ("n", name), zip(report.n, getattr(report, name)))
-    print(f"diagnostic curves written to {out}")
-    return EXIT_OK
-
-
 def cmd_landscape(args) -> int:
     model = store.load_model(args.model)
     st = store.load_store(args.store)
@@ -424,11 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--eps", default=None)
     p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("diag", help="re-emit conditioning and volume curves")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("landscape", help="Wachspress energy landscape CSV")
     p.add_argument("--model", required=True)

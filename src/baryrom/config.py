@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import flow
+from . import flow, simplexqp
 
 SCHEMA_VERSION = 1
 
 ROCK_KINDS = ("homogeneous", "two_region")
+_ROCK_FIELDS = ("porosity", "permeability_m2")
 
 
 class ConfigError(ValueError):
@@ -51,8 +52,8 @@ class GreedySettings:
 class QpSettings:
     """KKT tolerance and active-set change cap of the simplex solver."""
 
-    tol: float = 1e-10
-    max_iter: int = 50_000
+    tol: float = simplexqp.DEFAULT_TOL
+    max_iter: int = simplexqp.DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -89,27 +90,14 @@ class ExperimentConfig:
         )
 
     def rock_at(self, combo: dict) -> flow.RockField:
+        """The two-region layout; a homogeneous rock has equal sides and its
+        interface at infinity."""
         spec = self.rock_spec
-        n = self.grid.n_cells
-        if spec["kind"] == "homogeneous":
-            return flow.RockField.homogeneous(
-                n,
-                _resolve(spec["porosity"], combo),
-                _resolve(spec["permeability_m2"], combo),
-            )
-        interface = _resolve(spec["interface_km"], combo)
-        left = np.asarray(self.grid.centers() < interface)
-        phi = np.where(
-            left,
-            _resolve(spec["left"]["porosity"], combo),
-            _resolve(spec["right"]["porosity"], combo),
-        )
-        k = np.where(
-            left,
-            _resolve(spec["left"]["permeability_m2"], combo),
-            _resolve(spec["right"]["permeability_m2"], combo),
-        )
-        return flow.RockField(phi, k)
+        left = self.grid.centers() < _resolve(spec["interface_km"], combo)
+        return flow.RockField(*(
+            np.where(left, _resolve(spec["left"][key], combo), _resolve(spec["right"][key], combo))
+            for key in _ROCK_FIELDS
+        ))
 
 
 def _resolve(value, combo: dict) -> float:
@@ -227,39 +215,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len(axis_names) != len(axes):
         raise ConfigError("duplicate axis names")
 
+    def bind(block, key: str, where: str):
+        return _bindable(_require(block, key, where), f"{where}.{key}", axis_names)
+
     f = _require(raw, "fluids", "config")
-    fluids_spec = {
-        key: _bindable(_require(f, key, "fluids"), f"fluids.{key}", axis_names)
-        for key in ("mu_w_pa_s", "mu_nw_pa_s", "beta")
-    }
+    fluids_spec = {key: bind(f, key, "fluids") for key in ("mu_w_pa_s", "mu_nw_pa_s", "beta")}
     r = _require(raw, "rock", "config")
     kind = _require(r, "kind", "rock")
     if kind not in ROCK_KINDS:
         raise ConfigError(f"rock.kind must be one of {ROCK_KINDS}")
     if kind == "homogeneous":
-        rock_spec = {
-            "kind": kind,
-            "porosity": _bindable(_require(r, "porosity", "rock"), "rock.porosity", axis_names),
-            "permeability_m2": _bindable(
-                _require(r, "permeability_m2", "rock"), "rock.permeability_m2", axis_names
-            ),
-        }
+        # every cell centre lies left of an interface at infinity
+        side = {key: bind(r, key, "rock") for key in _ROCK_FIELDS}
+        rock_spec = {"interface_km": math.inf, "left": side, "right": side}
     else:
-        rock_spec = {"kind": kind, "interface_km": _bindable(
-            _require(r, "interface_km", "rock"), "rock.interface_km", axis_names
-        )}
+        rock_spec = {"interface_km": bind(r, "interface_km", "rock")}
         for side in ("left", "right"):
             sub = _require(r, side, "rock")
-            rock_spec[side] = {
-                "porosity": _bindable(
-                    _require(sub, "porosity", f"rock.{side}"), f"rock.{side}.porosity", axis_names
-                ),
-                "permeability_m2": _bindable(
-                    _require(sub, "permeability_m2", f"rock.{side}"),
-                    f"rock.{side}.permeability_m2",
-                    axis_names,
-                ),
-            }
+            rock_spec[side] = {key: bind(sub, key, f"rock.{side}") for key in _ROCK_FIELDS}
 
     times = _require(raw, "snapshot_times_yr", "config")
     if not _numbers(times) or not times or not np.all(np.diff(times) > 0) or times[0] < 0:
@@ -272,16 +245,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     gr = _settings_block(raw, "greedy")
     greedy = GreedySettings(
-        eps_abs=_setting(gr, "eps_abs", 0.0, "greedy"),
-        eps_rel=_setting(gr, "eps_rel", 0.0, "greedy"),
-        n_max=_setting(gr, "n_max", 30, "greedy", integer=True),
+        eps_abs=_setting(gr, "eps_abs", GreedySettings.eps_abs, "greedy"),
+        eps_rel=_setting(gr, "eps_rel", GreedySettings.eps_rel, "greedy"),
+        n_max=_setting(gr, "n_max", GreedySettings.n_max, "greedy", integer=True),
     )
     if not 0 <= greedy.eps_abs < np.inf or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
         raise ConfigError("invalid greedy settings (eps_abs >= 0, eps_rel in [0,1), n_max >= 2)")
     q = _settings_block(raw, "qp")
     qp = QpSettings(
-        tol=_setting(q, "tol", 1e-10, "qp"),
-        max_iter=_setting(q, "max_iter", 50_000, "qp", integer=True),
+        tol=_setting(q, "tol", QpSettings.tol, "qp"),
+        max_iter=_setting(q, "max_iter", QpSettings.max_iter, "qp", integer=True),
     )
     if not 0 < qp.tol < np.inf or qp.max_iter < 1:
         raise ConfigError("invalid qp settings (tol > 0, max_iter >= 1)")
@@ -317,6 +290,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
     return parse_config(raw)
 
 

@@ -58,12 +58,7 @@ class StepResult:
     next_index: int
     delta: float
     errors: np.ndarray  # (K,) per-snapshot W2 error
-    objective: np.ndarray  # (K,) per-snapshot squared W2 error
-    weights: np.ndarray  # (n, K) optimal weights of this sweep
-    converged: np.ndarray  # (K,) bool
-    iterations: np.ndarray  # (K,) active-set changes per solve
-    kkt: np.ndarray  # (K,) KKT residual per solve
-    screened: np.ndarray  # (K,) bool, warm start already optimal and kept
+    qp: simplexqp.BatchResult  # the sweep's solves; weights (n, K)
 
 
 def _sq_distances(icdfs: np.ndarray) -> np.ndarray:
@@ -122,17 +117,7 @@ def greedy_step(
     masked = errors.copy()
     masked[dictionary.atom_indices] = -np.inf
     next_index = int(np.argmax(masked)) if np.isfinite(masked.max()) else -1
-    return StepResult(
-        next_index=next_index,
-        delta=float(errors.max()),
-        errors=errors,
-        objective=res.objective,
-        weights=res.weights,
-        converged=res.converged,
-        iterations=res.iterations,
-        kkt=res.kkt,
-        screened=res.screened,
-    )
+    return StepResult(next_index=next_index, delta=float(errors.max()), errors=errors, qp=res)
 
 
 def cayley_menger_volume(atoms: np.ndarray) -> float:
@@ -204,10 +189,10 @@ def run(
         report.mean_w2.append(float(step.errors.mean()))
         report.condition.append(simplexqp.condition_of_gram(dictionary.atoms.T @ dictionary.atoms))
         report.volume.append(cayley_menger_volume(dictionary.atoms))
-        bad = int(np.count_nonzero(~step.converged))
-        report.qp_iters_max.append(int(step.iterations.max()))
+        bad = int(np.count_nonzero(~step.qp.converged))
+        report.qp_iters_max.append(int(step.qp.iterations.max()))
         report.n_unconverged.append(bad)
-        report.kkt_max.append(float(step.kkt.max()))
+        report.kkt_max.append(float(step.qp.kkt.max()))
         if bad:
             report.warnings.append(
                 f"n={n}: {bad} of {train.shape[1]} weight solves did not converge"
@@ -234,8 +219,8 @@ def run(
 
         selected.append(step.next_index)
         # a zero weight on the new atom leaves each column's objective as it is
-        warm = np.vstack([step.weights, np.zeros((1, train.shape[1]))])
-        warm_objective = step.objective
+        warm = np.vstack([step.qp.weights, np.zeros((1, train.shape[1]))])
+        warm_objective = step.qp.objective
         prev_delta = step.delta
 
-    return dictionary, report, step.weights
+    return dictionary, report, step.qp.weights

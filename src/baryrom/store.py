@@ -261,7 +261,7 @@ def load_report(model_dir) -> GreedyReport:
     path = Path(model_dir) / REPORT_NAME
     try:
         header, rows = read_csv(path)
-    except (OSError, IndexError) as err:
+    except (OSError, ValueError, IndexError) as err:
         raise StoreError(f"unreadable report {path}: {err}") from err
     if tuple(header) != REPORT_COLUMNS:
         raise StoreError(f"unexpected report columns in {path}")

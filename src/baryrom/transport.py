@@ -72,30 +72,46 @@ def icdf(c: np.ndarray, m: int, x_min: float = 0.0, x_max: float = 1.0) -> np.nd
     return _icdf_rows(c[None, :], m, x_min, x_max)[0]
 
 
+def _probabilities(m: int) -> np.ndarray:
+    """The uniform probability grid of an m-node icdf."""
+    return np.linspace(0.0, 1.0, m)
+
+
+def _inverse_rows(rows: np.ndarray, nodes: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Generalized inverse of each row of rows (B, n), a nondecreasing function
+    sampled at nodes (n,), at probes: one shared row (k,) or one per row (B, k).
+    Each row computes exactly what it would alone."""
+    size = rows.shape[1]
+    # searchsorted(left) returns the first i with row[i] >= probe; one exact
+    # search per row, as the rows need not share a grid
+    i = np.empty((rows.shape[0], probes.shape[-1]), dtype=np.intp)
+    for r, row in enumerate(rows):
+        i[r] = row.searchsorted(probes if probes.ndim == 1 else probes[r], side="left")
+    # in place from here on: a block of rows holds several (B, k) arrays
+    np.clip(i, 1, size - 1, out=i)
+    i -= 1  # lower node of each interval, as a flat index into rows below
+    out = np.take(nodes, i)
+    width = np.take(np.diff(nodes), i)
+    i += (size * np.arange(rows.shape[0]))[:, None]
+    lo = np.take(rows, i)
+    i += 1
+    denom = np.take(rows, i)
+    denom -= lo
+    frac = np.subtract(probes, lo, out=lo)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac /= denom
+    frac[~(denom > 0.0)] = 0.0
+    width *= np.clip(frac, 0.0, 1.0, out=frac)
+    out += width
+    return out
+
+
 def _icdf_rows(c: np.ndarray, m: int, x_min: float, x_max: float) -> np.ndarray:
-    """:func:`icdf` of every row of c (B, N), (B, m); each row computes
-    exactly what it would alone."""
-    rows, size = c.shape
-    x = np.linspace(x_min, x_max, size)
+    """:func:`icdf` of every row of c (B, N), as (B, m)."""
     # the final cdf value is 1 up to rounding; clamping keeps the probes from
     # running past the end of the support into the flat tail
-    p = np.minimum(np.linspace(0.0, 1.0, m), c[:, -1:])
-    # searchsorted(left) returns the first i with c[i] >= p_j; identical to the
-    # monotone two-pointer pass since both grids are sorted. One exact search
-    # per row: the rows need not share a grid
-    i = np.empty((rows, m), dtype=np.intp)
-    for r in range(rows):
-        i[r] = c[r].searchsorted(p[r], side="left")
-    np.clip(i, 1, size - 1, out=i)
-    lo_x = np.take(x, i - 1)
-    width = np.take(x, i) - lo_x
-    i += (size * np.arange(rows))[:, None]  # flat index into c
-    lo = np.take(c, i - 1)
-    denom = np.take(c, i) - lo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = (p - lo) / denom
-    frac[~(denom > 0.0)] = 0.0
-    return lo_x + width * np.clip(frac, 0.0, 1.0, out=frac)
+    p = np.minimum(_probabilities(m), c[:, -1:])
+    return _inverse_rows(c, np.linspace(x_min, x_max, c.shape[1]), p)
 
 
 def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
@@ -108,31 +124,10 @@ def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1
     """
     ic = np.asarray(ic, dtype=float)
     m = ic.shape[0]
-    p = np.linspace(0.0, 1.0, m)
     x = np.linspace(x_min, x_max, n_out)
     rows = np.ascontiguousarray(ic.reshape(m, -1).T)  # (P, M), one icdf per row
-    # one exact searchsorted per icdf: the rows need not share a grid
-    j = np.empty((rows.shape[0], n_out), dtype=np.intp)
-    for r, row in enumerate(rows):
-        j[r] = row.searchsorted(x, side="left")
-    past_support = j >= m
-    # in place from here on: a block of icdfs holds several (P, n_out) arrays
-    np.clip(j, 1, m - 1, out=j)
-    j -= 1  # lower node of each interval, as a flat index into rows below
-    out = np.take(p, j)
-    step = np.take(np.diff(p), j)
-    j += (m * np.arange(rows.shape[0]))[:, None]
-    lo = np.take(rows, j)
-    j += 1
-    denom = np.take(rows, j)
-    denom -= lo
-    frac = np.subtract(x, lo, out=lo)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac /= denom
-    frac[~(denom > 0.0)] = 0.0
-    step *= np.clip(frac, 0.0, 1.0, out=frac)
-    out += step
-    out[past_support] = 1.0
+    out = _inverse_rows(rows, _probabilities(m), x)
+    out[x > rows[:, -1:]] = 1.0  # past the support
     out = np.clip(out, 0.0, 1.0, out=out).T
     return out if ic.ndim == 2 else out[:, 0]
 

@@ -159,6 +159,41 @@ class TestConfig:
     def test_unknown_config_exit_code(self, capsys):
         assert cli.main(["generate", "--config", "nope.json", "--out", "x"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "s"
+        if kind == "directory":
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(json.dumps(mini_config()).encode("utf-16"))
+        argv = ["generate", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_homogeneous_is_the_equal_sided_two_region_layout(self, tmp_path):
+        side = {"porosity": {"param": "beta", "scale": 0.05},
+                "permeability_m2": {"param": "mu", "scale": 1e-13}}
+        homogeneous, two_region = mini_config(), mini_config()
+        homogeneous["rock"] = {"kind": "homogeneous", **side}
+        two_region["rock"] = {"kind": "two_region", "interface_km": 0.5,
+                              "left": side, "right": dict(side)}
+        cfgs = [config.parse_config(raw) for raw in (homogeneous, two_region)]
+        for combo in cfgs[0].combos():
+            a, b = (cfg.rock_at(combo) for cfg in cfgs)
+            assert a.porosity.tobytes() == b.porosity.tobytes()
+            assert a.permeability.tobytes() == b.permeability.tobytes()
+        stores = []
+        for name, raw in (("h", homogeneous), ("t", two_region)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(raw))
+            argv = ["generate", "--config", str(path), "--out", str(tmp_path / name)]
+            assert cli.main(argv) == 0
+            stores.append(store.load_store(tmp_path / name))
+        for array in store.STORE_ARRAYS:
+            assert getattr(stores[0], array).tobytes() == getattr(stores[1], array).tobytes()
+
 
 class TestGenerate:
     def test_store_contents(self, mini_run):
@@ -438,14 +473,29 @@ class TestModelValidation:
         with pytest.raises(store.StoreError, match="'x2'"):
             store.load_report(copy)
 
+    def test_non_utf8_report(self, mini_run, copy, tmp_path, capsys):
+        path = copy / store.REPORT_NAME
+        path.write_bytes(path.read_text().encode("utf-16"))
+        with pytest.raises(store.StoreError, match="unreadable report"):
+            store.load_report(copy)
+        _, _, store_dir, _ = mini_run
+        out = tmp_path / "t"
+        argv = ["tables", "--store", str(store_dir), "--model", str(copy), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert capsys.readouterr().err.startswith("store error: unreadable report")
+        assert not out.exists()
+
     def test_header_only_report(self, copy):
         self._edit_report(copy, lambda lines: lines[:1])
         with pytest.raises(store.StoreError, match="no iterations"):
             store.load_report(copy)
 
-    def test_cli_exit_codes(self, copy, tmp_path):
+    def test_cli_exit_codes(self, mini_run, copy, tmp_path):
+        _, _, store_dir, _ = mini_run
         self._edit_report(copy, lambda lines: lines[:1])
-        assert cli.main(["diag", "--model", str(copy), "--out", str(tmp_path / "d")]) == 3
+        argv = ["tables", "--store", str(store_dir), "--model", str(copy),
+                "--out", str(tmp_path / "d")]
+        assert cli.main(argv) == cli.EXIT_STORE
         (copy / store.MODEL_ARRAYS_NAME).unlink()
         argv = ["online", "--model", str(copy), "--out", str(tmp_path / "o"),
                 "--at", "t=1,mu=1,beta=2"]
@@ -635,13 +685,13 @@ class TestOffline:
         assert cli.main(["offline", "--store", str(store_dir), "--out", str(out)]) == 0
         report = store.load_report(out)
         assert len(sweeps) == len(report.l1_mean) >= 3
-        assert any(step.screened.any() for _, step in sweeps)
+        assert any(step.qp.screened.any() for _, step in sweeps)
         for (indices, step), mean, worst in zip(sweeps, report.l1_mean, report.l1_max):
-            objective = simplexqp._data_objective(train[:, indices], train, step.weights)
-            np.testing.assert_allclose(step.objective, objective, rtol=1e-14,
+            objective = simplexqp._data_objective(train[:, indices], train, step.qp.weights)
+            np.testing.assert_allclose(step.qp.objective, objective, rtol=1e-14,
                                        atol=1e-14 * objective.max())
             rec = online.profile_from_weights(
-                train[:, indices], step.weights, st.masses, st.n_cells, st.x_min, st.x_max
+                train[:, indices], step.qp.weights, st.masses, st.n_cells, st.x_min, st.x_max
             )
             rels = online.relative_l1_error(rec, st.values)
             assert mean == pytest.approx(rels.mean(), rel=1e-14, abs=0)
@@ -748,16 +798,6 @@ class TestGreedyReport:
             assert len(getattr(report, name)) == 3, name
         assert report.l1_mean == report.l1_max == []
 
-    def test_diag_curves_are_the_report_columns(self, mini_run, tmp_path):
-        *_, model_dir = mini_run
-        report = store.load_report(model_dir)
-        assert cli.main(["diag", "--model", str(model_dir), "--out", str(tmp_path)]) == 0
-        for name in ("condition", "volume"):
-            header, rows = store.read_csv(tmp_path / f"{name}.csv")
-            assert header == ["n", name]
-            assert [int(row[0]) for row in rows] == report.n
-            assert [float(row[1]) for row in rows] == getattr(report, name)
-
 
 class TestOnline:
     def test_training_node_and_inline_points(self, mini_run):
@@ -844,6 +884,15 @@ class TestOnline:
              "--params-file", str(tmp_path / "absent.json")]
         )
         assert rc == cli.EXIT_CONFIG
+
+    def test_non_utf8_params_file(self, mini_run, tmp_path, capsys):
+        _, _, _, model_dir = mini_run
+        path, out = tmp_path / "points.json", tmp_path / "out"
+        path.write_bytes(json.dumps([{"t": 1.0, "mu": 3, "beta": 3}]).encode("utf-16"))
+        argv = ["online", "--model", str(model_dir), "--out", str(out), "--params-file", str(path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot read params file")
+        assert not out.exists()
 
     def test_malformed_params_file(self, mini_run, tmp_path):
         _, _, _, model_dir = mini_run
@@ -952,11 +1001,12 @@ class TestTablesAndDiag:
 
     def test_byte_identical_csv_reruns(self, mini_run, tmp_path):
         root, _, store_dir, model_dir = mini_run
-        out1, out2 = tmp_path / "d1", tmp_path / "d2"
+        out1, out2 = tmp_path / "t1", tmp_path / "t2"
         for out in (out1, out2):
-            assert cli.main(["diag", "--model", str(model_dir), "--out", str(out)]) == 0
-        assert (out1 / "condition.csv").read_bytes() == (out2 / "condition.csv").read_bytes()
-        assert (out1 / "volume.csv").read_bytes() == (out2 / "volume.csv").read_bytes()
+            argv = ["tables", "--store", str(store_dir), "--model", str(model_dir),
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+        assert (out1 / "tables.csv").read_bytes() == (out2 / "tables.csv").read_bytes()
 
     def test_landscape_csv(self, mini_run):
         root, _, store_dir, model_dir = mini_run
@@ -1025,14 +1075,13 @@ class TestOutputPath:
             "online": ["--model", str(model_dir), "--at", "t=1,mu=1,beta=2"],
             "pod": ["--store", str(store_dir)],
             "tables": ["--store", str(store_dir), "--model", str(model_dir)],
-            "diag": ["--model", str(model_dir)],
             "landscape": ["--model", str(model_dir), "--store", str(store_dir),
                           "--target-index", "0", "--resolution", "5"],
         }[command]
         return [command, "--out", str(out), *tail]
 
     @pytest.mark.parametrize(
-        "command", ["generate", "offline", "online", "pod", "tables", "diag", "landscape"]
+        "command", ["generate", "offline", "online", "pod", "tables", "landscape"]
     )
     def test_out_is_a_file(self, mini_run, tmp_path, capsys, command):
         afile = tmp_path / "afile"
