@@ -22,7 +22,7 @@ from .greedy import Dictionary
 from .simplexqp import project_to_simplex
 
 
-# weight columns per block of the profile pipeline: its (M, _BLOCK)
+# weight columns per block of the profile pipeline: its (_BLOCK, M)
 # temporaries stay near 0.25 MB for a 1002-cell grid, below the memory peaks
 # of the other stages; larger blocks ran no faster
 _BLOCK = 32
@@ -192,20 +192,23 @@ def profile_from_weights(
     (n, P) with a scalar or (P,) masses, giving (P, n_raw). Each weight
     column is projected onto the simplex and each mass clamped at zero; the
     barycenter icdf is mapped back to a density on the original N-cell grid
-    and rescaled so that the profile carries its mass. The columns run in
-    blocks of _BLOCK, which bounds the size of the (M, block) temporaries.
+    and rescaled so that the profile carries its mass. The barycenters run
+    in blocks of _BLOCK columns, which bounds the size of the (block, M)
+    temporaries; every array from barycenter to profile holds one row per
+    column.
     """
     weights = np.asarray(weights, dtype=float)
     cols = weights.reshape(weights.shape[0], -1)
     count = cols.shape[1]
     masses = np.maximum(np.broadcast_to(np.asarray(masses, dtype=float), (count,)), 0.0)
     dx = (x_max - x_min) / n_raw
+    lam = project_to_simplex(cols)  # column by column, so one call serves every block
     out = np.zeros((count, n_raw))
     for start in range(0, count, _BLOCK):
         block = slice(start, start + _BLOCK)
-        lam = project_to_simplex(cols[:, block])
-        ic = transport.barycenter(atoms, lam)
-        body = np.maximum(transport.icdf_to_density(ic, n_raw, x_min, x_max), 0.0).T
+        ic = transport.barycenter(atoms, lam[:, block])
+        body = transport.icdf_to_density(ic, n_raw, x_min, x_max).T  # (block, n_raw) rows
+        np.maximum(body, 0.0, out=body)
         total = body.sum(axis=1)
         mass = masses[block]
         scale = np.zeros(total.shape)  # a zero mass or an empty body gives zeros

@@ -13,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,6 +205,23 @@ def _check_store_shapes(arrays: dict, manifest: dict) -> None:
     )
 
 
+def _check_store_values(arrays: dict) -> None:
+    """StoreError, naming the array, unless the params are finite, the
+    saturations lie in [0, 1] and the masses are finite and nonnegative;
+    NaN fails every comparison, so the reductions catch it too."""
+    params, values, masses = arrays["params"], arrays["values"], arrays["masses"]
+    checks = (
+        ("params", "of finite values", lambda: np.isfinite(params).all()),
+        ("values", "within [0, 1]", lambda: values.min() >= 0.0 and values.max() <= 1.0),
+        ("masses", "of finite, nonnegative values",
+         lambda: np.isfinite(masses).all() and masses.min() >= 0.0),
+    )
+    for name, rule, holds in checks:
+        arr = arrays[name]
+        if arr.dtype.kind != "f" or (arr.size and not holds()):
+            raise StoreError(f"array {name!r} is not a float array {rule}")
+
+
 def save_store(directory, manifest: dict, **arrays) -> None:
     """Write the STORE_ARRAYS of a finished sweep as snapshots.npz, after
     checking their shapes against the manifest."""
@@ -226,6 +244,7 @@ def load_store(directory) -> SnapshotStore:
         cfg = manifest["config"]
         arrays = _read_npz(npz_path, STORE_ARRAYS)
         _check_store_shapes(arrays, manifest)
+        _check_store_values(arrays)
         return SnapshotStore(
             name=cfg["name"],
             axis_names=tuple(manifest["axis_names"]),
@@ -278,6 +297,11 @@ def load_report(model_dir) -> GreedyReport:
         }
     except ValueError as err:
         raise StoreError(f"report {path}: {err}") from err
+    for name, cells in num.items():
+        # condition_of_gram reports a rank-deficient Gram as +inf
+        allowed = (math.inf,) if name == "condition" else ()
+        if any(not math.isfinite(cell) and cell not in allowed for cell in cells):
+            raise StoreError(f"report {path}: column {name!r} holds a non-finite value")
     return GreedyReport(**num, termination=cols["criterion"][-1])
 
 

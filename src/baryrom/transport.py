@@ -79,14 +79,16 @@ def _probabilities(m: int) -> np.ndarray:
 
 def _inverse_rows(rows: np.ndarray, nodes: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Generalized inverse of each row of rows (B, n), a nondecreasing function
-    sampled at nodes (n,), at probes: one shared row (k,) or one per row (B, k).
-    Each row computes exactly what it would alone."""
+    sampled at nodes (n,), at that row's probes (B, k): the first node
+    interval whose upper value reaches the probe, linearly interpolated, so
+    a flat run maps to its left end. Each row computes exactly what it
+    would alone."""
     size = rows.shape[1]
     # searchsorted(left) returns the first i with row[i] >= probe; one exact
     # search per row, as the rows need not share a grid
-    i = np.empty((rows.shape[0], probes.shape[-1]), dtype=np.intp)
+    i = np.empty(probes.shape, dtype=np.intp)
     for r, row in enumerate(rows):
-        i[r] = row.searchsorted(probes if probes.ndim == 1 else probes[r], side="left")
+        i[r] = row.searchsorted(probes[r], side="left")
     # in place from here on: a block of rows holds several (B, k) arrays
     np.clip(i, 1, size - 1, out=i)
     i -= 1  # lower node of each interval, as a flat index into rows below
@@ -114,31 +116,43 @@ def _icdf_rows(c: np.ndarray, m: int, x_min: float, x_max: float) -> np.ndarray:
     return _inverse_rows(c, np.linspace(x_min, x_max, c.shape[1]), p)
 
 
+def _cdf_rows(ic: np.ndarray, n_out: int, x_min: float, x_max: float) -> np.ndarray:
+    """The cdf of each icdf column of ic (M,) or (M, P) on n_out spatial
+    nodes, one row per icdf: (P, n_out), C-ordered."""
+    m = ic.shape[0]
+    x = np.linspace(x_min, x_max, n_out)
+    p = _probabilities(m)
+    rows = np.ascontiguousarray(ic.reshape(m, -1).T)  # (P, M), one icdf per row
+    out = np.empty((rows.shape[0], n_out))
+    for row, dst in zip(rows, out):
+        dst[:] = np.interp(x, row, p, left=0.0, right=1.0)
+    # the slope form can overshoot the last probability by an ulp
+    return np.minimum(out, 1.0, out=out)
+
+
 def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
     """Numerically re-invert an icdf back to a cdf on the spatial grid.
 
-    Same interpolation as :func:`icdf` with the roles of x and p swapped.
-    Spatial nodes beyond the last icdf value sit past the support and get
-    cdf value 1. `ic` is one icdf (M,) or a column per icdf (M, P); the
-    result is (n_out,) or (n_out, P).
+    One `np.interp` per icdf, with the roles of x and p swapped: nodes
+    before the first icdf value get cdf value 0, nodes at or past the last
+    one (past the support) get 1. The icdfs the pipeline inverts are
+    strictly increasing, where this is the inverse function; at a repeated
+    icdf value x_j = x_{j+1} = x the cdf is the upper probability there,
+    the right-continuous one. `ic` is one icdf (M,) or a column per icdf
+    (M, P); the result is (n_out,) or (n_out, P).
     """
     ic = np.asarray(ic, dtype=float)
-    m = ic.shape[0]
-    x = np.linspace(x_min, x_max, n_out)
-    rows = np.ascontiguousarray(ic.reshape(m, -1).T)  # (P, M), one icdf per row
-    out = _inverse_rows(rows, _probabilities(m), x)
-    out[x > rows[:, -1:]] = 1.0  # past the support
-    out = np.clip(out, 0.0, 1.0, out=out).T
+    out = _cdf_rows(ic, n_out, x_min, x_max).T
     return out if ic.ndim == 2 else out[:, 0]
 
 
 def pdf_from_cdf(c: np.ndarray) -> np.ndarray:
-    """First-order backward differences down axis 0; each column sums to
-    its final cdf value."""
+    """First-order backward differences along the last axis: one cdf (n,)
+    or one per row (P, n); each sums to its final cdf value."""
     c = np.asarray(c, dtype=float)
     out = np.empty_like(c)
-    out[0] = c[0]
-    out[1:] = np.diff(c, axis=0)
+    out[..., 0] = c[..., 0]
+    np.subtract(c[..., 1:], c[..., :-1], out=out[..., 1:])
     return out
 
 
@@ -212,6 +226,9 @@ def icdf_to_density(
 ) -> np.ndarray:
     """Invert an icdf of an augmented profile, differentiate, and strip the
     two boundary cells: the probability of each of the n_raw original cells.
-    An (M, P) array of icdf columns gives an (n_raw, P) array."""
-    c = invert_icdf(ic, icdf_size(n_raw), x_min=x_min, x_max=x_max)
-    return pdf_from_cdf(c)[AUGMENTATION_CELLS:]
+    An (M, P) array of icdf columns gives an (n_raw, P) array, the
+    transposed view of one density row per icdf."""
+    ic = np.asarray(ic, dtype=float)
+    c = _cdf_rows(ic, icdf_size(n_raw), x_min, x_max)
+    dens = pdf_from_cdf(c)[:, AUGMENTATION_CELLS:].T
+    return dens if ic.ndim == 2 else dens[:, 0]

@@ -345,6 +345,36 @@ class TestStoreValidation:
         with pytest.raises(store.StoreError, match="snapshots.npz"):
             store.load_store(copy)
 
+    @pytest.mark.parametrize("name, index, value", [
+        pytest.param("values", (0, 5), np.nan, id="values-nan"),
+        pytest.param("values", (1, 7), -0.5, id="values-negative"),
+        pytest.param("values", (2, 0), 1.5, id="values-above-one"),
+        pytest.param("masses", (3,), -1e-3, id="masses-negative"),
+        pytest.param("masses", (0,), np.inf, id="masses-infinite"),
+        pytest.param("params", (4, 1), np.nan, id="params-nan"),
+    ])
+    def test_corrupt_array_entry(self, copy, tmp_path, capsys, name, index, value):
+        def corrupt(arr):
+            arr = arr.copy()
+            arr[index] = value
+            return arr
+
+        self._edit_arrays(copy, name, corrupt)
+        with pytest.raises(store.StoreError, match=f"'{name}'"):
+            store.load_store(copy)
+        capsys.readouterr()
+        for command in ("offline", "pod"):
+            out = tmp_path / command
+            assert cli.main([command, "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"'{name}'" in err
+            assert not out.exists()
+
+    def test_integer_values(self, copy):
+        self._edit_arrays(copy, "values", lambda arr: (arr > 0.5).astype(int))
+        with pytest.raises(store.StoreError, match="'values' is not a float array"):
+            store.load_store(copy)
+
     def test_cli_exit_code(self, copy, tmp_path):
         self._edit_manifest(copy, schema_version=0)
         argv = ["offline", "--store", str(copy), "--out", str(tmp_path / "m")]
@@ -472,6 +502,26 @@ class TestModelValidation:
         self._edit_report(copy, lambda lines: lines[:1] + ["x" + lines[1]] + lines[2:])
         with pytest.raises(store.StoreError, match="'x2'"):
             store.load_report(copy)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("l1_mean", "nan"), ("mean_w2", "inf"), ("condition", "nan"), ("condition", "-inf"),
+    ])
+    def test_non_finite_report_cell(self, mini_run, copy, tmp_path, capsys, column, cell):
+        def edit(lines):
+            header = lines[0].split(",")
+            row = lines[2].split(",")
+            row[header.index(column)] = cell
+            return lines[:2] + [",".join(row)] + lines[3:]
+
+        self._edit_report(copy, edit)
+        with pytest.raises(store.StoreError, match=f"column '{column}' holds a non-finite value"):
+            store.load_report(copy)
+        _, _, store_dir, _ = mini_run
+        out = tmp_path / "t"
+        argv = ["tables", "--store", str(store_dir), "--model", str(copy), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert f"'{column}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_report(self, mini_run, copy, tmp_path, capsys):
         path = copy / store.REPORT_NAME

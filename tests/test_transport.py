@@ -20,6 +20,26 @@ def _snapshot_icdf_reference(raw, x_min, x_max):
     return x[i - 1] + (x[i] - x[i - 1]) * np.clip(frac, 0.0, 1.0)
 
 
+def _invert_icdf_reference(ic, n_out, x_min, x_max):
+    """The cdf of one icdf, written out for one row: searchsorted(left) for
+    the first icdf node at or past each spatial node, a gather of the two
+    bracketing nodes and linear interpolation between their probabilities;
+    0 before the first icdf value and 1 past the last."""
+    p = np.linspace(0.0, 1.0, ic.size)
+    x = np.linspace(x_min, x_max, n_out)
+    i = np.clip(np.searchsorted(ic, x, side="left"), 1, ic.size - 1)
+    frac = np.clip((x - ic[i - 1]) / (ic[i] - ic[i - 1]), 0.0, 1.0)
+    out = p[i - 1] + (p[i] - p[i - 1]) * frac
+    out[x > ic[-1]] = 1.0
+    return out
+
+
+def front(n, at, width):
+    """A smoothed saturation front: near 1 behind x = at, 0 well past it."""
+    cells = (np.arange(n) + 0.5) / n
+    return 0.5 * (1.0 - np.tanh((cells - at) / width))
+
+
 def uniform_block(n, upto, height):
     cells = (np.arange(n) + 0.5) / n
     return np.where(cells <= upto, height, 0.0)
@@ -134,6 +154,41 @@ class TestInversion:
             iic = tr.invert_icdf(ic, 66)
             assert np.all(np.diff(iic) >= 0.0)
             assert iic[0] >= 0.0 and iic[-1] <= 1.0
+
+    def test_matches_the_per_row_oracle(self):
+        rng = np.random.default_rng(41)
+        n = 120
+        values = np.vstack([
+            rng.random((6, n)),
+            [front(n, at, width) for at, width in ((0.2, 0.01), (0.5, 0.05), (0.9, 1e-3))],
+            uniform_block(n, 0.3, 1.0),  # the support ends mid-domain
+        ])
+        ic = tr.snapshots_to_icdfs(values, 0.0, 2.0)
+        assert np.all(np.diff(ic, axis=0) > 0.0)  # strictly increasing, as in the pipeline
+        for n_out in (n + 2, 37):
+            got = tr.invert_icdf(ic, n_out, 0.0, 2.0)
+            for k in range(ic.shape[1]):
+                want = _invert_icdf_reference(ic[:, k], n_out, 0.0, 2.0)
+                np.testing.assert_array_max_ulp(got[:, k], want, maxulp=4)
+
+    def test_nodes_outside_the_icdf_range(self):
+        x = np.linspace(0.0, 1.0, 11)
+        ic = np.linspace(0.25, 0.8, 6)
+        ic[-1] = x[8]  # the last icdf value sits on a spatial node
+        c = tr.invert_icdf(ic, 11)
+        assert c[:3].tolist() == [0.0, 0.0, 0.0]  # before the first icdf value
+        assert c[8:].tolist() == [1.0, 1.0, 1.0]  # at and past the last one
+        assert np.all((c[3:8] > 0.0) & (c[3:8] < 1.0))
+
+    def test_repeated_value_gives_the_upper_probability(self):
+        x = np.linspace(0.0, 1.0, 11)
+        ic = np.array([0.0, 0.2, x[5], x[5], 0.8, 1.0])
+        p = np.linspace(0.0, 1.0, ic.size)
+        c = tr.invert_icdf(ic, 11)
+        assert c[5] == p[3]  # right-continuous: the upper of p = 0.4 and 0.6
+        assert _invert_icdf_reference(ic, 11, 0.0, 1.0)[5] == p[2]
+        assert np.all(np.diff(c) >= 0.0)
+        assert c[0] == 0.0 and c[-1] == 1.0
 
     def test_pdf_from_cdf_linear_ramp(self):
         c = np.arange(1, 9) / 8
