@@ -50,8 +50,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
-# an init column counts as on the simplex when it is nonnegative and sums to
-# 1 within this, far above the rounding of the solver's own weights
+# an init column must be nonnegative and sum to 1 within this, far above the
+# rounding of the solver's own weights
 SIMPLEX_SUM_TOL = 1e-12
 
 
@@ -187,14 +187,14 @@ def solve_batch(
     """Solve the simplex least-squares problem for many targets at once.
 
     atoms is (M, n), targets (M, T) or a single (M,) target, init (n, T)
-    or None. An init column that is already on the simplex and passes the
-    KKT test at tol on its own support is returned as it is (screened).
+    or None. An init column that passes the KKT test at tol on its own
+    support is returned as it is (screened).
     init_objective (T,), the objective of each init column, is then that
     column's objective as it is; without it, or for any other column, the
     objective is computed from the weights.
-    Every other column starts from its init column when that is on the
-    simplex, from its projection onto the simplex when it is not, or from
-    the nearest atom when init is None.
+    Every other column starts from its init column, or from the nearest
+    atom when init is None. An init column must lie on the simplex:
+    nonnegative and summing to 1 within SIMPLEX_SUM_TOL (ValueError).
     A column converges when no gradient entry undercuts the support
     multiplier by more than tol; a column that reaches max_iter active-set
     changes, or whose entering atom brings no decrease at working precision,
@@ -231,19 +231,15 @@ def solve_batch(
         init = np.asarray(init, dtype=float)
         if init.shape != (n, t_count):
             raise ValueError(f"init shape {init.shape} != {(n, t_count)}")
-        start = project_to_simplex(init).T
-        # a start already on the simplex is used as it is: projecting an
-        # exact simplex column can turn its zeros into rounding-level weights
-        feasible = np.flatnonzero(
-            np.all(init >= 0.0, axis=0) & (np.abs(init.sum(axis=0) - 1.0) <= SIMPLEX_SUM_TOL)
-        )
-        start[feasible] = w0 = init.T[feasible]
-        _, _, res = _kkt_check(r, projected[feasible], w0, w0 > 0.0, m)
-        keep = res <= tol
-        done = feasible[keep]
-        weights[done] = w0[keep]
-        kkt[done] = res[keep]
-        converged[done] = screened[done] = True
+        # a NaN entry fails both tests
+        if not (np.all(init >= 0.0) and np.all(np.abs(init.sum(axis=0) - 1.0) <= SIMPLEX_SUM_TOL)):
+            raise ValueError("every init column must be nonnegative and sum to 1")
+        start = np.ascontiguousarray(init.T)  # C-ordered rows, as the rounds' copies are
+        _, _, res = _kkt_check(r, projected, start, start > 0.0, m)
+        screened = res <= tol
+        weights[screened] = start[screened]
+        kkt[screened] = res[screened]
+        converged[screened] = True
 
     # lockstep active-set rounds over the open rows: each round fits every
     # open row on its support, then steps back to the boundary or runs the

@@ -365,6 +365,9 @@ def load_model(directory) -> ReducedModel:
     for name in ("atoms", "weight_table", "mass_table"):
         if data[name].dtype.kind != "f" or not np.isfinite(data[name]).all():
             raise StoreError(f"array {name!r} is not a finite float array")
+    # icdfs are nondecreasing; the bound forgives a rounding-level dip
+    if (np.diff(data["atoms"], axis=0) < -1e-12 * (x_max - x_min)).any():
+        raise StoreError("array 'atoms' has a decreasing column, which is not an icdf")
     dictionary = Dictionary(
         atoms=data["atoms"],
         atom_params=data["atom_params"],

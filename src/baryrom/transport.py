@@ -64,7 +64,9 @@ def icdf(c: np.ndarray, m: int, x_min: float = 0.0, x_max: float = 1.0) -> np.nd
     For each p_j the smallest index i >= 2 (1-based) with cdf_i >= p_j is
     located and the cdf is linearly interpolated between x_{i-1} and x_i.
     Flat cdf segments map to the left endpoint, which is the inf in the
-    generalized inverse.
+    generalized inverse. Search and interpolation are one `np.interp` on
+    the reversed, negated cdf, whose last node at or below -p_j is that
+    first node at or above p_j.
     """
     c = np.asarray(c, dtype=float)
     if m < 2:
@@ -77,43 +79,21 @@ def _probabilities(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
 
 
-def _inverse_rows(rows: np.ndarray, nodes: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Generalized inverse of each row of rows (B, n), a nondecreasing function
-    sampled at nodes (n,), at that row's probes (B, k): the first node
-    interval whose upper value reaches the probe, linearly interpolated, so
-    a flat run maps to its left end. Each row computes exactly what it
-    would alone."""
-    size = rows.shape[1]
-    # searchsorted(left) returns the first i with row[i] >= probe; one exact
-    # search per row, as the rows need not share a grid
-    i = np.empty(probes.shape, dtype=np.intp)
-    for r, row in enumerate(rows):
-        i[r] = row.searchsorted(probes[r], side="left")
-    # in place from here on: a block of rows holds several (B, k) arrays
-    np.clip(i, 1, size - 1, out=i)
-    i -= 1  # lower node of each interval, as a flat index into rows below
-    out = np.take(nodes, i)
-    width = np.take(np.diff(nodes), i)
-    i += (size * np.arange(rows.shape[0]))[:, None]
-    lo = np.take(rows, i)
-    i += 1
-    denom = np.take(rows, i)
-    denom -= lo
-    frac = np.subtract(probes, lo, out=lo)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac /= denom
-    frac[~(denom > 0.0)] = 0.0
-    width *= np.clip(frac, 0.0, 1.0, out=frac)
-    out += width
-    return out
-
-
 def _icdf_rows(c: np.ndarray, m: int, x_min: float, x_max: float) -> np.ndarray:
     """:func:`icdf` of every row of c (B, N), as (B, m)."""
     # the final cdf value is 1 up to rounding; clamping keeps the probes from
     # running past the end of the support into the flat tail
     p = np.minimum(_probabilities(m), c[:, -1:])
-    return _inverse_rows(c, np.linspace(x_min, x_max, c.shape[1]), p)
+    # np.interp brackets a probe by the last node at or below it, the right
+    # end of a flat run; on the reversed, negated row that node is the first
+    # one at or above the probe, so a flat run maps to its left end
+    np.negative(p, out=p)
+    rows = np.negative(c[:, ::-1])
+    x = np.linspace(x_min, x_max, c.shape[1])[::-1].copy()
+    out = np.empty_like(p)
+    for row, probes, dst in zip(rows, p, out):
+        dst[:] = np.interp(probes, row, x)
+    return out
 
 
 def _cdf_rows(ic: np.ndarray, n_out: int, x_min: float, x_max: float) -> np.ndarray:

@@ -488,6 +488,26 @@ class TestModelValidation:
             assert err.count("\n") == 1 and name in err
             assert not out.exists()
 
+    def test_decreasing_atom(self, mini_run, copy, tmp_path, capsys):
+        _, _, store_dir, _ = mini_run
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["atoms"][:, 0] = arrays["atoms"][::-1, 0]
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match="'atoms' has a decreasing column"):
+            store.load_model(copy)
+        capsys.readouterr()
+        for argv in (
+            ["online", "--model", str(copy), "--at", "t=2.5,mu=1,beta=2"],
+            ["landscape", "--model", str(copy), "--store", str(store_dir),
+             "--target-index", "5", "--resolution", "11"],
+        ):
+            out = tmp_path / argv[0]
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_STORE
+            assert "'atoms'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_missing_report(self, copy):
         (copy / store.REPORT_NAME).unlink()
         with pytest.raises(store.StoreError, match="greedy_report.csv"):

@@ -284,6 +284,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="init_objective"):
             sq.solve_batch(atoms, targets, init=init, init_objective=marker[:-1])
 
+    @pytest.mark.parametrize("defect", ["negative", "sum-1.1", "nan"])
+    def test_init_off_the_simplex_is_rejected(self, defect):
+        rng = np.random.default_rng(97)
+        atoms = random_icdf_atoms(rng, 60, 4)
+        targets = np.stack([tr.snapshot_to_icdf(rng.random(58)) for _ in range(5)], axis=1)
+        init = random_feasible(rng, 4, 5)
+        if defect == "negative":
+            init[:, 2] = [1.2, -0.2, 0.0, 0.0]
+        elif defect == "sum-1.1":
+            init[:, 2] *= 1.1
+        else:
+            init[1, 2] = np.nan
+        with pytest.raises(ValueError, match="init column"):
+            sq.solve_batch(atoms, targets, init=init)
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_random_init_is_not_screened(self, sparse):
         # a dense init has no outside atom, so only the spread of the support
