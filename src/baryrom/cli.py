@@ -75,7 +75,7 @@ def cmd_generate(args) -> int:
     mass_residual = np.array([res.mass_residual for res in results])
     store.save_store(
         out, manifest,
-        params=np.array([(t, *combo.values()) for combo in combos for t in times]),
+        params=store.sweep_params(cfg.raw),
         values=np.concatenate([res.values for res in results]),
         masses=np.concatenate([res.masses for res in results]),
         steps=steps,
@@ -99,7 +99,6 @@ def _offline_config(raw: dict, args) -> ExperimentConfig:
         ("greedy", "eps_abs"): args.eps_abs,
         ("greedy", "eps_rel"): args.eps_rel,
         ("qp", "tol"): args.qp_tol,
-        ("qp", "max_iter"): args.qp_max_iter,
     }
     for (block, key), value in overrides.items():
         # a block that is not an object is left for parse_config to reject
@@ -152,7 +151,6 @@ def cmd_offline(args) -> int:
         eps_rel=cfg.greedy.eps_rel,
         n_max=cfg.greedy.n_max,
         tol=cfg.qp.tol,
-        max_iter=cfg.qp.max_iter,
         on_iteration=track_l1,
     )
     greedy_s = time.perf_counter() - start - track_s
@@ -254,10 +252,7 @@ def cmd_online(args) -> int:
     points = _parse_points(model, specs)
     st = store.load_store(args.store) if args.store else None
     if st is not None:
-        store.check_same_grid(model, st)
-        if st.axis_names != model.axis_names:
-            raise StoreError(f"the store's axes {list(st.axis_names)} are not the "
-                             f"model's {list(model.axis_names)}")
+        store.check_model_fits_store(model, st)
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = store.make_dir(args.out)
@@ -326,6 +321,7 @@ def cmd_pod(args) -> int:
 
 def cmd_tables(args) -> int:
     st = store.load_store(args.store)
+    store.check_model_fits_store(store.load_model(args.model), st)
     report = store.load_report(args.model)
     eps_list = _parse_eps(args.eps)
     _, pod_errors = _pod_artifacts(st)
@@ -347,7 +343,7 @@ def cmd_tables(args) -> int:
 def cmd_landscape(args) -> int:
     model = store.load_model(args.model)
     st = store.load_store(args.store)
-    store.check_same_grid(model, st)
+    store.check_model_fits_store(model, st)
     n = args.n
     if n < 3 or n > model.n_atoms:
         raise ConfigError(f"landscape needs 3 <= n <= {model.n_atoms} atoms, got {n}")
@@ -391,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-abs", type=float, default=None)
     p.add_argument("--eps-rel", type=float, default=None)
     p.add_argument("--qp-tol", type=float, default=None)
-    p.add_argument("--qp-max-iter", type=int, default=None)
     p.set_defaults(func=cmd_offline)
 
     p = sub.add_parser("online", help="reconstruct at new parameter points")

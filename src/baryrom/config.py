@@ -8,8 +8,8 @@ combination.
 The "qp" block sets the simplex least-squares solver of the greedy sweep
 (`simplexqp`): "tol" is the KKT tolerance, the largest amount by which an
 atom's gradient entry may undercut the support multiplier at the returned
-weights, and "max_iter" caps the active-set changes (atoms added plus atoms
-dropped) per solve.
+weights. The cap on active-set changes per solve is the solver's own
+constant; an older config's key for it is ignored, as is any unread key.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ class GreedySettings:
 
 @dataclass(frozen=True)
 class QpSettings:
-    """KKT tolerance and active-set change cap of the simplex solver."""
+    """KKT tolerance of the simplex solver."""
 
     tol: float = simplexqp.DEFAULT_TOL
-    max_iter: int = simplexqp.DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,17 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _finite(block, key: str, where: str) -> float:
-    """A required plain number: finite, and not a bool."""
-    value = _require(block, key, where)
+def _finite(block, key: str, where: str, default=None, whole: bool = False):
+    """A plain number: finite, and not a bool; required unless a default is
+    given. With whole set it is an int, and a fractional value is refused."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
     if not _number(value):
         raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return float(value)
+    if not whole:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _numbers(raw) -> bool:
@@ -154,19 +158,6 @@ def _settings_block(raw: dict, key: str) -> dict:
     return block
 
 
-def _setting(block: dict, key: str, default, where: str, integer: bool = False):
-    """A numeric solver setting: a float, or an int when integer is set; a
-    string, a bool or a fractional count is a ConfigError."""
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{where}.{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and build the typed configuration."""
     if not isinstance(raw, dict):
@@ -177,15 +168,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     name = _require(raw, "name", "config")
 
     g = _require(raw, "grid", "config")
-    n_cells = _finite(g, "n_cells", "grid")
-    if not n_cells.is_integer():
-        raise ConfigError(f"grid.n_cells must be a whole number, got {g['n_cells']!r}")
     b = _require(raw, "boundary", "config")
     try:
         grid = flow.Grid1D(
             x_min=_finite(g, "x_min_km", "grid"),
             x_max=_finite(g, "x_max_km", "grid"),
-            n_cells=int(n_cells),
+            n_cells=_finite(g, "n_cells", "grid", whole=True),
         )
         boundary = flow.BoundaryConditions(
             p_left=_finite(b, "p_left_pa", "boundary"),
@@ -239,25 +227,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("snapshot_times_yr must be a nonempty list of finite nonnegative "
                           "numbers, strictly increasing (sorted, no repeats)")
 
-    safety = raw.get("cfl_safety", 0.9)
-    if not _number(safety) or not 0.0 < safety <= 1.0:
+    safety = _finite(raw, "cfl_safety", "config", default=flow.DEFAULT_CFL_SAFETY)
+    if not 0.0 < safety <= 1.0:
         raise ConfigError(f"cfl_safety must be a number in (0, 1], got {safety!r}")
 
     gr = _settings_block(raw, "greedy")
     greedy = GreedySettings(
-        eps_abs=_setting(gr, "eps_abs", GreedySettings.eps_abs, "greedy"),
-        eps_rel=_setting(gr, "eps_rel", GreedySettings.eps_rel, "greedy"),
-        n_max=_setting(gr, "n_max", GreedySettings.n_max, "greedy", integer=True),
+        eps_abs=_finite(gr, "eps_abs", "greedy", default=GreedySettings.eps_abs),
+        eps_rel=_finite(gr, "eps_rel", "greedy", default=GreedySettings.eps_rel),
+        n_max=_finite(gr, "n_max", "greedy", default=GreedySettings.n_max, whole=True),
     )
-    if not 0 <= greedy.eps_abs < np.inf or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
+    if greedy.eps_abs < 0 or not 0 <= greedy.eps_rel < 1 or greedy.n_max < 2:
         raise ConfigError("invalid greedy settings (eps_abs >= 0, eps_rel in [0,1), n_max >= 2)")
-    q = _settings_block(raw, "qp")
-    qp = QpSettings(
-        tol=_setting(q, "tol", QpSettings.tol, "qp"),
-        max_iter=_setting(q, "max_iter", QpSettings.max_iter, "qp", integer=True),
-    )
-    if not 0 < qp.tol < np.inf or qp.max_iter < 1:
-        raise ConfigError("invalid qp settings (tol > 0, max_iter >= 1)")
+    qp = QpSettings(tol=_finite(_settings_block(raw, "qp"), "tol", "qp", default=QpSettings.tol))
+    if qp.tol <= 0:
+        raise ConfigError(f"qp.tol must be positive, got {qp.tol!r}")
 
     cfg = ExperimentConfig(
         name=str(name),
@@ -267,7 +251,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         rock_spec=rock_spec,
         axes=tuple(axes),
         snapshot_times_yr=tuple(float(t) for t in times),
-        cfl_safety=float(safety),
+        cfl_safety=safety,
         greedy=greedy,
         qp=qp,
         raw=raw,

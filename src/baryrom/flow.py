@@ -45,6 +45,8 @@ SECONDS_PER_YEAR = 365.0 * 86400.0
 
 SATURATION_TOL = 1e-12
 MAX_PRINCIPLE_TOL = 1e-10
+# the fraction of the CFL-stable step that each IMPES step takes
+DEFAULT_CFL_SAFETY = 0.9
 
 
 class FlowError(Exception):
@@ -300,7 +302,7 @@ def simulate_batch(
     fluids: Sequence[FluidParams],
     bc: BoundaryConditions,
     snapshot_times_yr,
-    safety: float = 0.9,
+    safety: float = DEFAULT_CFL_SAFETY,
 ) -> list:
     """IMPES runs of the simulations (rocks[c], fluids[c]) in lockstep, with
     snapshots at the given times (years).
@@ -463,7 +465,7 @@ def run_simulation(
     fluids: FluidParams,
     bc: BoundaryConditions,
     snapshot_times_yr,
-    safety: float = 0.9,
+    safety: float = DEFAULT_CFL_SAFETY,
     return_audit: bool = False,
 ):
     """IMPES loop producing one Snapshot per requested time (years).

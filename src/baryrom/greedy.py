@@ -98,7 +98,6 @@ def greedy_step(
     train: np.ndarray,
     warm: np.ndarray | None = None,
     tol: float = simplexqp.DEFAULT_TOL,
-    max_iter: int = simplexqp.DEFAULT_MAX_ITER,
     warm_objective: np.ndarray | None = None,
 ) -> StepResult:
     """One residual sweep: solve all per-snapshot QPs, pick the worst snapshot.
@@ -111,7 +110,7 @@ def greedy_step(
     if dictionary.size < 2:
         raise ValueError("dictionary must hold at least 2 atoms")
     res = simplexqp.solve_batch(
-        dictionary.atoms, train, warm, tol, max_iter, init_objective=warm_objective
+        dictionary.atoms, train, warm, tol, init_objective=warm_objective
     )
     errors = np.sqrt(np.maximum(res.objective, 0.0))
     masked = errors.copy()
@@ -152,7 +151,6 @@ def run(
     eps_rel: float = 0.0,
     n_max: int = 2,
     tol: float = simplexqp.DEFAULT_TOL,
-    max_iter: int = simplexqp.DEFAULT_MAX_ITER,
     on_iteration=None,
 ) -> tuple[Dictionary, GreedyReport, np.ndarray]:
     """Full greedy loop with the three termination criteria.
@@ -169,9 +167,9 @@ def run(
     params = np.asarray(params, dtype=float)
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError("eps_rel must lie in [0, 1)")
-    if eps_abs < 0.0:
+    if not eps_abs >= 0.0:  # written so that NaN fails too
         raise ValueError("eps_abs must be nonnegative")
-    if n_max < 2:
+    if not n_max >= 2:
         raise ValueError("n_max must be at least 2")
 
     i0, j0 = init_pair(train)
@@ -182,7 +180,7 @@ def run(
 
     while True:
         dictionary = make_dictionary(train, params, selected)
-        step = greedy_step(dictionary, train, warm, tol, max_iter, warm_objective)
+        step = greedy_step(dictionary, train, warm, tol, warm_objective)
         n = dictionary.size
         report.n.append(n)
         report.delta.append(step.delta)

@@ -16,6 +16,7 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,14 @@ def _check_store_values(arrays: dict) -> None:
             raise StoreError(f"array {name!r} is not a float array {rule}")
 
 
+def sweep_params(config: dict) -> np.ndarray:
+    """The (K, d) params of the sweep a config describes: every axis
+    combination in tensor order, each at every snapshot time."""
+    axes = [ax["values"] for ax in config["axes"]]
+    times = config["snapshot_times_yr"]
+    return np.array([(t, *combo) for combo in product(*axes) for t in times], dtype=float)
+
+
 def save_store(directory, manifest: dict, **arrays) -> None:
     """Write the STORE_ARRAYS of a finished sweep as snapshots.npz, after
     checking their shapes against the manifest."""
@@ -245,6 +254,9 @@ def load_store(directory) -> SnapshotStore:
         arrays = _read_npz(npz_path, STORE_ARRAYS)
         _check_store_shapes(arrays, manifest)
         _check_store_values(arrays)
+        if not np.array_equal(arrays["params"], sweep_params(cfg)):
+            raise StoreError("array 'params' is not the sweep of the manifest's axes and "
+                             "snapshot times (every combination in tensor order, at every time)")
         return SnapshotStore(
             name=cfg["name"],
             axis_names=tuple(manifest["axis_names"]),
@@ -254,8 +266,8 @@ def load_store(directory) -> SnapshotStore:
             n_cells=int(cfg["grid"]["n_cells"]),
             config=cfg,
         )
-    except (KeyError, TypeError) as err:
-        raise StoreError(f"{man_path} lacks a field: {err}") from err
+    except (KeyError, TypeError, ValueError) as err:
+        raise StoreError(f"{man_path} lacks a valid field: {err}") from err
 
 
 REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",
@@ -385,9 +397,9 @@ def load_model(directory) -> ReducedModel:
     )
 
 
-def check_same_grid(model: ReducedModel, st: SnapshotStore) -> None:
-    """StoreError, naming both grids, when a store's snapshots live on
-    another cell grid than the model's profiles."""
+def check_model_fits_store(model: ReducedModel, st: SnapshotStore) -> None:
+    """StoreError, naming both, when a store's snapshots live on another
+    cell grid than the model's profiles, or were swept over other axes."""
     model_grid = (model.n_raw, model.x_min, model.x_max)
     store_grid = (st.n_cells, st.x_min, st.x_max)
     if model_grid != store_grid:
@@ -396,3 +408,6 @@ def check_same_grid(model: ReducedModel, st: SnapshotStore) -> None:
             f"the model's grid ({describe(*model_grid)}) is not the store's "
             f"({describe(*store_grid)})"
         )
+    if st.axis_names != model.axis_names:
+        raise StoreError(f"the store's axes {list(st.axis_names)} are not the "
+                         f"model's {list(model.axis_names)}")

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from baryrom import cli, config, greedy, online, simplexqp, store, transport
+from baryrom import cli, config, flow, greedy, online, simplexqp, store, transport
 
 
 def mini_config(n_max=5, times=(1.0, 2.5, 4.0)):
@@ -33,7 +33,7 @@ def mini_config(n_max=5, times=(1.0, 2.5, 4.0)):
         "snapshot_times_yr": list(times),
         "cfl_safety": 0.9,
         "greedy": {"eps_abs": 0.0, "eps_rel": 0.0, "n_max": n_max},
-        "qp": {"tol": 1e-10, "max_iter": 20000},
+        "qp": {"tol": 1e-10},
     }
 
 
@@ -95,9 +95,8 @@ class TestConfig:
         ("greedy", 3, ["--n-max", "3"]),
         ("qp", 3, ["--qp-tol", "1e-9"]),
         ("greedy", {"n_max": "abc"}, ["--eps-abs", "0"]),
-        ("qp", {"tol": "x"}, ["--qp-max-iter", "10"]),
+        ("qp", {"tol": "x"}, ["--n-max", "3"]),
         ("greedy", {"n_max": 2.7}, ["--eps-rel", "0"]),
-        ("qp", {"max_iter": 2.5}, ["--qp-tol", "1e-9"]),
     ])
     def test_malformed_solver_block(self, mini_run, tmp_path, block, value, override):
         bad = mini_config()
@@ -109,7 +108,7 @@ class TestConfig:
         argv = ["generate", "--config", str(path), "--out", str(tmp_path / "s")]
         assert cli.main(argv) == cli.EXIT_CONFIG
         # a store whose recorded config carries the block, with and without
-        # an override of another key of the same block
+        # an override of another key
         _, _, store_dir, _ = mini_run
         copied = tmp_path / "store"
         shutil.copytree(store_dir, copied)
@@ -119,6 +118,38 @@ class TestConfig:
         for extra in ([], override):
             argv = ["offline", "--store", str(copied), "--out", str(tmp_path / "m"), *extra]
             assert cli.main(argv) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("path, value, message", [
+        pytest.param(("qp", "tol"), float("inf"), "qp.tol must be a finite number", id="tol-inf"),
+        pytest.param(("qp", "tol"), -1e-9, "qp.tol must be positive", id="tol-negative"),
+        pytest.param(("greedy", "eps_abs"), "0", "greedy.eps_abs must be a finite number",
+                     id="eps-abs-string"),
+        pytest.param(("greedy", "n_max"), 4.5, "greedy.n_max must be a whole number",
+                     id="n-max-fractional"),
+        pytest.param(("grid", "n_cells"), 102.5, "grid.n_cells must be a whole number",
+                     id="cells-fractional"),
+        pytest.param(("cfl_safety",), True, "cfl_safety must be a finite number",
+                     id="safety-bool"),
+        pytest.param(("cfl_safety",), 1.5, r"cfl_safety must be a number in \(0, 1\]",
+                     id="safety-above-1"),
+    ])
+    def test_numeric_setting_is_named(self, path, value, message):
+        bad = mini_config()
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(config.ConfigError, match=message):
+            config.parse_config(bad)
+
+    def test_defaults_of_optional_settings(self):
+        raw = mini_config()
+        for key in ("cfl_safety", "greedy", "qp"):
+            del raw[key]
+        cfg = config.parse_config(raw)
+        assert cfg.cfl_safety == flow.DEFAULT_CFL_SAFETY
+        assert cfg.greedy == config.GreedySettings()
+        assert cfg.qp == config.QpSettings(tol=simplexqp.DEFAULT_TOL)
 
     @pytest.mark.parametrize("path, value", [
         pytest.param(("snapshot_times_yr",), ["a"], id="time-string"),
@@ -368,6 +399,25 @@ class TestStoreValidation:
             assert cli.main([command, "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"'{name}'" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda arr: np.insert(arr[:-1], 1, arr[0], axis=0), id="duplicated-row"),
+        pytest.param(lambda arr: arr[[1, 0, *range(2, len(arr))]], id="swapped-rows"),
+        pytest.param(lambda arr: arr + np.array([0.0, 0.0, 1e-9]), id="shifted-axis"),
+    ])
+    def test_params_not_the_sweep(self, copy, tmp_path, capsys, edit):
+        # params rows that are not the sweep of the manifest would train a
+        # model whose weights belong to other parameter points
+        self._edit_arrays(copy, "params", edit)
+        with pytest.raises(store.StoreError, match="'params' is not the sweep"):
+            store.load_store(copy)
+        capsys.readouterr()
+        for command in ("offline", "pod"):
+            out = tmp_path / command
+            assert cli.main([command, "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "'params'" in err
             assert not out.exists()
 
     def test_integer_values(self, copy):
@@ -623,14 +673,14 @@ class TestGridMismatch:
         assert cli.main(argv) == 0
         return root / "store"
 
-    @pytest.mark.parametrize("command", ["online", "landscape"])
+    @pytest.mark.parametrize("command", ["online", "landscape", "tables"])
     def test_exit_3_naming_both_grids(self, mini_run, other_store, tmp_path, capsys, command):
         *_, model_dir = mini_run
         out = tmp_path / "out"
         argv = [command, "--model", str(model_dir), "--store", str(other_store), "--out", str(out)]
         if command == "online":
             argv += ["--at", "t=2.5,mu=1,beta=2"]
-        else:
+        elif command == "landscape":
             argv += ["--target-index", "5", "--resolution", "11"]
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_STORE
@@ -662,6 +712,35 @@ class TestStoreAxes:
         out = tmp_path / "out"
         argv = ["online", "--model", str(model_dir), "--store", str(other), "--out", str(out),
                 "--at", "t=2.5,mu=6,beta=2"]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"the store's axes {['t', *axes]} are not the model's ['t', 'mu', 'beta']" in err
+        assert not out.exists()
+
+    @pytest.fixture(scope="class", params=[("mu", "b"), ("mu",)], ids=["renamed", "fewer"])
+    def other_axes(self, request, tmp_path_factory):
+        """A store on the model's grid whose beta axis is renamed or fixed at 2."""
+        axes = request.param
+        cfg = mini_config()
+        cfg["axes"] = [{"name": name, "values": [1, 6] if name == "mu" else [2, 4]}
+                       for name in axes]
+        cfg["fluids"]["beta"] = {"param": "b"} if "b" in axes else 2.0
+        root = tmp_path_factory.mktemp("other_axes")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["generate", "--config", str(root / "cfg.json"), "--out", str(root / "store")]
+        assert cli.main(argv) == 0
+        return axes, root / "store"
+
+    @pytest.mark.parametrize("command", ["landscape", "tables"])
+    def test_exit_3_naming_both_axis_lists(self, mini_run, other_axes, tmp_path, capsys, command):
+        *_, model_dir = mini_run
+        axes, other = other_axes
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model_dir), "--store", str(other), "--out", str(out)]
+        if command == "landscape":
+            argv += ["--target-index", "5", "--resolution", "11"]
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_STORE
         err = capsys.readouterr().err
@@ -785,8 +864,23 @@ class TestOffline:
         assert store.load_model(out).n_atoms == 3
         assert store.load_store(store_dir).config["greedy"]["n_max"] == 5
 
+    def test_store_with_a_qp_max_iter_trains_the_same_model(self, mini_run, tmp_path):
+        # stores written while the config had a qp.max_iter setting still
+        # carry it in their manifest; the key is ignored
+        _, _, store_dir, model_dir = mini_run
+        copy = tmp_path / "store"
+        shutil.copytree(store_dir, copy)
+        manifest = json.loads((copy / store.MANIFEST_NAME).read_text())
+        assert "max_iter" not in manifest["config"]["qp"]
+        manifest["config"]["qp"]["max_iter"] = 3
+        (copy / store.MANIFEST_NAME).write_text(json.dumps(manifest))
+        out = tmp_path / "m"
+        assert cli.main(["offline", "--store", str(copy), "--out", str(out)]) == 0
+        for artefact in (store.MODEL_ARRAYS_NAME, store.REPORT_NAME):
+            assert (out / artefact).read_bytes() == (model_dir / artefact).read_bytes()
+
     @pytest.mark.parametrize("flag, value", [
-        ("--n-max", "1"), ("--qp-tol", "0"), ("--eps-rel", "1"), ("--qp-max-iter", "0"),
+        ("--n-max", "1"), ("--qp-tol", "0"), ("--eps-rel", "1"),
         ("--qp-tol", "nan"), ("--eps-abs", "inf"),
     ])
     def test_invalid_override_exit(self, mini_run, tmp_path, flag, value):
