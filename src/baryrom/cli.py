@@ -11,6 +11,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -208,29 +209,20 @@ def _point_values(names: tuple, spec) -> list[float]:
     if bool in map(type, spec.values()):
         raise ConfigError(f"parameter point {spec!r}: a bool is not a number here")
     try:
-        return [float(spec[name]) for name in names]
+        values = [float(spec[name]) for name in names]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"parameter point {spec!r} is not numeric") from err
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"parameter point {spec!r} is not finite")
+    return values
 
 
 def _parse_points(model: online.ReducedModel, specs: list[dict | str]) -> np.ndarray:
-    """The (P, d) array of the parameter points, checked for finiteness as
-    one array. The error names the first bad point in list order."""
+    """The (P, d) array of the parameter points. The error names the first
+    bad point in list order."""
     names = tuple(model.axis_names)
-    rows, failure = [], None
-    for spec in specs:
-        try:
-            rows.append(_point_values(names, spec))
-        except ConfigError as err:
-            failure = err
-            break
-    points = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    finite = np.all(np.isfinite(points), axis=1)
-    if not finite.all():
-        raise ConfigError(f"parameter point {specs[int(np.argmin(finite))]!r} is not finite")
-    if failure is not None:
-        raise failure
-    return points
+    rows = [_point_values(names, spec) for spec in specs]
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
 def cmd_online(args) -> int:
@@ -252,26 +244,26 @@ def cmd_online(args) -> int:
     points = _parse_points(model, specs)
     st = store.load_store(args.store) if args.store else None
     if st is not None:
-        store.check_model_fits_store(model, st)
+        # a store swept wider than the model is a sound source of truth
+        store.check_model_fits_store(model, st, same_sweep=False)
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = store.make_dir(args.out)
     store.savez_atomic(out / "reconstructions.npz", params=points, profiles=profiles)
 
-    rows = []
+    pairs = []
     if st is not None:
-        for q, z in enumerate(points):
-            match = np.flatnonzero(np.all(st.params == z[None, :], axis=1))
-            if match.size == 0:
-                continue
-            err = online.relative_l1_error(profiles[q], st.values[match[0]])
-            rows.append(tuple(z) + (err,))
+        # exact matching: a point has truth only if it is a store node
+        row_of = {node: k for k, node in enumerate(map(tuple, st.params.tolist()))}
+        pairs = [(q, row_of[z]) for q, z in enumerate(map(tuple, points.tolist())) if z in row_of]
+        q, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        err = online.relative_l1_error(profiles[q], st.values[k])
         store.write_csv(
             out / "errors.csv",
             tuple(model.axis_names) + ("rel_l1_error",),
-            rows,
+            np.column_stack([points[q], err]),
         )
-    print(f"wrote {points.shape[0]} reconstructions ({len(rows)} with truth) to {out}")
+    print(f"wrote {points.shape[0]} reconstructions ({len(pairs)} with truth) to {out}")
     return EXIT_OK
 
 
@@ -433,7 +425,7 @@ def main(argv=None) -> int:
     except StoreError as err:
         print(f"store error: {err}", file=sys.stderr)
         return EXIT_STORE
-    except (flow.FlowError, online.OutOfRangeError, online.NotOnTensorGridError) as err:
+    except (flow.FlowError, online.OutOfRangeError) as err:
         print(f"computation error: {err}", file=sys.stderr)
         return EXIT_COMPUTE
 

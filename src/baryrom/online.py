@@ -3,7 +3,8 @@
 One point is the one-row case of a batch: every step runs on all points at
 once.
 
-The training parameters must form a full tensor grid; weights and masses are
+The training parameters must form a full tensor grid, each node once, in any
+row order (anything else is a ValueError); weights and masses are
 interpolated multilinearly per component (exact at the nodes), the weight
 vector is projected back onto the simplex, the mass clamped at zero, and the
 barycenter icdf inverted and differentiated back to a saturation profile on
@@ -26,10 +27,6 @@ from .simplexqp import project_to_simplex
 # temporaries stay near 0.25 MB for a 1002-cell grid, below the memory peaks
 # of the other stages; larger blocks ran no faster
 _BLOCK = 32
-
-
-class NotOnTensorGridError(ValueError):
-    pass
 
 
 class OutOfRangeError(ValueError):
@@ -64,42 +61,28 @@ def fit(
 ) -> ReducedModel:
     """Arrange per-snapshot optimal weights and masses on the tensor grid.
 
-    params is (K, d); weights (n_atoms, K); masses (K,). Raises
-    NotOnTensorGridError listing missing nodes when the parameter set is not
-    a full tensor product.
+    params is (K, d), one row per node in any order; weights (n_atoms, K);
+    masses (K,). Raises ValueError unless the rows hold every node of the
+    grid of their unique values exactly once.
     """
     params = np.asarray(params, dtype=float)
     weights = np.asarray(weights, dtype=float)
     masses = np.asarray(masses, dtype=float)
-    k_count, d = params.shape
     axis_names = tuple(axis_names)
-    if len(axis_names) != d:
+    if len(axis_names) != params.shape[1]:
         raise ValueError("one axis name per parameter component required")
 
-    axes = tuple(np.unique(params[:, j]) for j in range(d))
+    axes = tuple(np.unique(col) for col in params.T)
     shape = tuple(ax.size for ax in axes)
-    expected = int(np.prod(shape))
-    seen = np.zeros(shape, dtype=bool)
-    weight_table = np.zeros(shape + (dictionary.size,))
-    mass_table = np.zeros(shape)
-    for row in range(k_count):
-        idx = tuple(
-            int(np.searchsorted(axes[j], params[row, j])) for j in range(d)
+    order = np.lexsort(params.T[::-1])  # the rows in C order of the grid
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    if not np.array_equal(params[order], grid):
+        raise ValueError(
+            f"the {params.shape[0]} training rows are not a full tensor grid of "
+            f"{'x'.join(map(str, shape))} nodes, each once"
         )
-        if seen[idx]:
-            raise NotOnTensorGridError(f"duplicate training node {tuple(params[row].tolist())}")
-        seen[idx] = True
-        weight_table[idx] = weights[:, row]
-        mass_table[idx] = masses[row]
-    if k_count != expected or not seen.all():
-        missing = [
-            tuple(float(axes[j][i]) for j, i in enumerate(idx))
-            for idx in zip(*np.nonzero(~seen))
-        ]
-        raise NotOnTensorGridError(
-            f"training set is not a full tensor grid; {len(missing)} missing "
-            f"nodes, first few: {missing[:5]}"
-        )
+    weight_table = weights[:, order].T.reshape(shape + (-1,))
+    mass_table = masses[order].reshape(shape)
     return ReducedModel(
         dictionary=dictionary,
         axis_names=axis_names,

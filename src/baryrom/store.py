@@ -397,9 +397,12 @@ def load_model(directory) -> ReducedModel:
     )
 
 
-def check_model_fits_store(model: ReducedModel, st: SnapshotStore) -> None:
+def check_model_fits_store(model: ReducedModel, st: SnapshotStore,
+                           same_sweep: bool = True) -> None:
     """StoreError, naming both, when a store's snapshots live on another
-    cell grid than the model's profiles, or were swept over other axes."""
+    cell grid than the model's profiles, or were swept over other axes; with
+    same_sweep, also when an axis of the store's sweep holds other values
+    than the model's."""
     model_grid = (model.n_raw, model.x_min, model.x_max)
     store_grid = (st.n_cells, st.x_min, st.x_max)
     if model_grid != store_grid:
@@ -411,3 +414,10 @@ def check_model_fits_store(model: ReducedModel, st: SnapshotStore) -> None:
     if st.axis_names != model.axis_names:
         raise StoreError(f"the store's axes {list(st.axis_names)} are not the "
                          f"model's {list(model.axis_names)}")
+    if not same_sweep:
+        return
+    for name, col, ax in zip(st.axis_names, st.params.T, model.axes):
+        values = np.unique(col)  # the sweep's values: load_store checked the params
+        if not np.array_equal(values, ax):
+            raise StoreError(f"the store's axis {name!r} sweeps {values.tolist()}, "
+                             f"the model's {ax.tolist()}")

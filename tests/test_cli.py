@@ -749,6 +749,64 @@ class TestStoreAxes:
         assert not out.exists()
 
 
+class TestStoreSweep:
+    """`tables` and `landscape` on a store whose sweep holds other values
+    than the model's, on the same grid and axes, are a data error (exit 3)
+    naming the axis and both value lists, before any output. `online
+    --store` takes a wider sweep: its nodes are only looked up."""
+
+    @pytest.fixture(scope="class", params=["mu", "t"])
+    def other_model(self, request, tmp_path_factory):
+        """A model trained on a store that differs from the mini one in the
+        values of one axis."""
+        if request.param == "mu":
+            cfg = mini_config()
+            cfg["axes"][0]["values"] = [2, 12]
+        else:
+            cfg = mini_config(times=(1.0, 2.5, 5.0))
+        root = tmp_path_factory.mktemp("other_sweep")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["generate", "--config", str(root / "cfg.json"),
+                         "--out", str(root / "store")]) == 0
+        assert cli.main(["offline", "--store", str(root / "store"),
+                         "--out", str(root / "model")]) == 0
+        return request.param, root / "model"
+
+    @pytest.mark.parametrize("command", ["landscape", "tables"])
+    def test_exit_3_naming_the_axis_and_both_sweeps(self, mini_run, other_model, tmp_path,
+                                                    capsys, command):
+        _, _, store_dir, _ = mini_run
+        axis, model_dir = other_model
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model_dir), "--store", str(store_dir), "--out", str(out)]
+        if command == "landscape":
+            argv += ["--target-index", "5", "--resolution", "11"]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        ours, theirs = {"mu": ([1.0, 6.0], [2.0, 12.0]),
+                        "t": ([1.0, 2.5, 4.0], [1.0, 2.5, 5.0])}[axis]
+        assert f"the store's axis {axis!r} sweeps {ours}, the model's {theirs}" in err
+        assert not out.exists()
+
+    def test_online_takes_a_wider_store(self, mini_run, tmp_path):
+        _, _, store_dir, model_dir = mini_run
+        cfg = mini_config(times=(1.0, 2.5, 4.0, 5.0))
+        cfg["axes"][0]["values"] = [1, 6, 12]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        wide = tmp_path / "wide"
+        assert cli.main(["generate", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(wide)]) == 0
+        for name, truth in (("own", store_dir), ("wide", wide)):
+            assert cli.main(["online", "--model", str(model_dir), "--store", str(truth),
+                             "--out", str(tmp_path / name), "--at", "t=2.5,mu=6,beta=2",
+                             "--at", "t=1.5,mu=1,beta=4"]) == 0
+        own = (tmp_path / "own" / "errors.csv").read_bytes()
+        assert own == (tmp_path / "wide" / "errors.csv").read_bytes()
+        assert own.count(b"\n") == 2  # the header and the one training node
+
+
 class TestOffline:
     def test_model_round_trip(self, mini_run):
         *_, model_dir = mini_run
@@ -1101,6 +1159,17 @@ class TestOnline:
             np.testing.assert_allclose(one["profiles"][0], batch["profiles"][q], rtol=0, atol=1e-12)
         _, rows = store.read_csv(tmp_path / "batch" / "errors.csv")
         assert [row[:3] for row in rows] == [["2.5", "6.0", "2.0"]]
+
+    def test_points_off_every_node_give_a_header_only_errors_file(self, mini_run, tmp_path):
+        _, _, store_dir, model_dir = mini_run
+        path = tmp_path / "points.json"
+        points = [{"t": 1.5, "mu": 2, "beta": 3}, {"t": 2.5, "mu": 6, "beta": 3}]
+        path.write_text(json.dumps(points))
+        out = tmp_path / "out"
+        assert cli.main(["online", "--model", str(model_dir), "--store", str(store_dir),
+                         "--out", str(out), "--params-file", str(path)]) == 0
+        assert (out / "errors.csv").read_text() == "t,mu,beta,rel_l1_error\n"
+        assert np.load(out / "reconstructions.npz")["profiles"].shape == (2, 102)
 
 
 class TestTablesAndDiag:

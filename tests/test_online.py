@@ -69,28 +69,36 @@ class TestFit:
     def test_missing_node_rejected(self):
         params, raws, train, masses = make_training()
         dictionary, _, weights = greedy.run(train, params, n_max=2)
-        with pytest.raises(online.NotOnTensorGridError) as err:
+        with pytest.raises(ValueError) as err:
             online.fit(
                 dictionary, params[:-1], weights[:, :-1], masses[:-1], ("t", "y"), 200
             )
-        assert "missing" in str(err.value)
+        assert "not a full tensor grid" in str(err.value)
 
     def test_duplicate_node_rejected(self):
         params, raws, train, masses = make_training()
         dictionary, _, weights = greedy.run(train, params, n_max=2)
         bad = params.copy()
         bad[1] = bad[0]
-        with pytest.raises(online.NotOnTensorGridError):
+        with pytest.raises(ValueError):
             online.fit(dictionary, bad, weights, masses, ("t", "y"), 200)
 
-    def test_duplicate_node_message_prints_plain_floats(self):
-        params, raws, train, masses = make_training()
-        dictionary, _, weights = greedy.run(train, params, n_max=2)
-        bad = params.copy()
-        bad[3] = bad[2]
-        with pytest.raises(online.NotOnTensorGridError) as err:
-            online.fit(dictionary, bad, weights, masses, ("t", "y"), 200)
-        assert str(err.value) == "duplicate training node (1.0, 0.5)"
+    @pytest.mark.parametrize("layout", ["shuffled", "combo-major"])
+    def test_any_row_order_gives_the_same_tables(self, layout):
+        # make_training's rows are t-major; a store's are combo-major (t fastest)
+        params, _, train, masses = make_training()
+        dictionary, _, weights = greedy.run(train, params, n_max=3)
+        ref = online.fit(dictionary, params, weights, masses, ("t", "y"), n_raw=200)
+        if layout == "shuffled":
+            order = np.random.default_rng(5).permutation(params.shape[0])
+        else:
+            order = np.lexsort((params[:, 0], params[:, 1]))
+        model = online.fit(dictionary, params[order], weights[:, order], masses[order],
+                           ("t", "y"), n_raw=200)
+        for ax, ref_ax in zip(model.axes, ref.axes):
+            np.testing.assert_array_equal(ax, ref_ax)
+        np.testing.assert_array_equal(model.weight_table, ref.weight_table)
+        np.testing.assert_array_equal(model.mass_table, ref.mass_table)
 
 
 class TestEvaluateRaw:
