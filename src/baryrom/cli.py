@@ -283,7 +283,10 @@ def _table_cell(size: int | None):
     return UNREACHED if size is None else size
 
 
-def _pod_artifacts(st: store.SnapshotStore):
+def _pod_artifacts(st: store.SnapshotStore, store_dir: str):
+    # checked here, before pod loads scipy; pod.compute raises ValueError
+    if not st.values.any():
+        raise StoreError(f"POD needs a nonzero saturation; every snapshot in {store_dir} is zero")
     snaps = st.values.T  # (N, K)
     basis = pod.compute(snaps)
     errors = pod.relative_l1_errors(basis, snaps)
@@ -293,7 +296,7 @@ def _pod_artifacts(st: store.SnapshotStore):
 def cmd_pod(args) -> int:
     st = store.load_store(args.store)
     eps_list = _parse_eps(args.eps)
-    basis, errors = _pod_artifacts(st)
+    basis, errors = _pod_artifacts(st, args.store)
     out = store.make_dir(args.out)
     store.savez_atomic(
         out / "basis.npz", modes=basis.modes, singular_values=basis.singular_values
@@ -316,7 +319,7 @@ def cmd_tables(args) -> int:
     store.check_model_fits_store(store.load_model(args.model), st)
     report = store.load_report(args.model)
     eps_list = _parse_eps(args.eps)
-    _, pod_errors = _pod_artifacts(st)
+    _, pod_errors = _pod_artifacts(st, args.store)
     pod_means = pod_errors.mean(axis=1)
     rows = [
         (

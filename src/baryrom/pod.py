@@ -5,6 +5,14 @@ Snapshots enter as the columns of an N x K matrix, uncentered. Modes come
 from the symmetric eigen-decomposition of the K x K Gram (method of
 snapshots); a QR polish restores orthonormality that the Gram route loses
 for the small singular values.
+
+scipy is imported inside `compute` (`eigh`) and `relative_l1_errors`
+(`dger`), the only two places that use it, so that importing the package,
+and every command but `pod` and `tables`, loads no scipy: it is about half
+the start-up wall and half the resident memory of a CLI process. scipy
+stays the POD dependency because a numpy-only rank-1 error peel measured
+3.2-3.4x slower than `dger` on a 1002 x 225 store (140-150 ms against
+44 ms).
 """
 
 from __future__ import annotations
@@ -12,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import dger
 
 # relative cutoff below which Gram eigenvalues are numerical noise
 SIGMA_CUTOFF = 1e-7
@@ -34,6 +40,8 @@ class PodBasis:
 
 def compute(snapshots: np.ndarray) -> PodBasis:
     """Left singular basis of the raw snapshot matrix via the K x K Gram."""
+    from scipy.linalg import eigh
+
     snaps = np.asarray(snapshots, dtype=float)
     if snaps.ndim != 2 or snaps.shape[1] < 1:
         raise ValueError("need an N x K snapshot matrix with K >= 1")
@@ -72,6 +80,8 @@ def relative_l1_errors(basis: PodBasis, snapshots: np.ndarray) -> np.ndarray:
     updated in place by BLAS `dger`, and its column L1 norms are one
     matrix-vector product per rank. The input is never written.
     """
+    from scipy.linalg.blas import dger
+
     snaps = np.asarray(snapshots, dtype=float)
     modes = np.asfortranarray(basis.modes)  # contiguous columns for dger
     coeffs = modes.T @ snaps  # (r, K)

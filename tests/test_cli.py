@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1345,3 +1349,85 @@ class TestOutputPath:
             out = tmp_path / command
             assert cli.main(self.argv(command, mini_run, out)) == cli.EXIT_OK
             assert sorted(p.name for p in out.iterdir()) == names
+
+
+class TestZeroStore:
+    """A store with no nonzero saturation has no POD: `pod` and `tables`
+    exit 3 naming the store, before any output, not with a traceback."""
+
+    @pytest.fixture(scope="class")
+    def zero_run(self, tmp_path_factory):
+        cfg = mini_config()
+        cfg["boundary"]["s_inflow"] = 0.0
+        root = tmp_path_factory.mktemp("zero")
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        store_dir, model_dir = root / "store", root / "model"
+        assert cli.main(["generate", "--config", str(root / "cfg.json"),
+                         "--out", str(store_dir)]) == 0
+        assert not store.load_store(store_dir).values.any()
+        assert cli.main(["offline", "--store", str(store_dir), "--out", str(model_dir)]) == 0
+        return store_dir, model_dir
+
+    @pytest.mark.parametrize("command", ["pod", "tables"])
+    def test_exit_3_naming_the_store(self, zero_run, tmp_path, capsys, command):
+        store_dir, model_dir = zero_run
+        out = tmp_path / "out"
+        argv = [command, "--store", str(store_dir), "--out", str(out)]
+        if command == "tables":
+            argv += ["--model", str(model_dir)]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err == ("store error: POD needs a nonzero saturation; "
+                       f"every snapshot in {store_dir} is zero\n")
+        assert not out.exists()
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def scipy_loaded_after(commands) -> bool:
+    """Whether scipy is loaded in a fresh interpreter that imports
+    baryrom.cli and runs each argv of `commands` through `cli.main`. The
+    test process itself has scipy loaded, so only a new one can tell."""
+    script = (
+        "import json, sys\n"
+        "from baryrom import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+class TestScipyLoading:
+    """Only the POD commands load scipy; the package, the CLI and every
+    other command run without it."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert not scipy_loaded_after([])
+
+    def test_non_pod_commands_load_no_scipy(self, tmp_path):
+        cfg_path, store_dir, model_dir = tmp_path / "mini.json", tmp_path / "s", tmp_path / "m"
+        cfg_path.write_text(json.dumps(mini_config()))
+        commands = [
+            ["generate", "--config", str(cfg_path), "--out", str(store_dir)],
+            ["offline", "--store", str(store_dir), "--out", str(model_dir)],
+            ["online", "--model", str(model_dir), "--out", str(tmp_path / "on"),
+             "--at", "t=2.0,mu=3,beta=3"],
+            ["landscape", "--model", str(model_dir), "--store", str(store_dir),
+             "--out", str(tmp_path / "land"), "--target-index", "5", "--resolution", "11"],
+        ]
+        assert not scipy_loaded_after(commands)
+        assert (tmp_path / "land" / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pod", "tables"])
+    def test_pod_commands_load_scipy(self, mini_run, tmp_path, command):
+        _, _, store_dir, model_dir = mini_run
+        argv = [command, "--store", str(store_dir), "--out", str(tmp_path / "out")]
+        if command == "tables":
+            argv += ["--model", str(model_dir)]
+        assert scipy_loaded_after([argv])
