@@ -112,6 +112,7 @@ def cmd_offline(args) -> int:
     st = store.load_store(args.store)
     if st.count < 2:
         raise StoreError(f"offline needs at least 2 snapshots; {args.store} holds {st.count}")
+    _require_nonzero(st, args.store, "offline")
     cfg = _offline_config(st.config, args)
     store.make_dir(args.out)  # an unusable --out fails before the training
 
@@ -283,10 +284,17 @@ def _table_cell(size: int | None):
     return UNREACHED if size is None else size
 
 
-def _pod_artifacts(st: store.SnapshotStore, store_dir: str):
-    # checked here, before pod loads scipy; pod.compute raises ValueError
+def _require_nonzero(st: store.SnapshotStore, store_dir: str, stage: str) -> None:
+    """An all-zero store gives offline only identical uniform atoms and pod
+    no basis: refuse it before any output (and before pod loads scipy)."""
     if not st.values.any():
-        raise StoreError(f"POD needs a nonzero saturation; every snapshot in {store_dir} is zero")
+        raise StoreError(
+            f"{stage} needs a nonzero saturation; every snapshot in {store_dir} is zero"
+        )
+
+
+def _pod_artifacts(st: store.SnapshotStore, store_dir: str):
+    _require_nonzero(st, store_dir, "POD")
     snaps = st.values.T  # (N, K)
     basis = pod.compute(snaps)
     errors = pod.relative_l1_errors(basis, snaps)

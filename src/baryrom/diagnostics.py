@@ -20,10 +20,6 @@ import numpy as np
 BOUNDARY_TOL = 1e-12
 
 
-class OutsidePolygonError(ValueError):
-    pass
-
-
 def polygon_vertices(n: int) -> np.ndarray:
     """Vertices of the regular n-gon inscribed in the unit circle, counter
     clockwise, vertex 1 at angle 90 degrees."""
@@ -40,39 +36,6 @@ def _edge_areas(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
     d0 = x[:, None, 0] - verts[None, :, 0]
     d1 = x[:, None, 1] - verts[None, :, 1]
     return 0.5 * (e[None, :, 0] * d1 - e[None, :, 1] * d0)
-
-
-def wachspress_weights(x, n: int) -> np.ndarray:
-    """Wachspress barycentric weights of a point of the regular n-gon.
-
-    Interior points use the rational cross-ratio of adjacent triangle areas;
-    points on an edge take the linear limit between its two vertices.
-    Points outside the polygon raise OutsidePolygonError.
-    """
-    x = np.asarray(x, dtype=float)
-    verts = polygon_vertices(n)
-    areas = _edge_areas(verts, x[None, :])[0]  # A(v_i, v_{i+1}, x)
-    if np.any(areas < -BOUNDARY_TOL):
-        raise OutsidePolygonError(f"point {tuple(x)} lies outside the {n}-gon")
-    on_edge = np.flatnonzero(np.abs(areas) <= BOUNDARY_TOL)
-    if on_edge.size >= 2:
-        # two adjacent zero areas: x is the shared vertex
-        i, j = on_edge[0], on_edge[-1]
-        shared = j + 1 if (j + 1) % n == i else (i + 1) % n if (i + 1) % n == j else None
-        if shared is None:
-            raise OutsidePolygonError("degenerate boundary point")
-        w = np.zeros(n)
-        w[shared % n] = 1.0
-        return w
-    if on_edge.size == 1:
-        i = int(on_edge[0])
-        j = (i + 1) % n
-        lam = np.linalg.norm(x - verts[j]) / np.linalg.norm(verts[i] - verts[j])
-        w = np.zeros(n)
-        w[i] = lam
-        w[j] = 1.0 - lam
-        return w
-    return _interior_weights(verts, areas[None, :])[0]
 
 
 def _interior_weights(verts: np.ndarray, areas: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ Hanson (1974), run for all target columns at once:
   up to `tol`.
 
 Every step lowers the objective, so an atom never re-enters a support it
-left at the same objective value and the method terminates. `max_iter`
+left at the same objective value and the method terminates. `MAX_ITER`
 caps the number of active-set changes (atoms added plus atoms dropped); on
 the full bundled examples no solve needs more than 18.
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 50_000
+MAX_ITER = 50_000
 # an init column must be nonnegative and sum to 1 within this, far above the
 # rounding of the solver's own weights
 SIMPLEX_SUM_TOL = 1e-12
@@ -182,7 +182,6 @@ def solve_batch(
     targets: np.ndarray,
     init: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     init_objective: np.ndarray | None = None,
 ) -> BatchResult:
     """Solve the simplex least-squares problem for many targets at once.
@@ -197,7 +196,7 @@ def solve_batch(
     atom when init is None. An init column must lie on the simplex:
     nonnegative and summing to 1 within SIMPLEX_SUM_TOL (ValueError).
     A column converges when no gradient entry undercuts the support
-    multiplier by more than tol; a column that reaches max_iter active-set
+    multiplier by more than tol; a column that reaches MAX_ITER active-set
     changes, or whose entering atom brings no decrease at working precision,
     keeps its last iterate and reports converged=False. A column's weights,
     changes and KKT residual do not depend on the other columns of the batch.
@@ -208,8 +207,6 @@ def solve_batch(
         targets = targets[:, None]
     if not tol > 0.0:  # written so that NaN fails too
         raise ValueError("tol must be positive")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
     if atoms.ndim != 2:
         raise ValueError("atoms must be an M x n matrix")
     m, n = atoms.shape
@@ -270,7 +267,7 @@ def solve_batch(
         test = np.flatnonzero(~back)
         j, gap, res = _kkt_check(r, projected[rows[test]], w[test], support[test], m)
         ok = gap <= tol
-        stop = ok | (j == entering[test]) | (changes[test] >= max_iter)
+        stop = ok | (j == entering[test]) | (changes[test] >= MAX_ITER)
         grow = test[~stop]
         support[grow, j[~stop]] = True
         entering[grow] = j[~stop]

@@ -168,24 +168,33 @@ def test_criterion_6_property_suite():
         net = audit.cumulative_influx[0] - audit.cumulative_outflux[0]
         assert audit.pore_mass[0] == pytest.approx(net, rel=1e-8)
 
-    # Wachspress partition of unity and linear precision at 1e-10
-    for n in (3, 4, 6, 8):
-        verts = dg.polygon_vertices(n)
-        for _ in range(50):
-            lam = rng.dirichlet(np.ones(n) * 2.0)
-            x = lam @ verts
-            try:
-                w = dg.wachspress_weights(x, n)
-            except dg.OutsidePolygonError:
-                continue
-            assert abs(w.sum() - 1.0) <= 1e-10
-            assert np.abs(w @ verts - x).max() <= 1e-10
-
     # POD reconstruction error monotone in the mode count
     snaps = rng.random((70, 20))
     basis = pod.compute(snaps)
     errs = pod.relative_l1_errors(basis, snaps)
     assert np.all(np.diff(errs.mean(axis=1)) <= 1e-12)
+
+    # Wachspress map of the landscape pixels: partition of unity and linear
+    # precision at 1e-10, uniform weights at the centre, and the area
+    # coordinates on the triangle
+    for n in range(3, 10):
+        verts = dg.polygon_vertices(n)
+        atoms = np.stack(
+            [tr.snapshot_to_icdf(np.where(cells <= w, 1.0 / w, 0.0))
+             for w in np.linspace(0.1, 0.9, n)],
+            axis=1,
+        )
+        grid = dg.energy_landscape(atoms, atoms[:, 0], resolution=101)
+        w = grid.weights
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
+        assert np.abs(w @ verts - grid.xy).max() <= 1e-10
+        centre = np.all(grid.pixel == 50, axis=1)
+        assert centre.sum() == 1 and np.abs(w[centre] - 1.0 / n).max() <= 1e-12
+        if n == 3:
+            # on a triangle the area coordinates are the affine ones
+            lift = lambda pts: np.vstack([pts.T, np.ones(len(pts))])
+            want = np.linalg.solve(lift(verts), lift(grid.xy)).T
+            assert np.abs(w - want).max() <= 1e-12
     _announce(6, "projection/QP/barycenter/W2/flow/Wachspress/POD properties hold")
 
 

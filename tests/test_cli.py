@@ -1352,34 +1352,36 @@ class TestOutputPath:
 
 
 class TestZeroStore:
-    """A store with no nonzero saturation has no POD: `pod` and `tables`
-    exit 3 naming the store, before any output, not with a traceback."""
+    """A store with no nonzero saturation trains only identical uniform
+    atoms and has no POD: `offline`, `pod` and `tables` exit 3 naming the
+    store, before any output, not with a traceback."""
 
     @pytest.fixture(scope="class")
-    def zero_run(self, tmp_path_factory):
+    def zero_store(self, tmp_path_factory):
         cfg = mini_config()
         cfg["boundary"]["s_inflow"] = 0.0
         root = tmp_path_factory.mktemp("zero")
         (root / "cfg.json").write_text(json.dumps(cfg))
-        store_dir, model_dir = root / "store", root / "model"
+        store_dir = root / "store"
         assert cli.main(["generate", "--config", str(root / "cfg.json"),
                          "--out", str(store_dir)]) == 0
         assert not store.load_store(store_dir).values.any()
-        assert cli.main(["offline", "--store", str(store_dir), "--out", str(model_dir)]) == 0
-        return store_dir, model_dir
+        return store_dir
 
-    @pytest.mark.parametrize("command", ["pod", "tables"])
-    def test_exit_3_naming_the_store(self, zero_run, tmp_path, capsys, command):
-        store_dir, model_dir = zero_run
+    @pytest.mark.parametrize("command", ["offline", "pod", "tables"])
+    def test_exit_3_naming_the_store(self, zero_store, mini_run, tmp_path, capsys, command):
         out = tmp_path / "out"
-        argv = [command, "--store", str(store_dir), "--out", str(out)]
+        argv = [command, "--store", str(zero_store), "--out", str(out)]
         if command == "tables":
-            argv += ["--model", str(model_dir)]
+            # the mini model has the zero store's grid and sweep
+            argv += ["--model", str(mini_run[3])]
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_STORE
-        err = capsys.readouterr().err
-        assert err == ("store error: POD needs a nonzero saturation; "
-                       f"every snapshot in {store_dir} is zero\n")
+        stage = "offline" if command == "offline" else "POD"
+        assert capsys.readouterr().err == (
+            f"store error: {stage} needs a nonzero saturation; "
+            f"every snapshot in {zero_store} is zero\n"
+        )
         assert not out.exists()
 
 

@@ -16,52 +16,54 @@ def triangle_barycentric(verts, x):
     return np.array([area(x, b, c) / total, area(a, x, c) / total, area(a, b, x) / total])
 
 
+def edge_areas(verts, xy):
+    """Signed area of triangle (v_i, v_{i+1}, x) per point and edge, (P, n)."""
+    e = np.roll(verts, -1, axis=0) - verts
+    d = xy[:, None, :] - verts[None, :, :]
+    return 0.5 * (e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0])
+
+
+def polygon_landscape(n, resolution=101):
+    """The landscape of n block atoms: its xy and weights are the
+    Wachspress map of the raster, whatever the atoms."""
+    atoms = synthetic_atoms(np.linspace(0.1, 0.9, n))
+    return dg.energy_landscape(atoms, atoms[:, 0], resolution=resolution)
+
+
 class TestWachspress:
+    """The Wachspress map as energy_landscape applies it to its pixels."""
+
     def test_centroid_uniform(self):
-        for n in (3, 4, 5, 8):
-            np.testing.assert_allclose(
-                dg.wachspress_weights([0.0, 0.0], n), np.full(n, 1.0 / n), atol=1e-12
-            )
-
-    def test_edge_midpoint_square(self):
-        v = dg.polygon_vertices(4)
-        mid = 0.5 * (v[0] + v[1])
-        np.testing.assert_allclose(
-            dg.wachspress_weights(mid, 4), [0.5, 0.5, 0.0, 0.0], atol=1e-12
-        )
-
-    def test_vertex_is_unit_weight(self):
-        v = dg.polygon_vertices(5)
-        w = dg.wachspress_weights(v[2], 5)
-        np.testing.assert_allclose(w, np.eye(5)[2], atol=1e-12)
+        for n in range(3, 10):
+            grid = polygon_landscape(n)
+            centre = np.flatnonzero(np.all(grid.pixel == grid.resolution // 2, axis=1))
+            assert centre.size == 1
+            np.testing.assert_allclose(grid.xy[centre[0]], 0.0, atol=1e-15)
+            np.testing.assert_allclose(grid.weights[centre[0]], np.full(n, 1.0 / n), atol=1e-12)
 
     def test_matches_triangle_barycentric(self):
+        grid = polygon_landscape(3)
         verts = dg.polygon_vertices(3)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            lam = rng.dirichlet([2.0, 2.0, 2.0])
-            x = lam @ verts
-            got = dg.wachspress_weights(x, 3)
-            want = triangle_barycentric(verts, x)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        want = np.array([triangle_barycentric(verts, x) for x in grid.xy])
+        np.testing.assert_allclose(grid.weights, want, atol=1e-12)
 
     def test_partition_of_unity_and_linear_precision(self):
-        rng = np.random.default_rng(5)
-        for n in (3, 4, 6, 9):
-            verts = dg.polygon_vertices(n)
-            for _ in range(40):
-                lam = rng.dirichlet(np.ones(n) * 3.0)
-                x = lam @ verts
-                try:
-                    w = dg.wachspress_weights(x, n)
-                except dg.OutsidePolygonError:
-                    continue  # convex combination can land on the boundary
-                assert w.sum() == pytest.approx(1.0, abs=1e-10)
-                np.testing.assert_allclose(w @ verts, x, atol=1e-10)
+        for n in range(3, 10):
+            grid = polygon_landscape(n)
+            assert grid.xy.shape[0] > 0
+            np.testing.assert_allclose(grid.weights.sum(axis=1), 1.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(grid.weights @ dg.polygon_vertices(n), grid.xy,
+                                       rtol=0, atol=1e-10)
 
-    def test_outside_raises(self):
-        with pytest.raises(dg.OutsidePolygonError):
-            dg.wachspress_weights([2.0, 0.0], 5)
+    @pytest.mark.parametrize("resolution", [2, 3, 200, 201])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_listed_pixel_is_strictly_inside(self, n, resolution):
+        # the landscape maps interior points only, so the Wachspress map
+        # needs no edge, vertex or outside case
+        grid = polygon_landscape(n, resolution)
+        areas = edge_areas(dg.polygon_vertices(n), grid.xy)
+        assert np.all(areas > dg.BOUNDARY_TOL)
+        assert np.all(grid.weights > 0.0)
 
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):

@@ -202,15 +202,13 @@ class TestRun:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda t, p: simplexqp.solve_batch(t[:, :2], t, tol=np.nan),
                      id="qp-tol-nan"),
-        pytest.param(lambda t, p: simplexqp.solve_batch(t[:, :2], t, max_iter=0),
-                     id="qp-max-iter-0"),
         pytest.param(lambda t, p: greedy.run(t, p, tol=np.nan), id="greedy-tol-nan"),
         pytest.param(lambda t, p: greedy.run(t, p, eps_abs=np.nan), id="greedy-eps-abs-nan"),
     ])
     def test_nan_or_zero_solver_setting_raises(self, call):
         # a NaN fails every comparison, so a check written as `x < bound`
-        # lets it through; a NaN tol or a zero cap leaves every solve
-        # unconverged without an error
+        # lets it through; a NaN tol leaves every solve unconverged without
+        # an error
         train, params = block_family([0.1, 0.5, 0.9])
         with pytest.raises(ValueError):
             call(train, params)

@@ -184,11 +184,12 @@ class TestSolve:
             target = tr.snapshot_to_icdf(rng.random(98))[:, None]
             assert_kkt(atoms, target, sq.solve_batch(atoms, target, tol=1e-10))
 
-    def test_nonconvergence_reported_not_raised(self):
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
         rng = np.random.default_rng(61)
         atoms = random_icdf_atoms(rng, 100, 3)
         target = tr.snapshot_to_icdf(rng.random(98))
-        res = sq.solve_batch(atoms, target, max_iter=2)
+        monkeypatch.setattr(sq, "MAX_ITER", 2)
+        res = sq.solve_batch(atoms, target)
         assert res.converged.shape == (1,) and res.converged.dtype == bool
 
     def test_warm_start_reaches_cold_optimum(self):
@@ -314,11 +315,11 @@ class TestSolve:
         np.testing.assert_allclose(res.objective, want, rtol=0, atol=1e-10)
         assert_kkt(atoms, targets, res)
 
-    def test_lockstep_columns_match_solo_solves(self):
+    def test_lockstep_columns_match_solo_solves(self, monkeypatch):
         # one batch whose columns end in every way, on supports of several
         # sizes over a dictionary with a duplicate atom: targets on an edge
         # of the simplex leave only rounding-level gradient gaps, so at a tiny
-        # tol some entering atoms bring no decrease, and max_iter caps others
+        # tol some entering atoms bring no decrease, and MAX_ITER caps others
         rng = np.random.default_rng(2)
         base = random_icdf_atoms(rng, 80, 4)
         atoms = np.column_stack([base, base[:, [1]]])
@@ -326,13 +327,14 @@ class TestSolve:
         edge = base[:, :2] @ rng.dirichlet(np.ones(2), 24).T
         targets = np.column_stack([free, edge])
         tol, cap = 1e-25, 3
-        res = sq.solve_batch(atoms, targets, tol=tol, max_iter=cap)
+        monkeypatch.setattr(sq, "MAX_ITER", cap)
+        res = sq.solve_batch(atoms, targets, tol=tol)
         capped = ~res.converged & (res.iterations >= cap)
         no_gain = ~res.converged & (res.iterations < cap)
         assert res.converged.any() and capped.any() and no_gain.any()
         assert np.unique(np.count_nonzero(res.weights, axis=0)).size >= 3
         for t in range(targets.shape[1]):
-            solo = sq.solve_batch(atoms, targets[:, t], tol=tol, max_iter=cap)
+            solo = sq.solve_batch(atoms, targets[:, t], tol=tol)
             np.testing.assert_allclose(solo.weights[:, 0], res.weights[:, t], rtol=0, atol=1e-12)
             assert solo.iterations[0] == res.iterations[t]
             assert solo.converged[0] == res.converged[t]
