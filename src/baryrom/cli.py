@@ -48,7 +48,7 @@ def cmd_generate(args) -> int:
     out = store.init_store_dir(args.out, manifest, force=args.force)
     print(f"{cfg.name}: {len(combos)} simulations x {len(times)} snapshot times")
     start = time.perf_counter()
-    results = flow.simulate_batch(
+    res = flow.simulate_batch(
         cfg.grid,
         [cfg.rock_at(combo) for combo in combos],
         [cfg.fluids_at(combo) for combo in combos],
@@ -57,36 +57,33 @@ def cmd_generate(args) -> int:
         safety=cfg.cfl_safety,
     )
     wall = time.perf_counter() - start
-    failures = [(combo, res) for combo, res in zip(combos, results)
-                if isinstance(res, flow.FlowError)]
+    failures = [(combo, err) for combo, err in zip(combos, res.errors) if err is not None]
     if failures:
         for combo, err in failures:
             print(f"FAILED {combo}: {err}", file=sys.stderr)
         print(f"{len(failures)} simulations failed; no snapshots written", file=sys.stderr)
         return EXIT_COMPUTE
-    steps = np.array([res.steps for res in results])
     # the rows step in lockstep, so the wall time goes with the largest count
-    row_steps, lockstep = int(steps.sum()), int(steps.max())
+    row_steps, lockstep = int(res.steps.sum()), int(res.steps.max())
     if row_steps:
         print(
             f"flow batch: {wall:.2f} s for {len(combos)} simulations, {row_steps} row-steps, "
             f"{wall / row_steps * 1e6:.1f} us per row-step, {lockstep} lockstep steps, "
             f"{wall / lockstep * 1e6:.1f} us per lockstep step"
         )
-    mass_residual = np.array([res.mass_residual for res in results])
     store.save_store(
         out, manifest,
         params=store.sweep_params(cfg.raw),
-        values=np.concatenate([res.values for res in results]),
-        masses=np.concatenate([res.masses for res in results]),
-        steps=steps,
-        min_dt_s=np.array([res.min_dt_s for res in results]),
-        mass_residual=mass_residual,
+        values=res.values.reshape(-1, cfg.grid.n_cells),
+        masses=res.masses.reshape(-1),
+        steps=res.steps,
+        min_dt_s=res.min_dt_s,
+        mass_residual=res.mass_residual,
     )
     print(
         f"store complete: {len(combos) * len(times)} snapshots in {out}; at most "
-        f"{steps.max()} IMPES steps per simulation, worst mass-balance "
-        f"residual {mass_residual.max():.2e} of the pore volume"
+        f"{lockstep} IMPES steps per simulation, worst mass-balance "
+        f"residual {res.mass_residual.max():.2e} of the pore volume"
     )
     return EXIT_OK
 
@@ -269,13 +266,13 @@ def cmd_online(args) -> int:
 
 
 def _parse_eps(text: str | None):
-    if not text:
+    if text is None:
         return DEFAULT_EPS
     try:
         eps = tuple(float(part) for part in text.split(","))
     except ValueError as err:
         raise ConfigError(f"cannot parse epsilon list {text!r}") from err
-    if not eps or not all(np.isfinite(e) and e > 0 for e in eps):
+    if not all(np.isfinite(e) and e > 0 for e in eps):
         raise ConfigError("epsilon list must hold positive finite numbers")
     return eps
 

@@ -9,9 +9,12 @@ faces act as resistors in series and the pressure solve is closed-form:
 q = (p_left - p_right) / sum_i resist_i / lambda_t(upwind s_i).
 
 `simulate_batch` advances all simulations of a sweep in lockstep as one
-(C, N) saturation array. Each row keeps its own CFL step, snapshot clock
-and boundary-flux audit, and a row that fails stops alone;
-`run_simulation` is its one-row call. The step writes into buffers
+(C, N) saturation array and returns one `SweepResult`: the (C, T, N)
+snapshots and (C, T, 2) boundary fluxes it fills as the rows run, and
+per row the step count, smallest CFL step and mass-balance residual.
+Each row keeps its own CFL step and snapshot clock, and a row that fails
+stops alone, its FlowError in the record; `run_simulation` is the
+record's one-row view, which raises that error. The step writes into buffers
 allocated once per batch, and the rows are sorted by the exponent beta, so
 that a small integer exponent is a few multiplications over one group. The
 domain is in km, as the snapshots report it; Darcy computations are in SI.
@@ -244,27 +247,20 @@ def _padded(rows, bc: BoundaryConditions, fill: float) -> np.ndarray:
 
 
 @dataclass
-class BalanceAudit:
-    """Cumulative boundary wetting fluxes [m] and pore mass [m] per snapshot.
+class SweepResult:
+    """The snapshots of a sweep's C simulations and what each run took.
 
-    The fluxes are signed along +x through the left and the right face.
+    A row that failed has its FlowError in `errors`, None for a row that
+    ran, and NaN where it took no snapshot.
     """
 
-    cumulative_influx: list[float]
-    cumulative_outflux: list[float]
-    pore_mass: list[float]
-
-
-@dataclass
-class SimulationResult:
-    """Snapshots of one simulation and what its run took."""
-
-    values: np.ndarray  # (T, N) saturation per snapshot time
-    masses: np.ndarray  # (T,) saturation integral [km]
-    audit: BalanceAudit
-    steps: int
-    min_dt_s: float  # smallest CFL step bound [s]; inf without steps
-    mass_residual: float  # max |pore mass change - net influx| / pore volume
+    values: np.ndarray  # (C, T, N) saturation per snapshot time
+    masses: np.ndarray  # (C, T) saturation integral [km]
+    fluxes: np.ndarray  # (C, T, 2) cumulative wetting flux [m], left and right face, along +x
+    steps: np.ndarray  # (C,) IMPES steps
+    min_dt_s: np.ndarray  # (C,) smallest CFL step bound [s]; inf without steps
+    mass_residual: np.ndarray  # (C,) max |pore mass change - net influx| / pore volume
+    errors: list  # (C,) None, or the FlowError that stopped the row
 
 
 class _Rows:
@@ -303,13 +299,13 @@ def simulate_batch(
     bc: BoundaryConditions,
     snapshot_times_yr,
     safety: float = DEFAULT_CFL_SAFETY,
-) -> list:
+) -> SweepResult:
     """IMPES runs of the simulations (rocks[c], fluids[c]) in lockstep, with
     snapshots at the given times (years).
 
     Each row takes its own CFL steps, truncated to land exactly on each
-    snapshot instant. Returns one entry per row: a SimulationResult, or the
-    FlowError that stopped that row while the others ran on.
+    snapshot instant. A row that fails records its FlowError and stops,
+    while the others run on.
     """
     times = [float(t) for t in snapshot_times_yr]
     if not np.all(np.isfinite(times)) or times != sorted(times) or (times and times[0] < 0.0):
@@ -325,10 +321,12 @@ def simulate_batch(
     slack = np.append(1e-9 * np.maximum(targets[:-1], 1.0), 0.0)
     phi_dx = np.array([rock.porosity for rock in rocks]).reshape(n_rows, n) * grid.dx_m
     dp = bc.p_left - bc.p_right
-    values = np.empty((n_rows, n_times, n))
-    fluxes = np.empty((n_rows, n_times, 2))  # cumulative wetting flux, left and right face
-    results: list = [None] * n_rows
-    steps = 0
+    values = np.full((n_rows, n_times, n), np.nan)
+    fluxes = np.full((n_rows, n_times, 2), np.nan)
+    steps = np.zeros(n_rows, dtype=int)
+    min_dt = np.full(n_rows, np.nan)
+    errors: list = [None] * n_rows
+    taken = 0  # lockstep steps
 
     def fail(a: int, err: FlowError) -> None:
         wrapped = FlowError(
@@ -336,7 +334,7 @@ def simulate_batch(
             f"(target snapshot {times[st.k[a]]} yr): {err}"
         )
         wrapped.__cause__ = err
-        results[st.index[a]] = wrapped
+        errors[st.index[a]] = wrapped
 
     def land(a: int) -> None:  # row a takes its target snapshot and any within slack
         c, k = st.index[a], st.k[a]
@@ -349,15 +347,8 @@ def simulate_batch(
         st.k[a], st.reach[a] = k, targets[k] - slack[k]
 
     def retire(done) -> None:
-        for a in np.flatnonzero(done):
-            c = st.index[a]
-            pore = np.sum(phi_dx[c] * values[c], axis=1)
-            gap = pore - phi_dx[c].sum() * bc.s_initial - (fluxes[c, :, 0] - fluxes[c, :, 1])
-            audit = BalanceAudit(fluxes[c, :, 0].tolist(), fluxes[c, :, 1].tolist(), pore.tolist())
-            results[c] = SimulationResult(
-                values[c], values[c].sum(axis=1) * grid.dx, audit, steps, float(st.min_dt[a]),
-                float(np.max(np.abs(gap), initial=0.0) / phi_dx[c].sum()),
-            )
+        steps[st.index[done]] = taken
+        min_dt[st.index[done]] = st.min_dt[done]
         st.keep(~done)
 
     order = np.argsort([fl.beta for fl in fluids], kind="stable")
@@ -448,15 +439,22 @@ def simulate_batch(
         st.t += dt if landing else cfl
         st.flux_sum += f[:, ::n] * (st.qdt * scale if landing else st.qdt)
         np.minimum(st.min_dt, cfl, out=st.min_dt)
-        steps += 1
-        if landing:  # a failed row lands too, and is dropped with its snapshots
+        taken += 1
+        if landing:  # a failed row lands too, before it is dropped
             for a in np.flatnonzero(room <= 0.0):
                 land(a)
         if failed:
             st.keep(~bad)
         if landing:
             retire(st.k == n_times)
-    return results
+    # mass balance: pore mass change minus net boundary influx
+    pore_volume = phi_dx.sum(axis=1)
+    gap = (np.sum(phi_dx[:, None] * values, axis=2) - pore_volume[:, None] * bc.s_initial
+           - (fluxes[..., 0] - fluxes[..., 1]))
+    return SweepResult(
+        values, values.sum(axis=2) * grid.dx, fluxes, steps, min_dt,
+        np.max(np.abs(gap), axis=1, initial=0.0) / pore_volume, errors,
+    )
 
 
 def run_simulation(
@@ -466,22 +464,13 @@ def run_simulation(
     bc: BoundaryConditions,
     snapshot_times_yr,
     safety: float = DEFAULT_CFL_SAFETY,
-    return_audit: bool = False,
-):
-    """IMPES loop producing one Snapshot per requested time (years).
-
-    Steps are truncated to land exactly on each snapshot instant. The
-    parameter point of a snapshot is (t_yr,). With return_audit=True a
-    BalanceAudit is attached for conservation checks.
-    """
+) -> list[Snapshot]:
+    """One Snapshot per requested time (years): row 0 of a one-row
+    `simulate_batch`, whose FlowError it raises. The parameter point of a
+    snapshot is (t_yr,)."""
     times = [float(t) for t in snapshot_times_yr]
-    outcome = simulate_batch(grid, [rock], [fluids], bc, times, safety)[0]
-    if isinstance(outcome, FlowError):
-        raise outcome
-    snapshots = [
-        Snapshot(z=(t_yr,), values=v, mass=float(m))
-        for t_yr, v, m in zip(times, outcome.values, outcome.masses)
-    ]
-    if return_audit:
-        return snapshots, outcome.audit
-    return snapshots
+    res = simulate_batch(grid, [rock], [fluids], bc, times, safety)
+    if res.errors[0] is not None:
+        raise res.errors[0]
+    return [Snapshot(z=(t_yr,), values=v, mass=float(m))
+            for t_yr, v, m in zip(times, res.values[0], res.masses[0])]

@@ -361,6 +361,8 @@ def load_model(directory) -> ReducedModel:
         x_min, x_max = float(meta["x_min_km"]), float(meta["x_max_km"])
     except (KeyError, TypeError, ValueError) as err:
         raise StoreError(f"{meta_path} lacks a valid field: {err}") from err
+    if n_atoms < 2:
+        raise StoreError(f"{meta_path} holds {n_atoms} atoms; a model needs at least 2")
     axis_keys = tuple(f"axis_{i}" for i in range(len(axis_names)))
     data = _read_npz(directory / MODEL_ARRAYS_NAME, MODEL_ARRAYS + axis_keys)
     axes = tuple(data[key] for key in axis_keys)

@@ -160,13 +160,12 @@ def test_criterion_6_property_suite():
                                   float(rng.uniform(1.0, 6.0)))
         bc = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
         t_end = float(rng.uniform(0.2, 2.5))
-        snaps, audit = flow.run_simulation(
-            grid, rock, fluids, bc, [t_end], return_audit=True
-        )
-        s = snaps[0].values
+        res = flow.simulate_batch(grid, [rock], [fluids], bc, [t_end])
+        s = res.values[0, 0]
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
-        net = audit.cumulative_influx[0] - audit.cumulative_outflux[0]
-        assert audit.pore_mass[0] == pytest.approx(net, rel=1e-8)
+        net = res.fluxes[0, 0, 0] - res.fluxes[0, 0, 1]
+        pore_mass = np.sum(rock.porosity * grid.dx_m * s)
+        assert pore_mass == pytest.approx(net, rel=1e-8)
 
     # POD reconstruction error monotone in the mode count
     snaps = rng.random((70, 20))

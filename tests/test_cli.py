@@ -245,6 +245,22 @@ class TestGenerate:
         assert np.all((st.min_dt_s > 0) & np.isfinite(st.min_dt_s))
         assert np.all(st.mass_residual < 1e-12)
 
+    def test_store_is_the_sweep_record(self, mini_run):
+        # the store's arrays are simulate_batch's record, reshaped, bit for bit
+        _, cfg_path, store_dir, _ = mini_run
+        cfg = config.load_config(cfg_path)
+        combos = cfg.combos()
+        res = flow.simulate_batch(
+            cfg.grid, [cfg.rock_at(c) for c in combos], [cfg.fluids_at(c) for c in combos],
+            cfg.boundary, cfg.snapshot_times_yr, safety=cfg.cfl_safety,
+        )
+        assert res.errors == [None] * len(combos)
+        with np.load(store_dir / store.SNAPSHOTS_NAME) as data:
+            np.testing.assert_array_equal(data["values"], res.values.reshape(-1, 102))
+            np.testing.assert_array_equal(data["masses"], res.masses.reshape(-1))
+            for name in ("steps", "min_dt_s", "mass_residual"):
+                np.testing.assert_array_equal(data[name], getattr(res, name), err_msg=name)
+
     def test_deterministic_rerun(self, mini_run, tmp_path):
         _, cfg_path, store_dir, _ = mini_run
         again = tmp_path / "store2"
@@ -461,6 +477,25 @@ class TestModelValidation:
     def test_valid_copy_loads(self, copy):
         assert store.load_model(copy).n_atoms == 5
         assert len(store.load_report(copy).n) == 4
+
+    def test_too_few_atoms(self, copy, tmp_path, capsys):
+        # a model of no atoms, consistent in every array, is still refused
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        for name in ("atoms", "weight_table"):
+            arrays[name] = arrays[name][..., :0]
+        for name in ("atom_params", "atom_indices"):
+            arrays[name] = arrays[name][:0]
+        np.savez(path, **arrays)
+        self._edit_meta(copy, n_atoms=0)
+        with pytest.raises(store.StoreError, match="0 atoms"):
+            store.load_model(copy)
+        out = tmp_path / "o"
+        argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=0.3,mu=2,beta=2.5"]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert "0 atoms" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_npz(self, copy):
         (copy / store.MODEL_ARRAYS_NAME).unlink()
@@ -1203,7 +1238,7 @@ class TestTablesAndDiag:
         assert len(rows) == 2
 
     @pytest.mark.parametrize(
-        "command, eps", [("pod", "nan"), ("tables", "inf"), ("pod", "0.1,-inf")]
+        "command, eps", [("pod", "nan"), ("tables", "inf"), ("pod", "0.1,-inf"), ("pod", "")]
     )
     def test_non_finite_eps_rejected(self, mini_run, tmp_path, command, eps):
         _, _, store_dir, model_dir = mini_run

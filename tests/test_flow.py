@@ -122,11 +122,10 @@ class TestMobility:
 
 
 def uniform_run(rock, grid, fluids, bc, times, safety=0.9):
-    """One simulate_batch row started at s_inflow = s_initial, where the
-    saturation never changes and the total flux q is constant."""
+    """A one-row simulate_batch record started at s_inflow = s_initial,
+    where the saturation never changes and the total flux q is constant."""
     assert bc.s_inflow == bc.s_initial
-    (res,) = flow.simulate_batch(grid, [rock], [fluids], bc, times, safety)
-    return res
+    return flow.simulate_batch(grid, [rock], [fluids], bc, times, safety)
 
 
 def resistor_chain_flux(rock, grid, fluids, bc):
@@ -167,7 +166,7 @@ class TestPressure:
         lam_t = 0.3**2 / 0.003 + 0.7**2 / 0.03
         q = 1e-13 * lam_t * (bc.p_left - bc.p_right) / (grid.x_max * flow.METERS_PER_KM)
         want = q * f_w(0.3, fluids) * 0.5 * flow.SECONDS_PER_YEAR
-        assert res.audit.cumulative_influx[0] == pytest.approx(want, rel=1e-12)
+        assert res.fluxes[0, 0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_two_block_resistor_chain(self):
         # uniform saturation: every face carries q f_w(0.4), so the influx
@@ -177,8 +176,8 @@ class TestPressure:
         res = uniform_run(rock, grid, fluids, bc, times)
         q = resistor_chain_flux(rock, grid, fluids, bc)
         want = q * f_w(0.4, fluids) * np.array(times) * flow.SECONDS_PER_YEAR
-        np.testing.assert_allclose(res.audit.cumulative_influx, want, rtol=1e-12)
-        np.testing.assert_allclose(res.audit.cumulative_outflux, want, rtol=1e-12)
+        np.testing.assert_allclose(res.fluxes[0, :, 0], want, rtol=1e-12)
+        np.testing.assert_allclose(res.fluxes[0, :, 1], want, rtol=1e-12)
         np.testing.assert_array_equal(res.values, 0.4)
 
 
@@ -187,15 +186,15 @@ class TestCfl:
         grid, rock, fluids, bc = two_block_setup(80)
         doubled = flow.BoundaryConditions(
             bc.p_right + 2 * (bc.p_left - bc.p_right), bc.p_right, 0.4, 0.4)
-        dt1 = uniform_run(rock, grid, fluids, bc, [0.5]).min_dt_s
-        dt2 = uniform_run(rock, grid, fluids, doubled, [0.5]).min_dt_s
+        dt1 = uniform_run(rock, grid, fluids, bc, [0.5]).min_dt_s[0]
+        dt2 = uniform_run(rock, grid, fluids, doubled, [0.5]).min_dt_s[0]
         assert dt2 == pytest.approx(dt1 / 2, rel=1e-12)
 
     def test_matches_per_cell_brute_force(self):
         grid, rock, fluids, bc = two_block_setup()
         res = uniform_run(rock, grid, fluids, bc, [0.5, 1.0])
         q = resistor_chain_flux(rock, grid, fluids, bc)
-        assert res.min_dt_s == pytest.approx(cfl_bound(rock, grid, fluids, q), rel=1e-12)
+        assert res.min_dt_s[0] == pytest.approx(cfl_bound(rock, grid, fluids, q), rel=1e-12)
 
     def test_safety_range(self):
         grid, rock, fluids, bc = example1_setup(50)
@@ -215,10 +214,10 @@ class TestAdvance:
         bc = flow.BoundaryConditions(4e7, 2e7, 1.0, 0.0)
         q = (bc.p_left - bc.p_right) * 1e-13 / 0.003 / (grid.x_max * flow.METERS_PER_KM)
         t_yr = 30 * cfl_bound(rock, grid, fluids, q, safety=1.0) / flow.SECONDS_PER_YEAR
-        (res,) = flow.simulate_batch(grid, [rock], [fluids], bc, [t_yr], safety=1.0)
-        assert res.steps == 30
+        res = flow.simulate_batch(grid, [rock], [fluids], bc, [t_yr], safety=1.0)
+        assert res.steps[0] == 30
         expected = np.where(np.arange(n) < 30, 1.0, 0.0)
-        np.testing.assert_allclose(res.values[0], expected, atol=1e-12)
+        np.testing.assert_allclose(res.values[0, 0], expected, atol=1e-12)
 
     def test_riemann_front_against_refined_run(self):
         # shock position of the coarse run within 2 dx of a 16x refined run
@@ -258,14 +257,13 @@ class TestRunSimulation:
     def test_mass_balance_audit(self):
         grid, rock, fluids, bc = example1_setup(200, mu=1.0, beta=2.0)
         times = [0.5, 1.0, 1.5, 2.0]
-        snaps, audit = flow.run_simulation(
-            grid, rock, fluids, bc, times, return_audit=True
-        )
-        masses = [sn.mass for sn in snaps]
+        res = flow.simulate_batch(grid, [rock], [fluids], bc, times)
+        masses = res.masses[0]
         assert all(m2 >= m1 - 1e-14 for m1, m2 in zip(masses, masses[1:]))
+        pore_mass = np.sum(rock.porosity * grid.dx_m * res.values[0], axis=1)
         for k in range(len(times)):
-            net = audit.cumulative_influx[k] - audit.cumulative_outflux[k]
-            assert audit.pore_mass[k] == pytest.approx(net, rel=1e-8)
+            net = res.fluxes[0, k, 0] - res.fluxes[0, k, 1]
+            assert pore_mass[k] == pytest.approx(net, rel=1e-8)
 
     def test_maximum_principle_random_parameters(self):
         rng = np.random.default_rng(101)
@@ -341,18 +339,15 @@ class TestBatch:
         ]
         times = [0.0, 0.4, 1.0, 1.0, 2.5]
         batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
-        assert len({res.steps for res in batch}) == len(rocks)
-        for rock, fl, res in zip(rocks, fluids, batch):
-            snaps, audit = flow.run_simulation(grid, rock, fl, bc, times, return_audit=True)
-            single = np.array([snap.values for snap in snaps])
-            np.testing.assert_allclose(res.values, single, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(res.masses, [snap.mass for snap in snaps], rtol=1e-14)
-            np.testing.assert_allclose(
-                res.audit.cumulative_influx, audit.cumulative_influx, rtol=1e-14
-            )
-            np.testing.assert_array_equal(res.values[2], res.values[3])
-            assert res.mass_residual < 1e-12
-            assert 0.0 < res.min_dt_s < np.inf
+        assert len(set(batch.steps.tolist())) == len(rocks)
+        for c, (rock, fl) in enumerate(zip(rocks, fluids)):
+            single = flow.simulate_batch(grid, [rock], [fl], bc, times)
+            np.testing.assert_allclose(batch.values[c], single.values[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(batch.masses[c], single.masses[0], rtol=1e-14)
+            np.testing.assert_allclose(batch.fluxes[c, :, 0], single.fluxes[0, :, 0], rtol=1e-14)
+            np.testing.assert_array_equal(batch.values[c, 2], batch.values[c, 3])
+            assert batch.mass_residual[c] < 1e-12
+            assert 0.0 < batch.min_dt_s[c] < np.inf
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_unsorted_exponents_keep_input_order(self, reverse):
@@ -368,16 +363,15 @@ class TestBatch:
         rocks = [two_region_rock(grid, gamma=g) for g in (0.2, 0.5, 0.35, 0.7, 0.1)]
         times = [0.3, 1.0, 2.0]
         batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
-        for rock, fl, res in zip(rocks, fluids, batch):
-            single, audit = flow.run_simulation(grid, rock, fl, bc, times, return_audit=True)
-            assert res.values.max() > 0.2
-            np.testing.assert_allclose(res.values, [snap.values for snap in single],
-                                       rtol=0, atol=1e-14)
-            np.testing.assert_allclose(res.audit.cumulative_influx, audit.cumulative_influx,
+        for c, (rock, fl) in enumerate(zip(rocks, fluids)):
+            single = flow.simulate_batch(grid, [rock], [fl], bc, times)
+            assert batch.values[c].max() > 0.2
+            np.testing.assert_allclose(batch.values[c], single.values[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(batch.fluxes[c, :, 0], single.fluxes[0, :, 0],
                                        rtol=1e-14)
-            np.testing.assert_allclose(res.audit.cumulative_outflux, audit.cumulative_outflux,
+            np.testing.assert_allclose(batch.fluxes[c, :, 1], single.fluxes[0, :, 1],
                                        rtol=1e-14, atol=1e-20)
-            assert res.mass_residual < 1e-12
+            assert batch.mass_residual[c] < 1e-12
 
     def test_mirror_image(self):
         n = 150
@@ -388,18 +382,15 @@ class TestBatch:
         forward = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
         backward = flow.BoundaryConditions(2.758e7, 4.137e7, 1.0, 0.0)
         times = [1.0, 6.0]
-        snaps_f, audit_f = flow.run_simulation(grid, rock, fluids, forward, times,
-                                               return_audit=True)
-        snaps_b, audit_b = flow.run_simulation(grid, mirrored, fluids, backward, times,
-                                               return_audit=True)
-        for f, b in zip(snaps_f, snaps_b):
-            assert f.values.max() > 0.2
-            np.testing.assert_allclose(b.values[::-1], f.values, rtol=0, atol=1e-12)
+        res_f = flow.simulate_batch(grid, [rock], [fluids], forward, times)
+        res_b = flow.simulate_batch(grid, [mirrored], [fluids], backward, times)
+        for f, b in zip(res_f.values[0], res_b.values[0]):
+            assert f.max() > 0.2
+            np.testing.assert_allclose(b[::-1], f, rtol=0, atol=1e-12)
         # water enters through the right face and flows along -x
-        np.testing.assert_allclose(audit_b.cumulative_outflux,
-                                   -np.array(audit_f.cumulative_influx), rtol=1e-12)
-        np.testing.assert_allclose(audit_b.cumulative_influx,
-                                   -np.array(audit_f.cumulative_outflux), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(res_b.fluxes[0, :, 1], -res_f.fluxes[0, :, 0], rtol=1e-12)
+        np.testing.assert_allclose(res_b.fluxes[0, :, 0], -res_f.fluxes[0, :, 1],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_failing_row_stops_alone(self, monkeypatch):
         n = 100
@@ -409,14 +400,19 @@ class TestBatch:
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
                   [(1, 2.0), (6, 4.0), (3, 3.0)]]
         times = [0.5, 1.5]
-        expected = [flow.run_simulation(grid, rock, fl, bc, times) for fl in fluids]
+        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times) for fl in fluids]
         _understate_cfl_bound(monkeypatch, fluids[0])
         out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
-        assert isinstance(out[0], flow.FlowError)
-        assert "simulation failed at t = 0 yr (target snapshot 0.5 yr)" in str(out[0])
-        assert isinstance(out[0].__cause__, flow.CflViolationError)
+        assert isinstance(out.errors[0], flow.FlowError)
+        assert "simulation failed at t = 0 yr (target snapshot 0.5 yr)" in str(out.errors[0])
+        assert isinstance(out.errors[0].__cause__, flow.CflViolationError)
+        # the failed row took no snapshot: NaN, not uninitialized memory
+        assert np.isnan(out.values[0]).all() and np.isnan(out.min_dt_s[0])
         for c in (1, 2):
-            np.testing.assert_array_equal(out[c].values, [snap.values for snap in expected[c]])
+            assert out.errors[c] is None
+            for name in ("values", "masses", "fluxes", "steps", "min_dt_s", "mass_residual"):
+                np.testing.assert_array_equal(getattr(out, name)[c],
+                                              getattr(expected[c], name)[0], err_msg=name)
         with pytest.raises(flow.FlowError, match="saturation left"):
             flow.run_simulation(grid, rock, fluids[0], bc, times)
 
@@ -431,9 +427,9 @@ class TestBatch:
                   for mu, beta in [(10, 2.0), (3, 2.5), (1.5, 6.0)]]
         times = [0.3, 1.0, 2.0]
         batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
-        for rock, fl, res in zip(rocks, fluids, batch):
-            assert res.values.max() > 0.2
-            assert_matches_textbook(res, grid, rock, fl, bc, times)
+        for c, (rock, fl) in enumerate(zip(rocks, fluids)):
+            assert batch.values[c].max() > 0.2
+            assert_matches_textbook(batch, c, grid, rock, fl, bc, times)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("case", ["zero", "repeated", "dense", "within_slack"])
@@ -447,7 +443,7 @@ class TestBatch:
         rocks = [two_region_rock(grid, gamma=g) for g in (0.3, 0.55, 0.15)]
         fluids = [flow.FluidParams(0.003, 0.003, 1.0), flow.FluidParams(0.003, 0.03, 2.0),
                   flow.FluidParams(0.003, 0.0045, 6.0)]
-        cfl = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, [0.1])[0].min_dt_s
+        cfl = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, [0.1]).min_dt_s[0]
         step_yr = cfl / flow.SECONDS_PER_YEAR
         times = {
             "zero": [0.0, 0.0, 0.4, 1.0],
@@ -456,15 +452,15 @@ class TestBatch:
             "within_slack": [20 * step_yr * (1 + 5e-10), 0.5],
         }[case]
         batch = flow.simulate_batch(grid, rocks, fluids, bc, times)
-        for rock, fl, res in zip(rocks, fluids, batch):
-            assert_matches_textbook(res, grid, rock, fl, bc, times)
+        for c, (rock, fl) in enumerate(zip(rocks, fluids)):
+            assert_matches_textbook(batch, c, grid, rock, fl, bc, times)
             if case == "zero":
-                np.testing.assert_array_equal(res.values[:2], 0.0)
+                np.testing.assert_array_equal(batch.values[c, :2], 0.0)
         if case == "dense":
-            assert batch[0].steps == 10  # one short step per snapshot
+            assert batch.steps[0] == 10  # one short step per snapshot
         if case == "within_slack":
-            (head,) = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, times[:1])
-            assert head.steps == 20 and head.values.max() > 0.2
+            head = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, times[:1])
+            assert head.steps[0] == 20 and head.values.max() > 0.2
 
     def test_singular_row_fails_alone(self):
         # a permeability of 1e-320 makes that row's face resistances overflow
@@ -477,15 +473,15 @@ class TestBatch:
         times = [0.5, 1.5]
         with np.errstate(divide="ignore", over="ignore"):  # building the resistances
             out = flow.simulate_batch(grid, [rock, tight, rock], fluids, bc, times)
-        assert isinstance(out[1], flow.FlowError)
-        assert isinstance(out[1].__cause__, flow.SingularSystemError)
-        assert str(out[1]) == (
+        assert isinstance(out.errors[1], flow.FlowError)
+        assert isinstance(out.errors[1].__cause__, flow.SingularSystemError)
+        assert str(out.errors[1]) == (
             "simulation failed at t = 0 yr (target snapshot 0.5 yr): "
             "nonpositive or non-finite face resistance")
         for c in (0, 2):
-            (single,) = flow.simulate_batch(grid, [rock], [fluids[c]], bc, times)
-            np.testing.assert_array_equal(out[c].values, single.values)
-            assert out[c].steps == single.steps
+            single = flow.simulate_batch(grid, [rock], [fluids[c]], bc, times)
+            np.testing.assert_array_equal(out.values[c], single.values[0])
+            assert out.steps[c] == single.steps[0]
 
     def test_zero_face_resistance_fails_alone(self):
         # a permeability of 1e200 overflows the inner harmonic means to inf:
@@ -497,12 +493,12 @@ class TestBatch:
         times = [0.0, 0.5]
         with np.errstate(over="ignore"):  # building the resistances
             out = flow.simulate_batch(grid, [rock, loose], [fluids] * 2, bc, times)
-        assert isinstance(out[1].__cause__, flow.SingularSystemError)
-        assert str(out[1]) == (
+        assert isinstance(out.errors[1].__cause__, flow.SingularSystemError)
+        assert str(out.errors[1]) == (
             "simulation failed at t = 0 yr (target snapshot 0.5 yr): "
             "nonpositive or non-finite face resistance")
-        (single,) = flow.simulate_batch(grid, [rock], [fluids], bc, times)
-        np.testing.assert_array_equal(out[0].values, single.values)
+        single = flow.simulate_batch(grid, [rock], [fluids], bc, times)
+        np.testing.assert_array_equal(out.values[0], single.values[0])
 
     @pytest.mark.parametrize("step, when", [
         (4, "0.448099 yr (target snapshot 0.5 yr)"),  # the step that lands on 0.5 yr
@@ -517,7 +513,7 @@ class TestBatch:
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
                   [(1, 2.0), (6, 4.0), (3, 2.5)]]
         times = [0.5, 1.5]
-        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times)[0] for fl in fluids]
+        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times) for fl in fluids]
         original, calls = flow._mobilities, []
 
         def patched(s, ratio, groups, out):
@@ -531,12 +527,12 @@ class TestBatch:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
         assert calls[:step] == [3] * step
-        assert isinstance(out[1].__cause__, flow.SingularSystemError)
-        assert str(out[1]) == (
+        assert isinstance(out.errors[1].__cause__, flow.SingularSystemError)
+        assert str(out.errors[1]) == (
             f"simulation failed at t = {when}: nonpositive or non-finite face resistance")
         for c in (0, 2):
-            np.testing.assert_array_equal(out[c].values, expected[c].values)
-            assert out[c].steps == expected[c].steps
+            np.testing.assert_array_equal(out.values[c], expected[c].values[0])
+            assert out.steps[c] == expected[c].steps[0]
 
     def test_clip_keeps_an_overshooting_row_in_range(self, monkeypatch):
         # a CFL step three times too long overshoots [0, 1]; past a widened
@@ -546,20 +542,20 @@ class TestBatch:
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
                   [(1, 2.0), (6, 4.0), (3, 3.0)]]
         times = [0.5, 1.5]
-        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times)[0] for fl in fluids]
+        expected = [flow.simulate_batch(grid, [rock], [fl], bc, times) for fl in fluids]
         lf = flow._max_flux_derivative(fluids[0])
         _understate_cfl_bound(monkeypatch, fluids[0])
         # at the default band the row fails at its first step, which fills the
         # inlet cell to the Courant number 3 * 0.9 / lf
-        failed = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)[0]
+        failed = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times).errors[0]
         assert isinstance(failed.__cause__, flow.CflViolationError)
         assert str(failed.__cause__) == f"saturation left [0,1] by {3 * 0.9 / lf - 1.0:.3e}"
         monkeypatch.setattr(flow, "MAX_PRINCIPLE_TOL", 10.0)
         out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
-        assert out[0].values.min() >= 0.0 and out[0].values.max() == 1.0
-        assert out[0].steps < expected[0].steps
+        assert out.values[0].min() >= 0.0 and out.values[0].max() == 1.0
+        assert out.steps[0] < expected[0].steps[0]
         for c in (1, 2):
-            np.testing.assert_array_equal(out[c].values, expected[c].values)
+            np.testing.assert_array_equal(out.values[c], expected[c].values[0])
 
     def test_unbounded_flux_derivative_raises_without_warnings(self):
         # beta < 1 makes the fractional-flow derivative blow up at s = 0 and
@@ -605,19 +601,19 @@ def textbook_bc(reverse):
     return flow.BoundaryConditions(*((p_lo, p_hi) if reverse else (p_hi, p_lo)), 1.0, 0.0)
 
 
-def assert_matches_textbook(res, grid, rock, fl, bc, times):
-    """A batch row against `impes_textbook`: the same step count, relative
-    L1 within 1e-12 per snapshot and the smallest CFL step within 1e-13
-    relative."""
+def assert_matches_textbook(batch, c, grid, rock, fl, bc, times):
+    """Row c of a batch record against `impes_textbook`: the same step
+    count, relative L1 within 1e-12 per snapshot and the smallest CFL step
+    within 1e-13 relative."""
     values, steps, min_dt = impes_textbook(
         grid.dx_m, rock.porosity, rock.permeability, fl.mu_w, fl.mu_nw, fl.beta,
         bc.p_left, bc.p_right, bc.s_inflow, bc.s_initial,
         [t * flow.SECONDS_PER_YEAR for t in times])
-    assert res.steps == steps
+    assert batch.steps[c] == steps
     scale = np.maximum(np.abs(values).sum(axis=1), 1e-300)
-    rel_l1 = np.abs(res.values - values).sum(axis=1) / scale
+    rel_l1 = np.abs(batch.values[c] - values).sum(axis=1) / scale
     assert rel_l1.max() <= 1e-12, rel_l1
-    assert res.min_dt_s == pytest.approx(min_dt, rel=1e-13)
+    assert batch.min_dt_s[c] == pytest.approx(min_dt, rel=1e-13)
 
 
 def _understate_cfl_bound(monkeypatch, target):
@@ -647,15 +643,15 @@ def buckley_leverett(x_m, injected_m, porosity, fluids):
 class TestBuckleyLeverett:
     def test_l1_convergence_to_analytic_solution(self):
         # the clock of the self-similar solution is the injected volume,
-        # which is the audit's cumulative influx because s_inflow = 1
+        # which is the cumulative influx through the left face because s_inflow = 1
         errors = []
         for n in (100, 200, 400):
             grid, rock, fluids, bc = example1_setup(n, mu=1.0, beta=2.0)
-            snaps, audit = flow.run_simulation(grid, rock, fluids, bc, [3.5], return_audit=True)
+            res = flow.simulate_batch(grid, [rock], [fluids], bc, [3.5])
             sub = 64  # exact cell averages from 64 samples per cell
             x_m = (grid.x_min + (np.arange(n * sub) + 0.5) * grid.dx / sub) * flow.METERS_PER_KM
-            exact = buckley_leverett(x_m, audit.cumulative_influx[0], 0.1, fluids)
-            errors.append(np.abs(snaps[0].values - exact.reshape(n, sub).mean(axis=1)).mean())
+            exact = buckley_leverett(x_m, res.fluxes[0, 0, 0], 0.1, fluids)
+            errors.append(np.abs(res.values[0, 0] - exact.reshape(n, sub).mean(axis=1)).mean())
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert errors[0] < 0.02  # the front sits mid-domain, well resolved
         assert np.all(orders >= 0.5), (errors, orders)  # measured: 0.77, 0.80
