@@ -247,6 +247,8 @@ def cmd_online(args) -> int:
 
     profiles = online.reconstruct(model, points, clamp=args.clamp)
     out = store.make_dir(args.out)
+    # an earlier run's errors.csv would describe other points
+    (out / "errors.csv").unlink(missing_ok=True)
     store.savez_atomic(out / "reconstructions.npz", params=points, profiles=profiles)
 
     pairs = []

@@ -190,7 +190,7 @@ def profile_from_weights(
     for start in range(0, count, _BLOCK):
         block = slice(start, start + _BLOCK)
         ic = transport.barycenter(atoms, lam[:, block])
-        body = transport.icdf_to_density(ic, n_raw, x_min, x_max).T  # (block, n_raw) rows
+        body = transport.icdf_to_density(ic, x_min=x_min, x_max=x_max).T  # (block, n_raw) rows
         np.maximum(body, 0.0, out=body)
         total = body.sum(axis=1)
         mass = masses[block]

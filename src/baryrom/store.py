@@ -251,6 +251,10 @@ def load_store(directory) -> SnapshotStore:
         raise StoreError(f"store incomplete (no {SNAPSHOTS_NAME}); rerun generate")
     try:
         cfg = manifest["config"]
+        axis_names = ["t", *(str(ax["name"]) for ax in cfg["axes"])]
+        if manifest["axis_names"] != axis_names:
+            raise StoreError(f"manifest axis_names {manifest['axis_names']} are not "
+                             f"the config's {axis_names}")
         arrays = _read_npz(npz_path, STORE_ARRAYS)
         _check_store_shapes(arrays, manifest)
         _check_store_values(arrays)
@@ -259,7 +263,7 @@ def load_store(directory) -> SnapshotStore:
                              "snapshot times (every combination in tensor order, at every time)")
         return SnapshotStore(
             name=cfg["name"],
-            axis_names=tuple(manifest["axis_names"]),
+            axis_names=tuple(axis_names),
             **arrays,
             x_min=float(cfg["grid"]["x_min_km"]),
             x_max=float(cfg["grid"]["x_max_km"]),

@@ -4,10 +4,12 @@ Everything runs through the pdf -> cdf -> icdf pipeline: a nonnegative
 profile of N cells is augmented with two boundary cells, normalized to a
 probability vector, accumulated into a cdf on a uniform spatial grid, and
 inverted onto a uniform probability grid of M = N + 2 nodes. W2 distances
-and barycenters are then plain L2 operations on the icdf vectors. The
-augmentation lives here only: `icdf_size` gives M, `snapshot_to_icdf` and
-`snapshots_to_icdfs` add the two cells, and `icdf_to_density` strips them
-again.
+and barycenters are then plain L2 operations on the icdf vectors. Each
+map is one function, for one row or a stack of rows, on a grid of one
+node per input cell: `icdf` takes a cdf to its icdf and `invert_icdf`
+an icdf back to a cdf. The augmentation lives here only: `icdf_size`
+gives M, `snapshot_to_icdf` and `snapshots_to_icdfs` add the two cells,
+and `icdf_to_density` strips them again.
 """
 
 from __future__ import annotations
@@ -58,72 +60,58 @@ def cdf(u: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(u, dtype=float), axis=-1)
 
 
-def icdf(c: np.ndarray, m: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
-    """Generalized inverse of a discrete cdf on a uniform m-point probability grid.
-
-    For each p_j the smallest index i >= 2 (1-based) with cdf_i >= p_j is
-    located and the cdf is linearly interpolated between x_{i-1} and x_i.
-    Flat cdf segments map to the left endpoint, which is the inf in the
-    generalized inverse. Search and interpolation are one `np.interp` on
-    the reversed, negated cdf, whose last node at or below -p_j is that
-    first node at or above p_j.
-    """
-    c = np.asarray(c, dtype=float)
-    if m < 2:
-        raise ValueError("probability grid needs at least 2 nodes")
-    return _icdf_rows(c[None, :], m, x_min, x_max)[0]
-
-
 def _probabilities(m: int) -> np.ndarray:
     """The uniform probability grid of an m-node icdf."""
     return np.linspace(0.0, 1.0, m)
 
 
-def _icdf_rows(c: np.ndarray, m: int, x_min: float, x_max: float) -> np.ndarray:
-    """:func:`icdf` of every row of c (B, N), as (B, m)."""
+def icdf(c: np.ndarray, *, x_min: float, x_max: float) -> np.ndarray:
+    """Generalized inverse of a discrete cdf (N,), or of each row of a stack
+    (B, N), on a uniform probability grid of N nodes, one per cdf cell.
+
+    For each p_j the smallest index i >= 2 (1-based) with cdf_i >= p_j is
+    located and the cdf is linearly interpolated between x_{i-1} and x_i.
+    Flat cdf segments map to the left endpoint, which is the inf in the
+    generalized inverse. Search and interpolation are one `np.interp` per
+    row on the reversed, negated cdf, whose last node at or below -p_j is
+    that first node at or above p_j.
+    """
+    c = np.asarray(c, dtype=float)
+    rows = c.reshape(-1, c.shape[-1])
+    n = rows.shape[1]
     # the final cdf value is 1 up to rounding; clamping keeps the probes from
     # running past the end of the support into the flat tail
-    p = np.minimum(_probabilities(m), c[:, -1:])
-    # np.interp brackets a probe by the last node at or below it, the right
-    # end of a flat run; on the reversed, negated row that node is the first
-    # one at or above the probe, so a flat run maps to its left end
+    p = np.minimum(_probabilities(n), rows[:, -1:])
     np.negative(p, out=p)
-    rows = np.negative(c[:, ::-1])
-    x = np.linspace(x_min, x_max, c.shape[1])[::-1].copy()
+    rows = np.negative(rows[:, ::-1])
+    x = np.linspace(x_min, x_max, n)[::-1].copy()
     out = np.empty_like(p)
     for row, probes, dst in zip(rows, p, out):
         dst[:] = np.interp(probes, row, x)
-    return out
+    return out.reshape(c.shape)
 
 
-def _cdf_rows(ic: np.ndarray, n_out: int, x_min: float, x_max: float) -> np.ndarray:
-    """The cdf of each icdf column of ic (M,) or (M, P) on n_out spatial
-    nodes, one row per icdf: (P, n_out), C-ordered."""
-    m = ic.shape[0]
-    x = np.linspace(x_min, x_max, n_out)
-    p = _probabilities(m)
-    rows = np.ascontiguousarray(ic.reshape(m, -1).T)  # (P, M), one icdf per row
-    out = np.empty((rows.shape[0], n_out))
-    for row, dst in zip(rows, out):
-        dst[:] = np.interp(x, row, p, left=0.0, right=1.0)
-    # the slope form can overshoot the last probability by an ulp
-    return np.minimum(out, 1.0, out=out)
-
-
-def invert_icdf(ic: np.ndarray, n_out: int, x_min: float = 0.0, x_max: float = 1.0) -> np.ndarray:
-    """Numerically re-invert an icdf back to a cdf on the spatial grid.
+def invert_icdf(ic: np.ndarray, *, x_min: float, x_max: float) -> np.ndarray:
+    """Numerically re-invert an icdf (M,), or each row of a stack (B, M),
+    back to a cdf on a uniform spatial grid of M nodes.
 
     One `np.interp` per icdf, with the roles of x and p swapped: nodes
     before the first icdf value get cdf value 0, nodes at or past the last
     one (past the support) get 1. The icdfs the pipeline inverts are
     strictly increasing, where this is the inverse function; at a repeated
     icdf value x_j = x_{j+1} = x the cdf is the upper probability there,
-    the right-continuous one. `ic` is one icdf (M,) or a column per icdf
-    (M, P); the result is (n_out,) or (n_out, P).
+    the right-continuous one.
     """
     ic = np.asarray(ic, dtype=float)
-    out = _cdf_rows(ic, n_out, x_min, x_max).T
-    return out if ic.ndim == 2 else out[:, 0]
+    rows = ic.reshape(-1, ic.shape[-1])
+    m = rows.shape[1]
+    x = np.linspace(x_min, x_max, m)
+    p = _probabilities(m)
+    out = np.empty(rows.shape)
+    for row, dst in zip(rows, out):
+        dst[:] = np.interp(x, row, p, left=0.0, right=1.0)
+    # the slope form can overshoot the last probability by an ulp
+    return np.minimum(out, 1.0, out=out).reshape(ic.shape)
 
 
 def pdf_from_cdf(c: np.ndarray) -> np.ndarray:
@@ -189,26 +177,19 @@ def snapshots_to_icdfs(values: np.ndarray, x_min: float = 0.0, x_max: float = 1.
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("snapshots must be a (K, N) array")
-    m = icdf_size(values.shape[1])
-    out = np.empty((m, values.shape[0]))
+    out = np.empty((icdf_size(values.shape[1]), values.shape[0]))
     for start in range(0, values.shape[0], _BLOCK):
         block = values[start:start + _BLOCK]
         c = cdf(normalize(augment(block)))
-        out[:, start:start + block.shape[0]] = _icdf_rows(c, m, x_min, x_max).T
+        out[:, start:start + block.shape[0]] = icdf(c, x_min=x_min, x_max=x_max).T
     return out
 
 
-def icdf_to_density(
-    ic: np.ndarray,
-    n_raw: int,
-    x_min: float = 0.0,
-    x_max: float = 1.0,
-) -> np.ndarray:
-    """Invert an icdf of an augmented profile, differentiate, and strip the
-    two boundary cells: the probability of each of the n_raw original cells.
-    An (M, P) array of icdf columns gives an (n_raw, P) array, the
-    transposed view of one density row per icdf."""
+def icdf_to_density(ic: np.ndarray, *, x_min: float, x_max: float) -> np.ndarray:
+    """Invert icdfs of augmented profiles, differentiate, and strip the two
+    boundary cells: the probability of each of the M - 2 original cells.
+    One icdf (M,) gives (M - 2,); an (M, P) array of icdf columns gives
+    an (M - 2, P) array, the transposed view of one density row per icdf."""
     ic = np.asarray(ic, dtype=float)
-    c = _cdf_rows(ic, icdf_size(n_raw), x_min, x_max)
-    dens = pdf_from_cdf(c)[:, AUGMENTATION_CELLS:].T
-    return dens if ic.ndim == 2 else dens[:, 0]
+    c = invert_icdf(ic.T, x_min=x_min, x_max=x_max)
+    return pdf_from_cdf(c)[..., AUGMENTATION_CELLS:].T

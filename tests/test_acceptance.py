@@ -50,7 +50,7 @@ def test_criterion_2_pipeline_round_trip(example1):
     errs = np.empty(st.count)
     for k in range(st.count):
         c = tr.cdf(tr.normalize(tr.augment(st.values[k])))
-        iic = tr.invert_icdf(tr.icdf(c, c.size), c.size)
+        iic = tr.invert_icdf(tr.icdf(c, x_min=0.0, x_max=1.0), x_min=0.0, x_max=1.0)
         errs[k] = np.linalg.norm(iic - c)
     mean = float(errs.mean())
     assert 5e-5 <= mean <= 5e-3
@@ -345,7 +345,8 @@ class TestPaperBehaviors:
             for k in range(st.count):
                 u = tr.normalize(tr.augment(st.values[k]))
                 c = tr.cdf(u)
-                u2 = tr.pdf_from_cdf(tr.invert_icdf(tr.icdf(c, c.size), c.size))
+                iic = tr.invert_icdf(tr.icdf(c, x_min=0.0, x_max=1.0), x_min=0.0, x_max=1.0)
+                u2 = tr.pdf_from_cdf(iic)
                 assert np.linalg.norm(u2 - u) <= 5e-3
 
     def test_condition_trend_nondecreasing(self, example1, example2):

@@ -440,6 +440,18 @@ class TestStoreValidation:
             assert err.count("\n") == 1 and "'params'" in err
             assert not out.exists()
 
+    def test_axis_names_not_the_config_axes(self, copy, tmp_path, capsys):
+        # a renamed axis would train a model that asks online for it
+        self._edit_manifest(copy, axis_names=["t", "visc", "beta"])
+        with pytest.raises(store.StoreError, match="axis_names"):
+            store.load_store(copy)
+        capsys.readouterr()
+        out = tmp_path / "model"
+        assert cli.main(["offline", "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "['t', 'mu', 'beta']" in err
+        assert not out.exists()
+
     def test_integer_values(self, copy):
         self._edit_arrays(copy, "values", lambda arr: (arr > 0.5).astype(int))
         with pytest.raises(store.StoreError, match="'values' is not a float array"):
@@ -1210,6 +1222,16 @@ class TestOnline:
         assert (out / "errors.csv").read_text() == "t,mu,beta,rel_l1_error\n"
         assert np.load(out / "reconstructions.npz")["profiles"].shape == (2, 102)
 
+
+    def test_rerun_without_store_removes_the_errors_file(self, mini_run, tmp_path):
+        _, _, store_dir, model_dir = mini_run
+        out = tmp_path / "out"
+        base = ["online", "--model", str(model_dir), "--out", str(out)]
+        assert cli.main(base + ["--store", str(store_dir), "--at", "t=1.0,mu=1,beta=2"]) == 0
+        assert (out / "errors.csv").exists()
+        assert cli.main(base + ["--at", "t=1.75,mu=3.3,beta=2.7"]) == 0
+        assert not (out / "errors.csv").exists()
+        assert np.load(out / "reconstructions.npz")["params"].tolist() == [[1.75, 3.3, 2.7]]
 
 class TestTablesAndDiag:
     def test_pod_and_tables(self, mini_run):

@@ -3,6 +3,8 @@ import pytest
 
 from baryrom import transport as tr
 
+UNIT = {"x_min": 0.0, "x_max": 1.0}
+
 
 def _snapshot_icdf_reference(raw, x_min, x_max):
     """The icdf of one raw snapshot, written out for one row: the two
@@ -20,13 +22,14 @@ def _snapshot_icdf_reference(raw, x_min, x_max):
     return x[i - 1] + (x[i] - x[i - 1]) * np.clip(frac, 0.0, 1.0)
 
 
-def _invert_icdf_reference(ic, n_out, x_min, x_max):
-    """The cdf of one icdf, written out for one row: searchsorted(left) for
-    the first icdf node at or past each spatial node, a gather of the two
-    bracketing nodes and linear interpolation between their probabilities;
-    0 before the first icdf value and 1 past the last."""
+def _invert_icdf_reference(ic, x_min, x_max):
+    """The cdf of one icdf on as many spatial nodes, written out for one
+    row: searchsorted(left) for the first icdf node at or past each spatial
+    node, a gather of the two bracketing nodes and linear interpolation
+    between their probabilities; 0 before the first icdf value and 1 past
+    the last."""
     p = np.linspace(0.0, 1.0, ic.size)
-    x = np.linspace(x_min, x_max, n_out)
+    x = np.linspace(x_min, x_max, ic.size)
     i = np.clip(np.searchsorted(ic, x, side="left"), 1, ic.size - 1)
     frac = np.clip((x - ic[i - 1]) / (ic[i] - ic[i - 1]), 0.0, 1.0)
     out = p[i - 1] + (p[i] - p[i - 1]) * frac
@@ -93,7 +96,7 @@ class TestCdfIcdf:
     def test_icdf_uniform_identity(self):
         n = 200
         dens = tr.normalize(tr.augment(np.ones(n)))
-        ic = tr.icdf(tr.cdf(dens), n + 2)
+        ic = tr.icdf(tr.cdf(dens), **UNIT)
         p = np.linspace(0, 1, n + 2)
         assert np.max(np.abs(ic - p)) <= 2.0 / (n + 1)
 
@@ -101,7 +104,7 @@ class TestCdfIcdf:
         n = 102
         u = np.zeros(n)
         u[41] = 1.0
-        ic = tr.icdf(tr.cdf(u), n)
+        ic = tr.icdf(tr.cdf(u), **UNIT)
         x = np.linspace(0, 1, n)
         # p = 0 maps to x_min (flat-segment rule); all positive p to x_41
         assert ic[0] == 0.0
@@ -111,7 +114,7 @@ class TestCdfIcdf:
         # density 10 on [0, 0.1]: icdf(p) = 0.1 p
         n = 1002
         dens = tr.normalize(tr.augment(uniform_block(n, 0.1, 10.0)))
-        ic = tr.icdf(tr.cdf(dens), n + 2)
+        ic = tr.icdf(tr.cdf(dens), **UNIT)
         p = np.linspace(0, 1, n + 2)
         assert np.max(np.abs(ic - 0.1 * p)) < 5e-3
 
@@ -119,22 +122,41 @@ class TestCdfIcdf:
         rng = np.random.default_rng(11)
         for _ in range(20):
             dens = tr.normalize(tr.augment(rng.random(57)))
-            ic = tr.icdf(tr.cdf(dens), 80)
+            ic = tr.icdf(tr.cdf(dens), **UNIT)
             assert np.all(np.diff(ic) >= 0.0)
 
     def test_icdf_flat_segment_left_limit(self):
         # mass only at nodes 2 and 5 (0-based): flat cdf in between
         u = np.array([0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0])
         x = np.linspace(0, 1, 7)
-        ic = tr.icdf(tr.cdf(u), 11)
+        ic = tr.icdf(tr.cdf(u), **UNIT)
         # p = 0.5 falls exactly on the flat run; the generalized inverse is
         # the left endpoint of the jump interval that reaches 0.5
-        j = 5  # p grid node where p = 0.5
+        j = 3  # p grid node where p = 0.5
         assert ic[j] <= x[1] + 1e-12
 
-    def test_icdf_requires_two_nodes(self):
-        with pytest.raises(ValueError):
-            tr.icdf(np.array([0.0, 1.0]), 1)
+    @pytest.mark.parametrize("b", [1, 31, 32, 33])
+    def test_stack_rows_equal_one_row_calls(self, b):
+        rng = np.random.default_rng(b)
+        raw = rng.random((b, 45))
+        raw[0, 10:30] = 0.0  # a flat stretch of the cdf
+        raw[-1, 20:] = 0.0  # support ends mid-domain
+        c = tr.cdf(tr.normalize(tr.augment(raw)))
+        ic = tr.icdf(c, x_min=0.0, x_max=2.0)
+        back = tr.invert_icdf(ic, x_min=0.0, x_max=2.0)
+        assert ic.shape == back.shape == (b, 47)
+        for k in range(b):
+            np.testing.assert_array_equal(ic[k], tr.icdf(c[k], x_min=0.0, x_max=2.0))
+            np.testing.assert_array_equal(back[k], tr.invert_icdf(ic[k], x_min=0.0, x_max=2.0))
+
+    def test_grid_range_is_keyword_only(self):
+        c = tr.cdf(np.full(4, 0.25))
+        with pytest.raises(TypeError):
+            tr.icdf(c, 4)
+        with pytest.raises(TypeError):
+            tr.invert_icdf(c, 4)
+        with pytest.raises(TypeError):
+            tr.icdf_to_density(c, 2)
 
 
 class TestInversion:
@@ -142,16 +164,16 @@ class TestInversion:
         n = 150
         dens = tr.normalize(tr.augment(np.ones(n)))
         c = tr.cdf(dens)
-        ic = tr.icdf(c, n + 2)
-        iic = tr.invert_icdf(ic, n + 2)
+        ic = tr.icdf(c, **UNIT)
+        iic = tr.invert_icdf(ic, **UNIT)
         np.testing.assert_allclose(iic, c, atol=1e-10)
 
     def test_invert_monotone_output(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             dens = tr.normalize(tr.augment(rng.random(64)))
-            ic = tr.icdf(tr.cdf(dens), 66)
-            iic = tr.invert_icdf(ic, 66)
+            ic = tr.icdf(tr.cdf(dens), **UNIT)
+            iic = tr.invert_icdf(ic, **UNIT)
             assert np.all(np.diff(iic) >= 0.0)
             assert iic[0] >= 0.0 and iic[-1] <= 1.0
 
@@ -165,28 +187,27 @@ class TestInversion:
         ])
         ic = tr.snapshots_to_icdfs(values, 0.0, 2.0)
         assert np.all(np.diff(ic, axis=0) > 0.0)  # strictly increasing, as in the pipeline
-        for n_out in (n + 2, 37):
-            got = tr.invert_icdf(ic, n_out, 0.0, 2.0)
-            for k in range(ic.shape[1]):
-                want = _invert_icdf_reference(ic[:, k], n_out, 0.0, 2.0)
-                np.testing.assert_array_max_ulp(got[:, k], want, maxulp=4)
+        got = tr.invert_icdf(ic.T, x_min=0.0, x_max=2.0)
+        for k in range(ic.shape[1]):
+            want = _invert_icdf_reference(ic[:, k], 0.0, 2.0)
+            np.testing.assert_array_max_ulp(got[k], want, maxulp=4)
 
     def test_nodes_outside_the_icdf_range(self):
-        x = np.linspace(0.0, 1.0, 11)
+        x = np.linspace(0.0, 1.0, 6)
         ic = np.linspace(0.25, 0.8, 6)
-        ic[-1] = x[8]  # the last icdf value sits on a spatial node
-        c = tr.invert_icdf(ic, 11)
-        assert c[:3].tolist() == [0.0, 0.0, 0.0]  # before the first icdf value
-        assert c[8:].tolist() == [1.0, 1.0, 1.0]  # at and past the last one
-        assert np.all((c[3:8] > 0.0) & (c[3:8] < 1.0))
+        ic[-1] = x[4]  # the last icdf value sits on a spatial node
+        c = tr.invert_icdf(ic, **UNIT)
+        assert c[:2].tolist() == [0.0, 0.0]  # before the first icdf value
+        assert c[4:].tolist() == [1.0, 1.0]  # at and past the last one
+        assert np.all((c[2:4] > 0.0) & (c[2:4] < 1.0))
 
     def test_repeated_value_gives_the_upper_probability(self):
-        x = np.linspace(0.0, 1.0, 11)
-        ic = np.array([0.0, 0.2, x[5], x[5], 0.8, 1.0])
+        x = np.linspace(0.0, 1.0, 6)
+        ic = np.array([0.0, 0.2, x[2], x[2], 0.8, 1.0])
         p = np.linspace(0.0, 1.0, ic.size)
-        c = tr.invert_icdf(ic, 11)
-        assert c[5] == p[3]  # right-continuous: the upper of p = 0.4 and 0.6
-        assert _invert_icdf_reference(ic, 11, 0.0, 1.0)[5] == p[2]
+        c = tr.invert_icdf(ic, **UNIT)
+        assert c[2] == p[3]  # right-continuous: the upper of p = 0.4 and 0.6
+        assert _invert_icdf_reference(ic, 0.0, 1.0)[2] == p[2]
         assert np.all(np.diff(c) >= 0.0)
         assert c[0] == 0.0 and c[-1] == 1.0
 
@@ -202,8 +223,8 @@ class TestInversion:
     def test_pdf_sums_to_one(self):
         rng = np.random.default_rng(7)
         dens = tr.normalize(tr.augment(rng.random(200)))
-        ic = tr.icdf(tr.cdf(dens), 202)
-        u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, 202))
+        ic = tr.icdf(tr.cdf(dens), **UNIT)
+        u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, **UNIT))
         assert u2.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_density_close(self):
@@ -211,8 +232,8 @@ class TestInversion:
         raw = np.clip(np.cumsum(rng.standard_normal(300)) + 10.0, 0.0, None)
         dens = tr.normalize(tr.augment(raw))
         c = tr.cdf(dens)
-        ic = tr.icdf(c, 302)
-        u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, 302))
+        ic = tr.icdf(c, **UNIT)
+        u2 = tr.pdf_from_cdf(tr.invert_icdf(ic, **UNIT))
         assert np.sqrt(np.mean((u2 - dens) ** 2)) < 1e-3
 
 
@@ -251,7 +272,7 @@ class TestSnapshotPipeline:
             want = _snapshot_icdf_reference(values[k], 0.0, 2.0)
             np.testing.assert_allclose(got[:, k], want, rtol=0, atol=np.spacing(2.0))
             c = tr.cdf(tr.normalize(tr.augment(values[k])))
-            np.testing.assert_array_equal(got[:, k], tr.icdf(c, 47, 0.0, 2.0))
+            np.testing.assert_array_equal(got[:, k], tr.icdf(c, x_min=0.0, x_max=2.0))
 
     def test_batched_transform_rejects_bad_input(self):
         values = np.random.default_rng(29).random((40, 12))
@@ -271,20 +292,19 @@ class TestSnapshotPipeline:
         values[2, :20] = 0.0  # a flat stretch of the cdf
         ic = tr.snapshots_to_icdfs(values)
         ic[:, 5] = np.linspace(0.0, 0.5, ic.shape[0])  # support ends mid-domain
-        for n_out in (ic.shape[0], 17):
-            got = tr.invert_icdf(ic, n_out)
-            assert got.shape == (n_out, ic.shape[1])
-            want = np.column_stack([tr.invert_icdf(ic[:, k], n_out) for k in range(ic.shape[1])])
-            np.testing.assert_array_equal(got, want)
-        dens = tr.icdf_to_density(ic, 40)
+        got = tr.invert_icdf(ic.T, **UNIT)
+        assert got.shape == (ic.shape[1], ic.shape[0])
+        want = np.stack([tr.invert_icdf(ic[:, k], **UNIT) for k in range(ic.shape[1])])
+        np.testing.assert_array_equal(got, want)
+        dens = tr.icdf_to_density(ic, **UNIT)
         assert dens.shape == (40, 9)
-        want = np.column_stack([tr.icdf_to_density(ic[:, k], 40) for k in range(9)])
+        want = np.column_stack([tr.icdf_to_density(ic[:, k], **UNIT) for k in range(9)])
         np.testing.assert_array_equal(dens, want)
 
     def test_density_strips_the_two_cells(self):
         rng = np.random.default_rng(21)
         raw = np.clip(np.cumsum(rng.standard_normal(300)) + 10.0, 0.0, None)
-        body = tr.icdf_to_density(tr.snapshot_to_icdf(raw), raw.size)
+        body = tr.icdf_to_density(tr.snapshot_to_icdf(raw), **UNIT)
         assert body.shape == raw.shape
         want = tr.normalize(tr.augment(raw))[2:]
         assert np.sqrt(np.mean((body - want) ** 2)) < 1e-3
@@ -338,8 +358,8 @@ class TestBarycenter:
         n = 400
         cells = (np.arange(n) + 0.5) / n
         hump = lambda c: np.exp(-((cells - c) ** 2) / 2e-4)
-        coarse = lambda c: tr.icdf(tr.cdf(tr.normalize(tr.augment(hump(c)))), 64)
-        a, b, mid = coarse(0.3), coarse(0.5), coarse(0.4)
+        icdf_of = lambda c: tr.icdf(tr.cdf(tr.normalize(tr.augment(hump(c)))), **UNIT)
+        a, b, mid = icdf_of(0.3), icdf_of(0.5), icdf_of(0.4)
         bar = tr.barycenter(np.stack([a, b], axis=1), np.array([0.5, 0.5]))
         assert tr.w2_distance(bar, mid) < 2e-3
 
