@@ -44,8 +44,7 @@ def cmd_generate(args) -> int:
     cfg = _load_config_arg(args.config)
     combos = cfg.combos()
     times = cfg.snapshot_times_yr
-    manifest = store.store_manifest(cfg.raw, cfg.axis_names, len(combos), len(times))
-    out = store.init_store_dir(args.out, manifest, force=args.force)
+    out = store.init_store_dir(args.out, cfg, force=args.force)
     print(f"{cfg.name}: {len(combos)} simulations x {len(times)} snapshot times")
     start = time.perf_counter()
     res = flow.simulate_batch(
@@ -72,8 +71,7 @@ def cmd_generate(args) -> int:
             f"{wall / lockstep * 1e6:.1f} us per lockstep step"
         )
     store.save_store(
-        out, manifest,
-        params=store.sweep_params(cfg.raw),
+        out, cfg,
         values=res.values.reshape(-1, cfg.grid.n_cells),
         masses=res.masses.reshape(-1),
         steps=res.steps,
@@ -99,9 +97,9 @@ def _offline_config(raw: dict, args) -> ExperimentConfig:
         ("qp", "tol"): args.qp_tol,
     }
     for (block, key), value in overrides.items():
-        # a block that is not an object is left for parse_config to reject
-        if value is not None and isinstance(raw.setdefault(block, {}), dict):
-            raw[block][key] = value
+        # load_store parsed the config, so each block is an object or absent
+        if value is not None:
+            raw.setdefault(block, {})[key] = value
     return parse_config(raw)
 
 
@@ -110,12 +108,13 @@ def cmd_offline(args) -> int:
     if st.count < 2:
         raise StoreError(f"offline needs at least 2 snapshots; {args.store} holds {st.count}")
     _require_nonzero(st, args.store, "offline")
-    cfg = _offline_config(st.config, args)
+    cfg = _offline_config(st.config.raw, args)
+    grid = cfg.grid
     store.make_dir(args.out)  # an unusable --out fails before the training
 
-    print(f"{st.name}: building {st.count} training icdfs")
+    print(f"{cfg.name}: building {st.count} training icdfs")
     start = time.perf_counter()
-    train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
+    train = transport.snapshots_to_icdfs(st.values, grid.x_min, grid.x_max)
     icdf_s = time.perf_counter() - start
     # relative L1 error per training column, kept across sweeps: a screened
     # column keeps last sweep's weights with a zero weight on the new atom,
@@ -130,7 +129,7 @@ def cmd_offline(args) -> int:
         cols = np.flatnonzero(~step.qp.screened)
         rec = online.profile_from_weights(
             train[:, indices], step.qp.weights[:, cols], st.masses[cols],
-            st.n_cells, st.x_min, st.x_max,
+            grid.n_cells, grid.x_min, grid.x_max,
         )
         rels[cols] = online.relative_l1_error(rec, st.values[cols])
         l1_mean.append(float(rels.mean()))
@@ -162,10 +161,10 @@ def cmd_offline(args) -> int:
         st.params,
         final_weights,
         st.masses,
-        st.axis_names,
-        n_raw=st.n_cells,
-        x_min=st.x_min,
-        x_max=st.x_max,
+        cfg.axis_names,
+        n_raw=grid.n_cells,
+        x_min=grid.x_min,
+        x_max=grid.x_max,
     )
     store.save_model(args.out, model, report)
     save_s = time.perf_counter() - start
@@ -354,7 +353,7 @@ def cmd_landscape(args) -> int:
     if args.resolution < 2:
         raise ConfigError(f"landscape resolution must be at least 2, got {args.resolution}")
     target = transport.snapshot_to_icdf(
-        st.values[args.target_index], x_min=st.x_min, x_max=st.x_max
+        st.values[args.target_index], x_min=st.config.grid.x_min, x_max=st.config.grid.x_max
     )
     grid = diagnostics.energy_landscape(
         model.dictionary.atoms[:, :n], target, resolution=args.resolution

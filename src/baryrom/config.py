@@ -81,6 +81,12 @@ class ExperimentConfig:
             for values in product(*(ax.values for ax in self.axes))
         ]
 
+    def sweep_params(self) -> np.ndarray:
+        """The (K, d) params of the sweep: every combination in tensor
+        order, each at every snapshot time."""
+        return np.array([(t, *combo.values()) for combo in self.combos()
+                         for t in self.snapshot_times_yr], dtype=float)
+
     def fluids_at(self, combo: dict) -> flow.FluidParams:
         return flow.FluidParams(
             mu_w=_resolve(self.fluids_spec["mu_w_pa_s"], combo),
@@ -141,7 +147,7 @@ def _numbers(raw) -> bool:
 def _bindable(raw, where: str, axis_names: set[str]):
     if isinstance(raw, dict):
         name = _require(raw, "param", where)
-        if name not in axis_names:
+        if not isinstance(name, str) or name not in axis_names:
             raise ConfigError(f"{where}: binding to unknown axis {name!r}")
         if not _number(raw.get("scale", 1.0)):
             raise ConfigError(f"{where}: scale must be a finite number")

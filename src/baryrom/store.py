@@ -1,13 +1,15 @@
 """On-disk artifacts: snapshot stores, reduced models, CSV reports.
 
-A snapshot store is a directory with a manifest.json describing the sweep
-and a snapshots.npz holding one row per snapshot (parameter components,
-saturation values, mass) and one entry per simulation (IMPES step count,
-smallest CFL step, relative mass-balance residual). Generation writes
-snapshots.npz once, after the whole sweep has run, through a temporary
-file and a rename: a reader sees either no snapshots.npz or a complete one.
-All floats are written with shortest round-trip formatting so reruns are
-byte-identical.
+A snapshot store is a directory with a manifest.json and a snapshots.npz.
+The manifest holds only `kind`, `schema_version` and the config that
+generated the store; every load validates that config with `parse_config`,
+and the sweep, grid and axis names are derived from the parsed config. The
+npz holds one row per snapshot (parameter components, saturation values,
+mass) and one entry per simulation (IMPES step count, smallest CFL step,
+relative mass-balance residual). Generation writes snapshots.npz once,
+after the whole sweep has run, through a temporary file and a rename: a
+reader sees either no snapshots.npz or a complete one. All floats are
+written with shortest round-trip formatting so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import json
 import math
 import zipfile
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import transport
-from .config import ConfigError
+from .config import ConfigError, ExperimentConfig, parse_config
 from .greedy import Dictionary, GreedyReport
 from .online import ReducedModel
 
@@ -46,18 +47,13 @@ class StoreError(RuntimeError):
 
 @dataclass(frozen=True)
 class SnapshotStore:
-    name: str
-    axis_names: tuple[str, ...]  # ("t", <sweep axes...>)
+    config: ExperimentConfig  # the sweep, grid and axis names
     params: np.ndarray  # (K, d)
     values: np.ndarray  # (K, N)
     masses: np.ndarray  # (K,)
     steps: np.ndarray  # (combos,) IMPES steps per simulation
     min_dt_s: np.ndarray  # (combos,) smallest CFL step [s]
     mass_residual: np.ndarray  # (combos,) mass-balance residual / pore volume
-    x_min: float
-    x_max: float
-    n_cells: int
-    config: dict
 
     @property
     def count(self) -> int:
@@ -146,25 +142,14 @@ def make_dir(directory) -> Path:
     return directory
 
 
-def store_manifest(config: dict, axis_names, combo_count: int, time_count: int) -> dict:
-    return {
-        "kind": STORE_KIND,
-        "schema_version": STORE_SCHEMA,
-        "axis_names": list(axis_names),
-        "combo_count": combo_count,
-        "time_count": time_count,
-        "config": config,
-    }
-
-
-def init_store_dir(directory, manifest: dict, force: bool = False) -> Path:
+def init_store_dir(directory, cfg: ExperimentConfig, force: bool = False) -> Path:
     """Create (or reuse, when its manifest matches) a store directory for
     generation; a rewritten manifest drops the stale snapshots.npz."""
     directory = make_dir(directory)
     man_path = directory / MANIFEST_NAME
+    manifest = {"kind": STORE_KIND, "schema_version": STORE_SCHEMA, "config": cfg.raw}
     if man_path.exists() and not force:
-        existing = _read_json(man_path)
-        if existing != manifest:
+        if _read_json(man_path) != manifest:
             raise StoreError(
                 f"{directory} holds a store for a different config; "
                 "use --force to overwrite"
@@ -193,12 +178,11 @@ def _check_shapes(arrays: dict, expected: dict, context: str) -> None:
             )
 
 
-def _check_store_shapes(arrays: dict, manifest: dict) -> None:
-    combos, times = manifest["combo_count"], manifest["time_count"]
-    n_cells = int(manifest["config"]["grid"]["n_cells"])
+def _check_store_shapes(arrays: dict, cfg: ExperimentConfig) -> None:
+    combos, times, n_cells = len(cfg.combos()), len(cfg.snapshot_times_yr), cfg.grid.n_cells
     rows = combos * times
     expected = dict(
-        params=(rows, len(manifest["axis_names"])), values=(rows, n_cells), masses=(rows,),
+        params=(rows, len(cfg.axis_names)), values=(rows, n_cells), masses=(rows,),
         steps=(combos,), min_dt_s=(combos,), mass_residual=(combos,),
     )
     _check_shapes(
@@ -223,23 +207,17 @@ def _check_store_values(arrays: dict) -> None:
             raise StoreError(f"array {name!r} is not a float array {rule}")
 
 
-def sweep_params(config: dict) -> np.ndarray:
-    """The (K, d) params of the sweep a config describes: every axis
-    combination in tensor order, each at every snapshot time."""
-    axes = [ax["values"] for ax in config["axes"]]
-    times = config["snapshot_times_yr"]
-    return np.array([(t, *combo) for combo in product(*axes) for t in times], dtype=float)
-
-
-def save_store(directory, manifest: dict, **arrays) -> None:
-    """Write the STORE_ARRAYS of a finished sweep as snapshots.npz, after
-    checking their shapes against the manifest."""
-    _check_store_shapes(arrays, manifest)
+def save_store(directory, cfg: ExperimentConfig, **arrays) -> None:
+    """Write a finished sweep as snapshots.npz: the sweep's params and the
+    other STORE_ARRAYS, after checking their shapes against the config."""
+    arrays = {**arrays, "params": cfg.sweep_params()}
+    _check_store_shapes(arrays, cfg)
     savez_atomic(Path(directory) / SNAPSHOTS_NAME, **{name: arrays[name] for name in STORE_ARRAYS})
 
 
 def load_store(directory) -> SnapshotStore:
-    """Read and validate a complete store; StoreError on any inconsistency."""
+    """Read and validate a complete store; StoreError on any inconsistency,
+    an invalid recorded config included."""
     directory = Path(directory)
     man_path = directory / MANIFEST_NAME
     npz_path = directory / SNAPSHOTS_NAME
@@ -247,31 +225,19 @@ def load_store(directory) -> SnapshotStore:
         raise StoreError(f"not a snapshot store (no {MANIFEST_NAME}): {directory}")
     manifest = _read_json(man_path)
     _check_kind(manifest, man_path, STORE_KIND, STORE_SCHEMA)
+    try:
+        cfg = parse_config(manifest.get("config"))
+    except ConfigError as err:
+        raise StoreError(f"{man_path} holds an invalid config: {err}") from err
     if not npz_path.exists():
         raise StoreError(f"store incomplete (no {SNAPSHOTS_NAME}); rerun generate")
-    try:
-        cfg = manifest["config"]
-        axis_names = ["t", *(str(ax["name"]) for ax in cfg["axes"])]
-        if manifest["axis_names"] != axis_names:
-            raise StoreError(f"manifest axis_names {manifest['axis_names']} are not "
-                             f"the config's {axis_names}")
-        arrays = _read_npz(npz_path, STORE_ARRAYS)
-        _check_store_shapes(arrays, manifest)
-        _check_store_values(arrays)
-        if not np.array_equal(arrays["params"], sweep_params(cfg)):
-            raise StoreError("array 'params' is not the sweep of the manifest's axes and "
-                             "snapshot times (every combination in tensor order, at every time)")
-        return SnapshotStore(
-            name=cfg["name"],
-            axis_names=tuple(axis_names),
-            **arrays,
-            x_min=float(cfg["grid"]["x_min_km"]),
-            x_max=float(cfg["grid"]["x_max_km"]),
-            n_cells=int(cfg["grid"]["n_cells"]),
-            config=cfg,
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise StoreError(f"{man_path} lacks a valid field: {err}") from err
+    arrays = _read_npz(npz_path, STORE_ARRAYS)
+    _check_store_shapes(arrays, cfg)
+    _check_store_values(arrays)
+    if not np.array_equal(arrays["params"], cfg.sweep_params()):
+        raise StoreError("array 'params' is not the sweep of the manifest's axes and "
+                         "snapshot times (every combination in tensor order, at every time)")
+    return SnapshotStore(config=cfg, **arrays)
 
 
 REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",
@@ -359,14 +325,21 @@ def load_model(directory) -> ReducedModel:
     meta = _read_json(meta_path)
     _check_kind(meta, meta_path, MODEL_KIND, MODEL_SCHEMA)
     try:
-        axis_names = tuple(meta["axis_names"])
+        axis_names = meta["axis_names"]
         n_atoms = int(meta["n_atoms"])
         n_raw = int(meta["n_raw"])
         x_min, x_max = float(meta["x_min_km"]), float(meta["x_max_km"])
     except (KeyError, TypeError, ValueError) as err:
         raise StoreError(f"{meta_path} lacks a valid field: {err}") from err
+    if not (isinstance(axis_names, list) and all(isinstance(name, str) for name in axis_names)):
+        raise StoreError(f"{meta_path}: axis_names {axis_names!r} is not a list of strings")
+    axis_names = tuple(axis_names)
     if n_atoms < 2:
         raise StoreError(f"{meta_path} holds {n_atoms} atoms; a model needs at least 2")
+    # NaN fails both comparisons
+    if not (n_raw >= 2 and -math.inf < x_min < x_max < math.inf):
+        raise StoreError(f"{meta_path} holds an unusable grid: {n_raw} cells on "
+                         f"[{x_min}, {x_max}] km (needs 2 cells and finite x_min_km < x_max_km)")
     axis_keys = tuple(f"axis_{i}" for i in range(len(axis_names)))
     data = _read_npz(directory / MODEL_ARRAYS_NAME, MODEL_ARRAYS + axis_keys)
     axes = tuple(data[key] for key in axis_keys)
@@ -409,21 +382,23 @@ def check_model_fits_store(model: ReducedModel, st: SnapshotStore,
     cell grid than the model's profiles, or were swept over other axes; with
     same_sweep, also when an axis of the store's sweep holds other values
     than the model's."""
+    grid = st.config.grid
     model_grid = (model.n_raw, model.x_min, model.x_max)
-    store_grid = (st.n_cells, st.x_min, st.x_max)
+    store_grid = (grid.n_cells, grid.x_min, grid.x_max)
     if model_grid != store_grid:
         describe = "{} cells on [{}, {}] km".format
         raise StoreError(
             f"the model's grid ({describe(*model_grid)}) is not the store's "
             f"({describe(*store_grid)})"
         )
-    if st.axis_names != model.axis_names:
-        raise StoreError(f"the store's axes {list(st.axis_names)} are not the "
+    axis_names = st.config.axis_names
+    if axis_names != model.axis_names:
+        raise StoreError(f"the store's axes {list(axis_names)} are not the "
                          f"model's {list(model.axis_names)}")
     if not same_sweep:
         return
-    for name, col, ax in zip(st.axis_names, st.params.T, model.axes):
-        values = np.unique(col)  # the sweep's values: load_store checked the params
+    sweep = (st.config.snapshot_times_yr, *(ax.values for ax in st.config.axes))
+    for name, values, ax in zip(axis_names, sweep, model.axes):
         if not np.array_equal(values, ax):
-            raise StoreError(f"the store's axis {name!r} sweeps {values.tolist()}, "
+            raise StoreError(f"the store's axis {name!r} sweeps {list(values)}, "
                              f"the model's {ax.tolist()}")

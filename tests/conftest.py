@@ -30,7 +30,9 @@ class ExampleData:
     model_dir: Path
 
     def training_icdfs(self) -> np.ndarray:
-        return transport.snapshots_to_icdfs(self.store.values, self.store.x_min, self.store.x_max)
+        return transport.snapshots_to_icdfs(
+            self.store.values, self.store.config.grid.x_min, self.store.config.grid.x_max
+        )
 
     def n_gbar(self, eps: float):
         return pod.size_for_tolerance(self.report.l1_mean, eps, self.report.n)

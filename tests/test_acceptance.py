@@ -214,7 +214,9 @@ def test_criterion_7_landscape_sanity(example1):
 
     worst_dist = 0.0
     for k in CRITERION_7_TARGETS:
-        target = tr.snapshot_to_icdf(st.values[k], x_min=st.x_min, x_max=st.x_max)
+        target = tr.snapshot_to_icdf(
+            st.values[k], x_min=st.config.grid.x_min, x_max=st.config.grid.x_max
+        )
         qp = sq.solve_batch(atoms, target)
         grid = dg.energy_landscape(atoms, target, resolution=resolution)
         w2_sq = 10.0 ** (2.0 * grid.log10_w2)
@@ -241,7 +243,9 @@ def test_landscape_matches_the_data_form_oracle(example1):
     st = example1.store
     atoms = example1.model.dictionary.atoms[:, :3]
     for k in CRITERION_7_TARGETS:
-        target = tr.snapshot_to_icdf(st.values[k], x_min=st.x_min, x_max=st.x_max)
+        target = tr.snapshot_to_icdf(
+            st.values[k], x_min=st.config.grid.x_min, x_max=st.config.grid.x_max
+        )
         grid = dg.energy_landscape(atoms, target, resolution=201)
         want = landscape_log10_w2(atoms, grid.weights, target)
         np.testing.assert_allclose(grid.log10_w2, want, rtol=0.0, atol=1e-10)
@@ -254,7 +258,9 @@ def test_landscape_csv_is_a_per_cell_repr(example1, tmp_path):
     argv = ["landscape", "--model", str(example1.model_dir), "--store", str(store_dir),
             "--out", str(tmp_path), "--n", "3", "--target-index", "300"]
     assert cli.main(argv) == 0
-    target = tr.snapshot_to_icdf(st.values[300], x_min=st.x_min, x_max=st.x_max)
+    target = tr.snapshot_to_icdf(
+        st.values[300], x_min=st.config.grid.x_min, x_max=st.config.grid.x_max
+    )
     grid = dg.energy_landscape(example1.model.dictionary.atoms[:, :3], target)
     table = np.column_stack([grid.xy, grid.weights, grid.log10_w2])
     lines = ["x,y,lam_1,lam_2,lam_3,log10_w2"]
@@ -315,7 +321,7 @@ class TestPaperBehaviors:
         truth = st.values[k]
         rec = online.reconstruct(example2.model, st.params[k])
         err = np.abs(rec - truth)
-        gamma_cell = int(0.05 * st.n_cells)
+        gamma_cell = int(0.05 * st.config.grid.n_cells)
         window = slice(max(gamma_cell - 15, 0), gamma_cell + 16)
         local = err[window].mean()
         assert local > 2.0 * err.mean()

@@ -121,7 +121,7 @@ class TestConfig:
         (copied / "manifest.json").write_text(json.dumps(manifest))
         for extra in ([], override):
             argv = ["offline", "--store", str(copied), "--out", str(tmp_path / "m"), *extra]
-            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert cli.main(argv) == cli.EXIT_STORE
 
     @pytest.mark.parametrize("path, value, message", [
         pytest.param(("qp", "tol"), float("inf"), "qp.tol must be a finite number", id="tol-inf"),
@@ -169,6 +169,7 @@ class TestConfig:
         pytest.param(("fluids",), 3, id="fluids-not-an-object"),
         pytest.param(("axes", 1), 7, id="axis-not-an-object"),
         pytest.param(("fluids", "beta"), 0.0, id="beta-zero"),
+        pytest.param(("fluids", "beta"), {"param": ["beta"]}, id="binding-to-a-list"),
         pytest.param(("rock", "porosity"), 1.5, id="porosity-above-1"),
         pytest.param(("rock", "porosity"), {"param": "mu", "scale": 0.2}, id="porosity-bound"),
         pytest.param(("boundary", "p_left_pa"), float("nan"), id="pressure-nan"),
@@ -235,7 +236,7 @@ class TestGenerate:
         _, _, store_dir, _ = mini_run
         st = store.load_store(store_dir)
         assert st.count == 2 * 2 * 3
-        assert st.axis_names == ("t", "mu", "beta")
+        assert st.config.axis_names == ("t", "mu", "beta")
         assert st.values.shape == (12, 102)
         np.testing.assert_allclose(
             st.masses, st.values.sum(axis=1) / 102, rtol=1e-12
@@ -340,13 +341,12 @@ class TestStoreValidation:
 
     def test_save_store_checks_shapes_before_writing(self, copy):
         st = store.load_store(copy)
-        manifest = json.loads((copy / store.MANIFEST_NAME).read_text())
         (copy / store.SNAPSHOTS_NAME).unlink()
         arrays = {name: getattr(st, name) for name in store.STORE_ARRAYS}
         with pytest.raises(store.StoreError, match="values"):
-            store.save_store(copy, manifest, **{**arrays, "values": st.values[:, :-1]})
+            store.save_store(copy, st.config, **{**arrays, "values": st.values[:, :-1]})
         assert not (copy / store.SNAPSHOTS_NAME).exists()
-        store.save_store(copy, manifest, **arrays)
+        store.save_store(copy, st.config, **arrays)
         np.testing.assert_array_equal(store.load_store(copy).values, st.values)
 
     def test_wrong_kind(self, copy):
@@ -440,17 +440,50 @@ class TestStoreValidation:
             assert err.count("\n") == 1 and "'params'" in err
             assert not out.exists()
 
-    def test_axis_names_not_the_config_axes(self, copy, tmp_path, capsys):
-        # a renamed axis would train a model that asks online for it
-        self._edit_manifest(copy, axis_names=["t", "visc", "beta"])
-        with pytest.raises(store.StoreError, match="axis_names"):
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda cfg: cfg.update(cfl_safety=5), id="safety-above-1"),
+        pytest.param(lambda cfg: cfg.pop("fluids"), id="no-fluids"),
+        pytest.param(lambda cfg: cfg.update(greedy=3), id="greedy-not-an-object"),
+        pytest.param(lambda cfg: cfg["grid"].update(x_max_km=-1), id="reversed-grid"),
+        pytest.param(lambda cfg: cfg["boundary"].update(p_left_pa="x"), id="pressure-string"),
+    ])
+    @pytest.mark.parametrize("command", ["offline", "pod", "tables", "landscape", "online"])
+    def test_invalid_recorded_config(self, mini_run, copy, tmp_path, capsys, edit, command):
+        # the recorded config is store data: every command that loads the
+        # store refuses an invalid one, naming the manifest, before any output
+        *_, model_dir = mini_run
+        path = copy / store.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        edit(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(store.StoreError, match="manifest.json holds an invalid config"):
             store.load_store(copy)
+        out = tmp_path / "out"
+        argv = [command, "--store", str(copy), "--out", str(out)]
+        model_args = {"tables": [], "landscape": ["--target-index", "5", "--resolution", "11"],
+                      "online": ["--at", "t=2.5,mu=1,beta=2"]}
+        if command in model_args:
+            argv += ["--model", str(model_dir), *model_args[command]]
         capsys.readouterr()
-        out = tmp_path / "model"
-        assert cli.main(["offline", "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
+        assert cli.main(argv) == cli.EXIT_STORE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "['t', 'mu', 'beta']" in err
+        assert err.count("\n") == 1 and store.MANIFEST_NAME in err
         assert not out.exists()
+
+    def test_old_manifest_with_derived_keys(self, mini_run, copy, tmp_path):
+        # older manifests also carry the axis names and sweep sizes; the keys
+        # are ignored on load, but generate asks for --force to rewrite them
+        _, cfg_path, _, model_dir = mini_run
+        self._edit_manifest(copy, axis_names=["t", "mu", "beta"], combo_count=4, time_count=3)
+        out = tmp_path / "m"
+        assert cli.main(["offline", "--store", str(copy), "--out", str(out)]) == 0
+        for artefact in (store.MODEL_ARRAYS_NAME, store.REPORT_NAME):
+            assert (out / artefact).read_bytes() == (model_dir / artefact).read_bytes()
+        argv = ["generate", "--config", str(cfg_path), "--out", str(copy)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert cli.main([*argv, "--force"]) == 0
+        manifest = json.loads((copy / store.MANIFEST_NAME).read_text())
+        assert sorted(manifest) == ["config", "kind", "schema_version"]
 
     def test_integer_values(self, copy):
         self._edit_arrays(copy, "values", lambda arr: (arr > 0.5).astype(int))
@@ -507,6 +540,22 @@ class TestModelValidation:
         argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=0.3,mu=2,beta=2.5"]
         assert cli.main(argv) == cli.EXIT_STORE
         assert "0 atoms" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"x_min_km": 1.0, "x_max_km": 0.0}, "unusable grid", id="reversed-grid"),
+        pytest.param({"x_max_km": float("nan")}, "unusable grid", id="x-max-nan"),
+        pytest.param({"x_max_km": float("inf")}, "unusable grid", id="x-max-inf"),
+        pytest.param({"axis_names": "tmb"}, "not a list of strings", id="axis-names-string"),
+    ])
+    def test_unusable_grid_or_axis_names(self, copy, tmp_path, capsys, changes, message):
+        self._edit_meta(copy, **changes)
+        with pytest.raises(store.StoreError, match=message):
+            store.load_model(copy)
+        out = tmp_path / "o"
+        argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=2.5,mu=1,beta=2"]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_npz(self, copy):
@@ -739,7 +788,7 @@ class TestGridMismatch:
         assert err.count("\n") == 1
         other = store.load_store(other_store)
         assert "102 cells on [0.0, 1.0] km" in err
-        assert f"{other.n_cells} cells on [0.0, {other.x_max}] km" in err
+        assert f"{other.config.grid.n_cells} cells on [0.0, {other.config.grid.x_max}] km" in err
         assert not out.exists()
 
 
@@ -928,7 +977,8 @@ class TestOffline:
         # kept their warm start; a full recompute of every column must agree
         _, _, store_dir, _ = mini_run
         st = store.load_store(store_dir)
-        train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
+        grid = st.config.grid
+        train = transport.snapshots_to_icdfs(st.values, grid.x_min, grid.x_max)
         sweeps = []
         run = greedy.run
 
@@ -949,7 +999,7 @@ class TestOffline:
             np.testing.assert_allclose(step.qp.objective, objective, rtol=1e-14,
                                        atol=1e-14 * objective.max())
             rec = online.profile_from_weights(
-                train[:, indices], step.qp.weights, st.masses, st.n_cells, st.x_min, st.x_max
+                train[:, indices], step.qp.weights, st.masses, grid.n_cells, grid.x_min, grid.x_max
             )
             rels = online.relative_l1_error(rec, st.values)
             assert mean == pytest.approx(rels.mean(), rel=1e-14, abs=0)
@@ -971,7 +1021,7 @@ class TestOffline:
         assert cli.main(["offline", "--store", str(store_dir), "--out", str(out),
                          "--n-max", "3"]) == 0
         assert store.load_model(out).n_atoms == 3
-        assert store.load_store(store_dir).config["greedy"]["n_max"] == 5
+        assert store.load_store(store_dir).config.greedy.n_max == 5
 
     def test_store_with_a_qp_max_iter_trains_the_same_model(self, mini_run, tmp_path):
         # stores written while the config had a qp.max_iter setting still
@@ -1064,7 +1114,8 @@ class TestGreedyReport:
     def test_greedy_fills_all_but_the_l1_columns(self, mini_run):
         _, _, store_dir, _ = mini_run
         st = store.load_store(store_dir)
-        train = transport.snapshots_to_icdfs(st.values, st.x_min, st.x_max)
+        grid = st.config.grid
+        train = transport.snapshots_to_icdfs(st.values, grid.x_min, grid.x_max)
         _, report, _ = greedy.run(train, st.params, n_max=4)
         assert report.n == [2, 3, 4] and report.termination == greedy.TERM_MAX_ATOMS
         for name in set(store.REPORT_COLUMNS) - {"criterion", "l1_mean", "l1_max"}:
