@@ -144,7 +144,6 @@ def cmd_offline(args) -> int:
     start = time.perf_counter()
     dictionary, report, final_weights = greedy.run(
         train,
-        st.params,
         eps_abs=cfg.greedy.eps_abs,
         eps_rel=cfg.greedy.eps_rel,
         n_max=cfg.greedy.n_max,
@@ -153,8 +152,10 @@ def cmd_offline(args) -> int:
     )
     greedy_s = time.perf_counter() - start - track_s
     report.l1_mean, report.l1_max = l1_mean, l1_max
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    for n, bad in zip(report.n, report.n_unconverged):
+        if bad:
+            print(f"warning: n={n}: {bad} of {st.count} weight solves did not converge",
+                  file=sys.stderr)
     start = time.perf_counter()
     model = online.fit(
         dictionary,

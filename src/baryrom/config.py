@@ -197,6 +197,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for i, ax in enumerate(axes_raw):
         ax_name = _require(ax, "name", f"axes[{i}]")
         values = _require(ax, "values", f"axes[{i}]")
+        if not isinstance(ax_name, str):
+            raise ConfigError(f"axes[{i}].name must be a string, got {ax_name!r}")
         if ax_name == "t":
             raise ConfigError("axis name 't' is reserved for snapshot times")
         if not _numbers(values):
@@ -204,7 +206,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not values or not np.all(np.diff(values) > 0):
             raise ConfigError(f"axes[{i}] ({ax_name}): values must be nonempty and strictly "
                               "increasing (sorted, no repeats)")
-        axes.append(Axis(name=str(ax_name), values=tuple(float(v) for v in values)))
+        axes.append(Axis(name=ax_name, values=tuple(float(v) for v in values)))
     axis_names = {ax.name for ax in axes}
     if len(axis_names) != len(axes):
         raise ConfigError("duplicate axis names")

@@ -22,10 +22,9 @@ TERM_EXHAUSTED = "exhausted"  # every training point is already an atom
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Selected atoms (columns) and their parameter points."""
+    """Selected atoms (columns) and their training indices."""
 
     atoms: np.ndarray  # (M, n)
-    atom_params: np.ndarray  # (n, d)
     atom_indices: np.ndarray  # (n,) indices into the training set
 
     @property
@@ -50,7 +49,6 @@ class GreedyReport:
     n_unconverged: list[int] = field(default_factory=list)
     kkt_max: list[float] = field(default_factory=list)
     termination: str = ""
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,9 @@ def init_pair(train: np.ndarray) -> tuple[int, int]:
     return flat // k, flat % k
 
 
-def make_dictionary(train: np.ndarray, params: np.ndarray, indices) -> Dictionary:
+def make_dictionary(train: np.ndarray, indices) -> Dictionary:
     indices = np.asarray(indices, dtype=int)
-    atoms = train[:, indices]
-    return Dictionary(
-        atoms=atoms,
-        atom_params=np.asarray(params, dtype=float)[indices],
-        atom_indices=indices,
-    )
+    return Dictionary(atoms=train[:, indices], atom_indices=indices)
 
 
 def greedy_step(
@@ -146,7 +139,6 @@ def cayley_menger_volume(atoms: np.ndarray) -> float:
 
 def run(
     train: np.ndarray,
-    params: np.ndarray,
     eps_abs: float = 0.0,
     eps_rel: float = 0.0,
     n_max: int = 2,
@@ -164,7 +156,6 @@ def run(
     with the StepResult of every completed sweep.
     """
     train = np.asarray(train, dtype=float)
-    params = np.asarray(params, dtype=float)
     if not 0.0 <= eps_rel < 1.0:
         raise ValueError("eps_rel must lie in [0, 1)")
     if not eps_abs >= 0.0:  # written so that NaN fails too
@@ -179,7 +170,7 @@ def run(
     prev_delta = None
 
     while True:
-        dictionary = make_dictionary(train, params, selected)
+        dictionary = make_dictionary(train, selected)
         step = greedy_step(dictionary, train, warm, tol, warm_objective)
         n = dictionary.size
         report.n.append(n)
@@ -187,14 +178,9 @@ def run(
         report.mean_w2.append(float(step.errors.mean()))
         report.condition.append(simplexqp.condition_of_gram(dictionary.atoms.T @ dictionary.atoms))
         report.volume.append(cayley_menger_volume(dictionary.atoms))
-        bad = int(np.count_nonzero(~step.qp.converged))
         report.qp_iters_max.append(int(step.qp.iterations.max()))
-        report.n_unconverged.append(bad)
+        report.n_unconverged.append(int(np.count_nonzero(~step.qp.converged)))
         report.kkt_max.append(float(step.qp.kkt.max()))
-        if bad:
-            report.warnings.append(
-                f"n={n}: {bad} of {train.shape[1]} weight solves did not converge"
-            )
         if on_iteration is not None:
             on_iteration(n, list(selected), step)
 

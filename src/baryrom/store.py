@@ -10,6 +10,15 @@ relative mass-balance residual). Generation writes snapshots.npz once,
 after the whole sweep has run, through a temporary file and a rename: a
 reader sees either no snapshots.npz or a complete one. All floats are
 written with shortest round-trip formatting so reruns are byte-identical.
+
+A model directory states each fact once. model.json holds `kind`,
+`schema_version`, `axis_names` and the cell grid (`n_raw`, `x_min_km`,
+`x_max_km`); model.npz holds `atoms`, whose column count is the atom count,
+`atom_indices`, `weight_table`, `mass_table` and one `axis_i` per axis;
+greedy_report.csv holds one row per greedy iteration, with the termination
+reason in the last `criterion` cell and the unconverged weight solves in
+`n_unconverged`. The `n_atoms`, `termination` and `warnings` keys and the
+`atom_params` array of older model directories are ignored on load.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ MODEL_ARRAYS_NAME = "model.npz"
 REPORT_NAME = "greedy_report.csv"
 MODEL_KIND = "reduced_model"
 MODEL_SCHEMA = 1
-MODEL_ARRAYS = ("atoms", "atom_params", "atom_indices", "weight_table", "mass_table")
+MODEL_ARRAYS = ("atoms", "atom_indices", "weight_table", "mass_table")
 
 
 class StoreError(RuntimeError):
@@ -257,8 +266,8 @@ def save_report(path, report: GreedyReport):
 
 
 def load_report(model_dir) -> GreedyReport:
-    """Read a model directory's greedy report (its warnings stay in
-    model.json); StoreError when it is missing or malformed."""
+    """Read a model directory's greedy report; StoreError when it is
+    missing or malformed."""
     path = Path(model_dir) / REPORT_NAME
     try:
         header, rows = read_csv(path)
@@ -292,7 +301,6 @@ def save_model(directory, model: ReducedModel, report: GreedyReport):
     save_report(directory / REPORT_NAME, report)  # first: a bad report leaves no model
     arrays = {
         "atoms": model.dictionary.atoms,
-        "atom_params": model.dictionary.atom_params,
         "atom_indices": model.dictionary.atom_indices,
         "weight_table": model.weight_table,
         "mass_table": model.mass_table,
@@ -309,9 +317,6 @@ def save_model(directory, model: ReducedModel, report: GreedyReport):
             "n_raw": model.n_raw,
             "x_min_km": model.x_min,
             "x_max_km": model.x_max,
-            "n_atoms": model.n_atoms,
-            "termination": report.termination,
-            "warnings": report.warnings,
         },
     )
 
@@ -326,22 +331,28 @@ def load_model(directory) -> ReducedModel:
     _check_kind(meta, meta_path, MODEL_KIND, MODEL_SCHEMA)
     try:
         axis_names = meta["axis_names"]
-        n_atoms = int(meta["n_atoms"])
-        n_raw = int(meta["n_raw"])
-        x_min, x_max = float(meta["x_min_km"]), float(meta["x_max_km"])
-    except (KeyError, TypeError, ValueError) as err:
+        n_raw, x_min, x_max = meta["n_raw"], meta["x_min_km"], meta["x_max_km"]
+    except KeyError as err:
         raise StoreError(f"{meta_path} lacks a valid field: {err}") from err
     if not (isinstance(axis_names, list) and all(isinstance(name, str) for name in axis_names)):
         raise StoreError(f"{meta_path}: axis_names {axis_names!r} is not a list of strings")
     axis_names = tuple(axis_names)
-    if n_atoms < 2:
-        raise StoreError(f"{meta_path} holds {n_atoms} atoms; a model needs at least 2")
-    # NaN fails both comparisons
-    if not (n_raw >= 2 and -math.inf < x_min < x_max < math.inf):
-        raise StoreError(f"{meta_path} holds an unusable grid: {n_raw} cells on "
-                         f"[{x_min}, {x_max}] km (needs 2 cells and finite x_min_km < x_max_km)")
+    # JSON numbers only (a bool or a string is not one); NaN fails every comparison
+    numbers = all(type(value) in (int, float) for value in (n_raw, x_min, x_max))
+    if not (numbers and float(n_raw).is_integer() and n_raw >= 2
+            and -math.inf < x_min < x_max < math.inf):
+        raise StoreError(f"{meta_path} holds an unusable grid: {n_raw!r} cells on "
+                         f"[{x_min!r}, {x_max!r}] km (needs a whole number of at least 2 "
+                         "cells and finite numbers x_min_km < x_max_km)")
+    n_raw, x_min, x_max = int(n_raw), float(x_min), float(x_max)
     axis_keys = tuple(f"axis_{i}" for i in range(len(axis_names)))
-    data = _read_npz(directory / MODEL_ARRAYS_NAME, MODEL_ARRAYS + axis_keys)
+    npz_path = directory / MODEL_ARRAYS_NAME
+    data = _read_npz(npz_path, MODEL_ARRAYS + axis_keys)
+    if data["atoms"].ndim != 2 or data["atoms"].dtype.kind != "f":
+        raise StoreError(f"array 'atoms' of {npz_path} is not a 2-D float array")
+    n_atoms = data["atoms"].shape[1]
+    if n_atoms < 2:
+        raise StoreError(f"{npz_path} holds {n_atoms} atoms; a model needs at least 2")
     axes = tuple(data[key] for key in axis_keys)
     for key, ax in zip(axis_keys, axes):
         ok = ax.ndim == 1 and ax.dtype.kind == "f" and ax.size and np.isfinite(ax).all()
@@ -349,8 +360,8 @@ def load_model(directory) -> ReducedModel:
             raise StoreError(f"array {key!r} is not a nonempty, finite, strictly increasing axis")
     shape = tuple(ax.size for ax in axes)
     expected = dict(
-        atoms=(transport.icdf_size(n_raw), n_atoms), atom_params=(n_atoms, len(axis_names)),
-        atom_indices=(n_atoms,), weight_table=shape + (n_atoms,), mass_table=shape,
+        atoms=(transport.icdf_size(n_raw), n_atoms), atom_indices=(n_atoms,),
+        weight_table=shape + (n_atoms,), mass_table=shape,
     )
     _check_shapes(data, expected, f"{n_atoms} atoms of {n_raw} cells on a {shape} grid")
     for name in ("atoms", "weight_table", "mass_table"):
@@ -359,13 +370,8 @@ def load_model(directory) -> ReducedModel:
     # icdfs are nondecreasing; the bound forgives a rounding-level dip
     if (np.diff(data["atoms"], axis=0) < -1e-12 * (x_max - x_min)).any():
         raise StoreError("array 'atoms' has a decreasing column, which is not an icdf")
-    dictionary = Dictionary(
-        atoms=data["atoms"],
-        atom_params=data["atom_params"],
-        atom_indices=data["atom_indices"],
-    )
     return ReducedModel(
-        dictionary=dictionary,
+        dictionary=Dictionary(atoms=data["atoms"], atom_indices=data["atom_indices"]),
         axis_names=axis_names,
         axes=axes,
         weight_table=data["weight_table"],

@@ -178,6 +178,10 @@ class TestConfig:
         pytest.param(("boundary", "s_inflow"), True, id="inflow-bool"),
         pytest.param(("axes", 0, "values"), [1, 1, 6], id="axis-value-repeated"),
         pytest.param(("snapshot_times_yr",), [1.0, 1.0, 2.5], id="time-repeated"),
+        pytest.param(("axes",), [*mini_config()["axes"], {"name": 7, "values": [1]}],
+                     id="axis-name-number"),
+        pytest.param(("axes",), [*mini_config()["axes"], {"name": ["x"], "values": [1]}],
+                     id="axis-name-list"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, path, value):
         bad = mini_config()
@@ -522,18 +526,18 @@ class TestModelValidation:
     def test_valid_copy_loads(self, copy):
         assert store.load_model(copy).n_atoms == 5
         assert len(store.load_report(copy).n) == 4
+        # a whole float is a whole number of cells, as for grid.n_cells
+        self._edit_meta(copy, n_raw=102.0)
+        assert type(store.load_model(copy).n_raw) is int
 
     def test_too_few_atoms(self, copy, tmp_path, capsys):
         # a model of no atoms, consistent in every array, is still refused
         path = copy / store.MODEL_ARRAYS_NAME
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
-        for name in ("atoms", "weight_table"):
+        for name in ("atoms", "weight_table", "atom_indices"):
             arrays[name] = arrays[name][..., :0]
-        for name in ("atom_params", "atom_indices"):
-            arrays[name] = arrays[name][:0]
         np.savez(path, **arrays)
-        self._edit_meta(copy, n_atoms=0)
         with pytest.raises(store.StoreError, match="0 atoms"):
             store.load_model(copy)
         out = tmp_path / "o"
@@ -542,11 +546,29 @@ class TestModelValidation:
         assert "0 atoms" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_dimensional_atoms(self, copy, tmp_path, capsys):
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["atoms"] = arrays["atoms"][:, 0]
+        np.savez(path, **arrays)
+        with pytest.raises(store.StoreError, match="'atoms'.*not a 2-D float array"):
+            store.load_model(copy)
+        out = tmp_path / "o"
+        argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=2.5,mu=1,beta=2"]
+        assert cli.main(argv) == cli.EXIT_STORE
+        err = capsys.readouterr().err
+        assert "2-D float array" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("changes, message", [
         pytest.param({"x_min_km": 1.0, "x_max_km": 0.0}, "unusable grid", id="reversed-grid"),
         pytest.param({"x_max_km": float("nan")}, "unusable grid", id="x-max-nan"),
         pytest.param({"x_max_km": float("inf")}, "unusable grid", id="x-max-inf"),
         pytest.param({"axis_names": "tmb"}, "not a list of strings", id="axis-names-string"),
+        pytest.param({"n_raw": 102.9}, "unusable grid", id="cells-fractional"),
+        pytest.param({"n_raw": "102"}, "unusable grid", id="cells-string"),
+        pytest.param({"x_min_km": "0"}, "unusable grid", id="x-min-string"),
     ])
     def test_unusable_grid_or_axis_names(self, copy, tmp_path, capsys, changes, message):
         self._edit_meta(copy, **changes)
@@ -935,6 +957,50 @@ class TestOffline:
         np.testing.assert_array_equal(old.weight_table, model.weight_table)
         np.testing.assert_array_equal(old.mass_table, model.mass_table)
 
+    def test_older_model_directory_gives_the_same_outputs(self, mini_run, tmp_path):
+        # model directories written before each fact was stored once also
+        # hold n_atoms, termination and warnings in model.json and the
+        # atoms' parameter points in model.npz; all four are ignored
+        _, _, store_dir, model_dir = mini_run
+        meta = json.loads((model_dir / store.MODEL_META_NAME).read_text())
+        assert set(meta) == {"kind", "schema_version", "axis_names", "n_raw",
+                             "x_min_km", "x_max_km"}
+        copy = tmp_path / "model"
+        shutil.copytree(model_dir, copy)
+        meta.update(n_atoms=5, termination="max_atoms", warnings=[])
+        (copy / store.MODEL_META_NAME).write_text(json.dumps(meta))
+        path = copy / store.MODEL_ARRAYS_NAME
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert set(arrays) == {*store.MODEL_ARRAYS, "axis_0", "axis_1", "axis_2"}
+        st = store.load_store(store_dir)
+        np.savez(path, atom_params=st.params[arrays["atom_indices"]], **arrays)
+        outputs = {}
+        for name, model in (("plain", model_dir), ("older", copy)):
+            out = tmp_path / name
+            assert cli.main(["online", "--model", str(model), "--out", str(out / "online"),
+                             "--at", "t=2.5,mu=3.5,beta=2", "--at", "t=1,mu=1,beta=4"]) == 0
+            assert cli.main(["tables", "--store", str(store_dir), "--model", str(model),
+                             "--out", str(out / "tables")]) == 0
+            outputs[name] = [(out / "online" / "reconstructions.npz").read_bytes(),
+                             (out / "tables" / "tables.csv").read_bytes()]
+        assert outputs["older"] == outputs["plain"]
+
+    def test_unconverged_solves_warn_once_per_row(self, mini_run, tmp_path, capsys,
+                                                  monkeypatch):
+        # with no active-set change allowed, solves stop unconverged; each
+        # report row that counts some gets one stderr line with its count
+        _, _, store_dir, _ = mini_run
+        monkeypatch.setattr(simplexqp, "MAX_ITER", 0)
+        out = tmp_path / "m"
+        assert cli.main(["offline", "--store", str(store_dir), "--out", str(out)]) == 0
+        report = store.load_report(out)
+        count = store.load_store(store_dir).count
+        expected = [f"warning: n={n}: {bad} of {count} weight solves did not converge"
+                    for n, bad in zip(report.n, report.n_unconverged) if bad]
+        assert expected
+        assert capsys.readouterr().err.splitlines() == expected
+
     def test_degenerate_two_snapshot_store(self, tmp_path):
         cfg = mini_config(times=(1.0, 3.0))
         cfg["axes"] = [{"name": "mu", "values": [1]}, {"name": "beta", "values": [2]}]
@@ -1077,7 +1143,7 @@ class TestGreedyReport:
 
     def test_fields_are_the_csv_columns(self):
         names = {f.name for f in dataclasses.fields(greedy.GreedyReport)}
-        assert names == set(store.REPORT_COLUMNS) - {"criterion"} | {"termination", "warnings"}
+        assert names == set(store.REPORT_COLUMNS) - {"criterion"} | {"termination"}
 
     def test_round_trip(self, tmp_path):
         report = self.make_report()
@@ -1116,7 +1182,7 @@ class TestGreedyReport:
         st = store.load_store(store_dir)
         grid = st.config.grid
         train = transport.snapshots_to_icdfs(st.values, grid.x_min, grid.x_max)
-        _, report, _ = greedy.run(train, st.params, n_max=4)
+        _, report, _ = greedy.run(train, n_max=4)
         assert report.n == [2, 3, 4] and report.termination == greedy.TERM_MAX_ATOMS
         for name in set(store.REPORT_COLUMNS) - {"criterion", "l1_mean", "l1_max"}:
             assert len(getattr(report, name)) == 3, name

@@ -13,14 +13,12 @@ def block_icdf(width, m=60):
 
 
 def block_family(widths, m=60):
-    train = np.stack([block_icdf(w, m) for w in widths], axis=1)
-    params = np.asarray(widths, dtype=float)[:, None]
-    return train, params
+    return np.stack([block_icdf(w, m) for w in widths], axis=1)
 
 
 class TestInitPair:
     def test_two_snapshots(self):
-        train, _ = block_family([0.2, 0.7])
+        train = block_family([0.2, 0.7])
         assert greedy.init_pair(train) == (0, 1)
 
     def test_collinear_picks_endpoints(self):
@@ -48,28 +46,28 @@ class TestInitPair:
 
 class TestGreedyStep:
     def test_train_equals_atoms_small_delta(self):
-        train, params = block_family([0.2, 0.5, 0.9])
-        d = greedy.make_dictionary(train, params, [0, 1, 2])
+        train = block_family([0.2, 0.5, 0.9])
+        d = greedy.make_dictionary(train, [0, 1, 2])
         step = greedy.greedy_step(d, train)
         assert step.delta <= 1e-8
 
     def test_far_snapshot_selected(self):
-        train, params = block_family([0.2, 0.25, 0.3, 0.9])
-        d = greedy.make_dictionary(train, params, [0, 1])
+        train = block_family([0.2, 0.25, 0.3, 0.9])
+        d = greedy.make_dictionary(train, [0, 1])
         step = greedy.greedy_step(d, train)
         assert step.next_index == 3
 
     def test_never_reselects_atoms(self):
-        train, params = block_family([0.2, 0.5, 0.9])
-        d = greedy.make_dictionary(train, params, [0, 2])
+        train = block_family([0.2, 0.5, 0.9])
+        d = greedy.make_dictionary(train, [0, 2])
         step = greedy.greedy_step(d, train)
         assert step.next_index == 1
 
     def test_against_active_set_oracle(self):
         rng = np.random.default_rng(7)
         widths = np.sort(rng.uniform(0.05, 0.95, 7))
-        train, params = block_family(widths.tolist())
-        d = greedy.make_dictionary(train, params, [0, 6, 3])
+        train = block_family(widths.tolist())
+        d = greedy.make_dictionary(train, [0, 6, 3])
         step = greedy.greedy_step(d, train)
         for k in range(train.shape[1]):
             _, f_star = simplex_ls_active_set(d.atoms, train[:, k])
@@ -78,7 +76,7 @@ class TestGreedyStep:
 
 class TestCayleyMenger:
     def test_pair_is_distance(self):
-        train, _ = block_family([0.2, 0.8])
+        train = block_family([0.2, 0.8])
         d = tr.w2_distance(train[:, 0], train[:, 1])
         assert greedy.cayley_menger_volume(train) == pytest.approx(d, rel=1e-10)
 
@@ -113,29 +111,29 @@ class TestCayleyMenger:
 
 class TestRun:
     def test_huge_eps_abs_stops_at_two(self):
-        train, params = block_family([0.1, 0.4, 0.7, 0.95])
-        d, report, weights = greedy.run(train, params, eps_abs=10.0, n_max=4)
+        train = block_family([0.1, 0.4, 0.7, 0.95])
+        d, report, weights = greedy.run(train, eps_abs=10.0, n_max=4)
         assert d.size == 2
         assert report.termination == greedy.TERM_ABSOLUTE
         assert weights.shape == (2, 4)
 
     def test_n_max_two(self):
-        train, params = block_family([0.1, 0.4, 0.7])
-        d, report, _ = greedy.run(train, params, n_max=2)
+        train = block_family([0.1, 0.4, 0.7])
+        d, report, _ = greedy.run(train, n_max=2)
         assert d.size == 2
         assert report.termination == greedy.TERM_MAX_ATOMS
 
     def test_relative_criterion(self):
-        train, params = block_family([0.1, 0.12, 0.14, 0.9])
-        d, report, _ = greedy.run(train, params, eps_rel=0.999, n_max=4)
+        train = block_family([0.1, 0.12, 0.14, 0.9])
+        d, report, _ = greedy.run(train, eps_rel=0.999, n_max=4)
         assert report.termination == greedy.TERM_RELATIVE
         assert d.size < 4
 
     def test_exact_oracle_monotone_delta(self):
         rng = np.random.default_rng(11)
         widths = np.sort(rng.uniform(0.05, 0.95, 8))
-        train, params = block_family(widths.tolist())
-        _, report, _ = greedy.run(train, params, n_max=6)
+        train = block_family(widths.tolist())
+        _, report, _ = greedy.run(train, n_max=6)
         deltas = report.delta
         assert all(b <= a + 1e-9 for a, b in zip(deltas, deltas[1:]))
 
@@ -144,7 +142,7 @@ class TestRun:
         # can never increase the worst-case error
         rng = np.random.default_rng(17)
         widths = np.sort(rng.uniform(0.05, 0.95, 6))
-        train, params = block_family(widths.tolist())
+        train = block_family(widths.tolist())
         i0, j0 = greedy.init_pair(train)
         selected = [i0, j0]
         deltas = []
@@ -162,8 +160,8 @@ class TestRun:
     def test_atoms_are_training_members_no_duplicates(self):
         rng = np.random.default_rng(13)
         widths = np.sort(rng.uniform(0.05, 0.95, 9))
-        train, params = block_family(widths.tolist())
-        d, report, _ = greedy.run(train, params, n_max=5)
+        train = block_family(widths.tolist())
+        d, report, _ = greedy.run(train, n_max=5)
         assert len(set(d.atom_indices.tolist())) == d.size
         for j, idx in enumerate(d.atom_indices):
             np.testing.assert_array_equal(d.atoms[:, j], train[:, idx])
@@ -171,44 +169,44 @@ class TestRun:
         assert len(report.volume) == len(report.n)
 
     def test_callback_called_per_iteration(self):
-        train, params = block_family([0.1, 0.3, 0.5, 0.7, 0.9])
+        train = block_family([0.1, 0.3, 0.5, 0.7, 0.9])
         seen = []
-        greedy.run(train, params, n_max=4, on_iteration=lambda n, i, step: seen.append(n))
+        greedy.run(train, n_max=4, on_iteration=lambda n, i, step: seen.append(n))
         assert seen == [2, 3, 4]
 
     def test_exhausted_training_set(self):
         # n_max beyond the training size stops once every point is an atom
-        train, params = block_family([0.1, 0.5, 0.9])
-        d, report, _ = greedy.run(train, params, n_max=10)
+        train = block_family([0.1, 0.5, 0.9])
+        d, report, _ = greedy.run(train, n_max=10)
         assert d.size == 3
         assert report.termination == greedy.TERM_EXHAUSTED
 
     def test_two_snapshot_store_degenerate(self):
-        train, params = block_family([0.3, 0.8])
-        d, report, _ = greedy.run(train, params, n_max=5)
+        train = block_family([0.3, 0.8])
+        d, report, _ = greedy.run(train, n_max=5)
         assert d.size == 2
         assert sorted(d.atom_indices.tolist()) == [0, 1]
         assert len(report.delta) >= 1
 
     def test_invalid_settings(self):
-        train, params = block_family([0.1, 0.9])
+        train = block_family([0.1, 0.9])
         with pytest.raises(ValueError):
-            greedy.run(train, params, eps_rel=1.0)
+            greedy.run(train, eps_rel=1.0)
         with pytest.raises(ValueError):
-            greedy.run(train, params, n_max=1)
+            greedy.run(train, n_max=1)
         with pytest.raises(ValueError):
-            greedy.run(train, params, eps_abs=-0.1)
+            greedy.run(train, eps_abs=-0.1)
 
     @pytest.mark.parametrize("call", [
-        pytest.param(lambda t, p: simplexqp.solve_batch(t[:, :2], t, tol=np.nan),
+        pytest.param(lambda t: simplexqp.solve_batch(t[:, :2], t, tol=np.nan),
                      id="qp-tol-nan"),
-        pytest.param(lambda t, p: greedy.run(t, p, tol=np.nan), id="greedy-tol-nan"),
-        pytest.param(lambda t, p: greedy.run(t, p, eps_abs=np.nan), id="greedy-eps-abs-nan"),
+        pytest.param(lambda t: greedy.run(t, tol=np.nan), id="greedy-tol-nan"),
+        pytest.param(lambda t: greedy.run(t, eps_abs=np.nan), id="greedy-eps-abs-nan"),
     ])
     def test_nan_or_zero_solver_setting_raises(self, call):
         # a NaN fails every comparison, so a check written as `x < bound`
         # lets it through; a NaN tol leaves every solve unconverged without
         # an error
-        train, params = block_family([0.1, 0.5, 0.9])
+        train = block_family([0.1, 0.5, 0.9])
         with pytest.raises(ValueError):
-            call(train, params)
+            call(train)

@@ -29,7 +29,7 @@ def make_training(n_raw=200):
 @pytest.fixture(scope="module")
 def fitted():
     params, raws, train, masses = make_training()
-    dictionary, _, weights = greedy.run(train, params, n_max=3)
+    dictionary, _, weights = greedy.run(train, n_max=3)
     model = online.fit(dictionary, params, weights, masses, ("t", "y"), n_raw=200)
     return params, raws, train, masses, model
 
@@ -52,10 +52,10 @@ class TestFit:
         params = np.array([[1.0, 2.0]])
         raw = step_profile(0.4, 100)
         train = tr.snapshot_to_icdf(raw)[:, None]
-        d = greedy.make_dictionary(np.hstack([train, train + 1e-9]), np.vstack([params[0], params[0] + 1]), [0])
+        d = greedy.make_dictionary(np.hstack([train, train + 1e-9]), [0])
         # simplest constant model: one atom, one node
         model = online.fit(
-            greedy.Dictionary(train, params, np.array([0])),
+            greedy.Dictionary(train, np.array([0])),
             params,
             np.ones((1, 1)),
             np.array([0.4]),
@@ -68,7 +68,7 @@ class TestFit:
 
     def test_missing_node_rejected(self):
         params, raws, train, masses = make_training()
-        dictionary, _, weights = greedy.run(train, params, n_max=2)
+        dictionary, _, weights = greedy.run(train, n_max=2)
         with pytest.raises(ValueError) as err:
             online.fit(
                 dictionary, params[:-1], weights[:, :-1], masses[:-1], ("t", "y"), 200
@@ -77,7 +77,7 @@ class TestFit:
 
     def test_duplicate_node_rejected(self):
         params, raws, train, masses = make_training()
-        dictionary, _, weights = greedy.run(train, params, n_max=2)
+        dictionary, _, weights = greedy.run(train, n_max=2)
         bad = params.copy()
         bad[1] = bad[0]
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestFit:
     def test_any_row_order_gives_the_same_tables(self, layout):
         # make_training's rows are t-major; a store's are combo-major (t fastest)
         params, _, train, masses = make_training()
-        dictionary, _, weights = greedy.run(train, params, n_max=3)
+        dictionary, _, weights = greedy.run(train, n_max=3)
         ref = online.fit(dictionary, params, weights, masses, ("t", "y"), n_raw=200)
         if layout == "shuffled":
             order = np.random.default_rng(5).permutation(params.shape[0])
@@ -231,7 +231,7 @@ class TestBatch:
     def test_size_one_axis(self):
         params, raws, train, masses = make_training()
         flat = params[:, 1] == 0.5
-        dictionary, _, weights = greedy.run(train[:, flat], params[flat], n_max=2)
+        dictionary, _, weights = greedy.run(train[:, flat], n_max=2)
         model = online.fit(dictionary, params[flat], weights, masses[flat], ("t", "y"), 200)
         assert model.weight_table.shape == (3, 1, 2)
         points = np.column_stack([np.linspace(0, 2, 9), np.full(9, 0.5)])
