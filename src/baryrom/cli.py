@@ -28,7 +28,6 @@ EXIT_STORE = 3
 EXIT_COMPUTE = 4
 
 DEFAULT_EPS = (0.1, 0.05, 0.01, 0.005)
-UNREACHED = "-"
 
 
 def _load_config_arg(spec: str) -> ExperimentConfig:
@@ -258,10 +257,9 @@ def cmd_online(args) -> int:
         pairs = [(q, row_of[z]) for q, z in enumerate(map(tuple, points.tolist())) if z in row_of]
         q, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         err = online.relative_l1_error(profiles[q], st.values[k])
+        # pairs, not a dict: an axis may be named rel_l1_error
         store.write_csv(
-            out / "errors.csv",
-            tuple(model.axis_names) + ("rel_l1_error",),
-            np.column_stack([points[q], err]),
+            out / "errors.csv", [*zip(model.axis_names, points[q].T), ("rel_l1_error", err)]
         )
     print(f"wrote {points.shape[0]} reconstructions ({len(pairs)} with truth) to {out}")
     return EXIT_OK
@@ -277,10 +275,6 @@ def _parse_eps(text: str | None):
     if not all(np.isfinite(e) and e > 0 for e in eps):
         raise ConfigError("epsilon list must hold positive finite numbers")
     return eps
-
-
-def _table_cell(size: int | None):
-    return UNREACHED if size is None else size
 
 
 def _require_nonzero(st: store.SnapshotStore, store_dir: str, stage: str) -> None:
@@ -309,14 +303,15 @@ def cmd_pod(args) -> int:
         out / "basis.npz", modes=basis.modes, singular_values=basis.singular_values
     )
     means = errors.mean(axis=1)
-    maxes = errors.max(axis=1)
-    store.write_csv(
-        out / "pod_errors.csv",
-        ("n", "mean_rel_l1", "max_rel_l1"),
-        [(n + 1, means[n], maxes[n]) for n in range(basis.rank)],
-    )
-    rows = [(eps, _table_cell(pod.size_for_tolerance(means, eps))) for eps in eps_list]
-    store.write_csv(out / "pod_table.csv", ("epsilon", "n_pod"), rows)
+    store.write_csv(out / "pod_errors.csv", [
+        ("n", np.arange(1, basis.rank + 1)),
+        ("mean_rel_l1", means),
+        ("max_rel_l1", errors.max(axis=1)),
+    ])
+    store.write_csv(out / "pod_table.csv", [
+        ("epsilon", eps_list),
+        ("n_pod", [pod.size_for_tolerance(means, eps) for eps in eps_list]),
+    ])
     print(f"POD table written to {out} (rank {basis.rank})")
     return EXIT_OK
 
@@ -328,16 +323,12 @@ def cmd_tables(args) -> int:
     eps_list = _parse_eps(args.eps)
     _, pod_errors = _pod_artifacts(st, args.store)
     pod_means = pod_errors.mean(axis=1)
-    rows = [
-        (
-            eps,
-            _table_cell(pod.size_for_tolerance(report.l1_mean, eps, report.n)),
-            _table_cell(pod.size_for_tolerance(pod_means, eps)),
-        )
-        for eps in eps_list
-    ]
     out = store.make_dir(args.out)
-    store.write_csv(out / "tables.csv", ("epsilon", "n_gbar", "n_pod"), rows)
+    store.write_csv(out / "tables.csv", [
+        ("epsilon", eps_list),
+        ("n_gbar", [pod.size_for_tolerance(report.l1_mean, eps, report.n) for eps in eps_list]),
+        ("n_pod", [pod.size_for_tolerance(pod_means, eps) for eps in eps_list]),
+    ])
     print(f"joint table written to {out / 'tables.csv'}")
     return EXIT_OK
 
@@ -360,9 +351,12 @@ def cmd_landscape(args) -> int:
         model.dictionary.atoms[:, :n], target, resolution=args.resolution
     )
     out = store.make_dir(args.out)
-    header = ("x", "y") + tuple(f"lam_{i + 1}" for i in range(n)) + ("log10_w2",)
-    table = np.column_stack([grid.xy, grid.weights, grid.log10_w2])
-    store.write_csv(out / "landscape.csv", header, table)
+    store.write_csv(out / "landscape.csv", [
+        ("x", grid.xy[:, 0]),
+        ("y", grid.xy[:, 1]),
+        *((f"lam_{i + 1}", lam) for i, lam in enumerate(grid.weights.T)),
+        ("log10_w2", grid.log10_w2),
+    ])
     print(f"landscape ({grid.xy.shape[0]} pixels) written to {out / 'landscape.csv'}")
     return EXIT_OK
 

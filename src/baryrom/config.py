@@ -172,6 +172,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
     name = _require(raw, "name", "config")
+    if not isinstance(name, str):
+        raise ConfigError(f"config name must be a string, got {name!r}")
 
     g = _require(raw, "grid", "config")
     b = _require(raw, "boundary", "config")
@@ -199,6 +201,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         values = _require(ax, "values", f"axes[{i}]")
         if not isinstance(ax_name, str):
             raise ConfigError(f"axes[{i}].name must be a string, got {ax_name!r}")
+        # the name is a CSV header cell and an --at key
+        if (not ax_name or ax_name != ax_name.strip() or not ax_name.isprintable()
+                or "," in ax_name or "=" in ax_name):
+            raise ConfigError(f"axes[{i}].name {ax_name!r} must be nonempty and printable, "
+                              "without ',', '=' or a space at either end")
         if ax_name == "t":
             raise ConfigError("axis name 't' is reserved for snapshot times")
         if not _numbers(values):
@@ -252,7 +259,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"qp.tol must be positive, got {qp.tol!r}")
 
     cfg = ExperimentConfig(
-        name=str(name),
+        name=name,
         grid=grid,
         boundary=boundary,
         fluids_spec=fluids_spec,

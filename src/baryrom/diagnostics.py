@@ -53,20 +53,11 @@ def _interior_weights(verts: np.ndarray, areas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """Rasterized energy landscape over the n-gon."""
+    """Energy landscape at the raster pixels inside the n-gon, row by row."""
 
-    n: int
-    resolution: int
     xy: np.ndarray  # (P, 2) planar coordinates
-    pixel: np.ndarray  # (P, 2) integer raster indices (col, row)
     weights: np.ndarray  # (P, n) simplex weights
     log10_w2: np.ndarray  # (P,)
-
-    def to_image(self) -> np.ndarray:
-        """(resolution, resolution) array of log10 W2, NaN outside the polygon."""
-        img = np.full((self.resolution, self.resolution), np.nan)
-        img[self.pixel[:, 1], self.pixel[:, 0]] = self.log10_w2
-        return img
 
 
 def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 201) -> LandscapeGrid:
@@ -90,18 +81,14 @@ def energy_landscape(atoms: np.ndarray, target: np.ndarray, resolution: int = 20
     coords = np.linspace(-1.0, 1.0, resolution)
     gx, gy = np.meshgrid(coords, coords)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    cols, rows = np.meshgrid(np.arange(resolution), np.arange(resolution))
-    pix = np.column_stack([cols.ravel(), rows.ravel()])
 
     areas = _edge_areas(verts, pts)  # (P, n)
     inside = np.all(areas > BOUNDARY_TOL, axis=1)
-    pts, pix, areas = pts[inside], pix[inside], areas[inside]
+    pts, areas = pts[inside], areas[inside]
 
     w = _interior_weights(verts, areas)
 
     r = np.linalg.qr(np.column_stack([atoms, target]), mode="r")
     w2_sq = np.square(w @ r[:, :n].T - r[:, n]).sum(axis=1) / m
     log10 = 0.5 * np.log10(np.maximum(w2_sq, 1e-300))
-    return LandscapeGrid(
-        n=n, resolution=resolution, xy=pts, pixel=pix, weights=w, log10_w2=log10
-    )
+    return LandscapeGrid(xy=pts, weights=w, log10_w2=log10)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -208,7 +207,6 @@ def fractional_flow_derivative(s, fluids: FluidParams):
     return (dlam_w * lam_nw + lam_w * dlam_nw) / (lam_w + lam_nw) ** 2
 
 
-@lru_cache(maxsize=64)
 def _max_flux_derivative(fluids: FluidParams) -> float:
     grid = np.linspace(0.0, 1.0, 1001)
     # beta < 1 puts poles at s = 0 and s = 1; the FlowError below is the one signal

@@ -1,4 +1,4 @@
-"""POD baseline: snapshot-method modes, projection and error curves, plus
+"""POD baseline: snapshot-method modes and their error curves, plus
 the size-for-tolerance lookup that both the POD and the dictionary tables use.
 
 Snapshots enter as the columns of an N x K matrix, uncentered. Modes come
@@ -61,14 +61,6 @@ def compute(snapshots: np.ndarray) -> PodBasis:
     q, r = np.linalg.qr(modes)
     q = q * np.sign(np.diag(r))[None, :]
     return PodBasis(modes=q, singular_values=sigma)
-
-
-def reconstruct(basis: PodBasis, s: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projection of a snapshot onto the span of the first n modes."""
-    if not 1 <= n <= basis.rank:
-        raise ValueError(f"mode count {n} outside [1, {basis.rank}]")
-    psi = basis.modes[:, :n]
-    return psi @ (psi.T @ np.asarray(s, dtype=float))
 
 
 def relative_l1_errors(basis: PodBasis, snapshots: np.ndarray) -> np.ndarray:

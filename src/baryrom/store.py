@@ -69,30 +69,27 @@ class SnapshotStore:
         return self.params.shape[0]
 
 
-def fmt(value) -> str:
-    """Shortest round-trip text for CSV cells."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    """CSV of a header and rows of cells; a 2-D float array as rows is
-    written with the same text as `fmt`, each distinct value of a column
-    formatted once. Values are told apart by their bits, not by `==`: -0.0
-    and 0.0 compare equal but print differently."""
-    path = Path(path)
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        cols = []
-        for col in rows.T:
+def write_csv(path, columns):
+    """CSV of a sequence of (name, cells) columns; ValueError, naming each
+    column's shape, unless every column is 1-D and all have one length,
+    and then nothing is written. A float column is written with shortest
+    round-trip text, each distinct value formatted once: values are told
+    apart by their bits, not by `==` (-0.0 and 0.0 compare equal but print
+    differently). Any other column is written with `str` per cell, None as
+    "-", the cell of a tolerance that no size reaches."""
+    names, cols = zip(*((name, np.asarray(cells)) for name, cells in columns))
+    if any(col.ndim != 1 for col in cols) or len({col.size for col in cols}) > 1:
+        shapes = ", ".join(f"{name} {col.shape}" for name, col in zip(names, cols))
+        raise ValueError(f"CSV columns must be 1-D and of one length: {shapes}")
+    text = []
+    for col in cols:
+        if col.dtype.kind == "f":
             bits, inverse = np.unique(col.astype(np.float64).view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            cols.append(text[inverse].tolist())
-        lines.extend(map(",".join, zip(*cols)))
-    else:
-        lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+            distinct = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            text.append(distinct[inverse].tolist())
+        else:
+            text.append(["-" if cell is None else str(cell) for cell in col.tolist()])
+    write_text_atomic(path, "\n".join([",".join(names), *map(",".join, zip(*text))]) + "\n")
 
 
 def read_csv(path):
@@ -255,14 +252,12 @@ REPORT_COLUMNS = ("n", "delta", "mean_w2", "condition", "volume", "criterion",
 
 def save_report(path, report: GreedyReport):
     """Write the report's columns by name, its termination in the last
-    criterion cell; ValueError when the columns are empty or differ in length."""
+    criterion cell; ValueError when the columns differ in length, as they
+    do for a report of no iteration, whose criterion column still holds
+    the termination."""
     criterion = [""] * (len(report.n) - 1) + [report.termination]
-    cols = {name: criterion if name == "criterion" else getattr(report, name)
-            for name in REPORT_COLUMNS}
-    lengths = {name: len(col) for name, col in cols.items()}
-    if len(set(lengths.values())) != 1:
-        raise ValueError(f"greedy report columns must be nonempty and of one length: {lengths}")
-    write_csv(path, REPORT_COLUMNS, zip(*cols.values()))
+    write_csv(path, [(name, criterion if name == "criterion" else getattr(report, name))
+                     for name in REPORT_COLUMNS])
 
 
 def load_report(model_dir) -> GreedyReport:

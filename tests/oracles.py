@@ -123,3 +123,16 @@ def landscape_log10_w2(atoms: np.ndarray, weights: np.ndarray, target: np.ndarra
     with the landscape's 1e-300 floor on W2^2."""
     w2_sq = np.array([np.mean((atoms @ w - target) ** 2) for w in weights])
     return 0.5 * np.log10(np.maximum(w2_sq, 1e-300))
+
+
+def landscape_image(grid, resolution: int) -> np.ndarray:
+    """(resolution, resolution) image of a landscape's log10 W2, NaN at the
+    pixels outside the polygon. Each pixel's (col, row) index is recovered
+    from its coordinates on linspace(-1, 1, resolution), and checked to
+    give those coordinates back exactly."""
+    coords = np.linspace(-1.0, 1.0, resolution)
+    col, row = np.rint((grid.xy + 1.0) / 2.0 * (resolution - 1)).astype(int).T
+    assert np.array_equal(coords[col], grid.xy[:, 0]) and np.array_equal(coords[row], grid.xy[:, 1])
+    img = np.full((resolution, resolution), np.nan)
+    img[row, col] = grid.log10_w2
+    return img

@@ -155,6 +155,12 @@ class TestConfig:
         assert cfg.greedy == config.GreedySettings()
         assert cfg.qp == config.QpSettings(tol=simplexqp.DEFAULT_TOL)
 
+    def test_axis_names_with_inner_space_or_underscore(self):
+        raw = mini_config()
+        raw["axes"][0]["name"] = raw["fluids"]["mu_nw_pa_s"]["param"] = "m u"
+        raw["axes"][1]["name"] = raw["fluids"]["beta"]["param"] = "k_lp"
+        assert config.parse_config(raw).axis_names == ("t", "m u", "k_lp")
+
     @pytest.mark.parametrize("path, value", [
         pytest.param(("snapshot_times_yr",), ["a"], id="time-string"),
         pytest.param(("snapshot_times_yr",), 5, id="times-not-a-list"),
@@ -182,6 +188,13 @@ class TestConfig:
                      id="axis-name-number"),
         pytest.param(("axes",), [*mini_config()["axes"], {"name": ["x"], "values": [1]}],
                      id="axis-name-list"),
+        # an axis name is a CSV header cell and an --at key
+        *[pytest.param(("axes",), [*mini_config()["axes"], {"name": name, "values": [1]}],
+                       id=f"axis-name-{case}")
+          for case, name in [("comma", "m,u"), ("equals", "m=u"), ("line-break", "m\nu"),
+                             ("empty", ""), ("leading-space", " mu")]],
+        pytest.param(("name",), ["x"], id="config-name-list"),
+        pytest.param(("name",), 7, id="config-name-number"),
     ])
     def test_bad_values_exit_2(self, tmp_path, capsys, path, value):
         bad = mini_config()
@@ -751,8 +764,9 @@ def per_cell_csv(header, table) -> bytes:
 
 
 class TestWriteCsv:
-    """The float-array path of write_csv formats each distinct value once,
-    byte-identical to a per-cell repr."""
+    """write_csv formats each distinct value of a float column once,
+    byte-identical to a per-cell repr; other columns are written per cell,
+    and columns that are not 1-D of one length write nothing."""
 
     @pytest.mark.parametrize("table", [
         pytest.param(np.tile([[0.1, 2.0, 1e-300], [0.1, 0.1, 2.0]], (50, 1)), id="repeated"),
@@ -764,7 +778,7 @@ class TestWriteCsv:
     ])
     def test_matches_per_cell_repr(self, tmp_path, table):
         header = [f"c{j}" for j in range(table.shape[1])]
-        store.write_csv(tmp_path / "t.csv", header, table)
+        store.write_csv(tmp_path / "t.csv", list(zip(header, table.T)))
         assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(header, table)
 
     def test_column_slice_and_nan_payloads(self, tmp_path):
@@ -774,8 +788,22 @@ class TestWriteCsv:
         table[1, 1] = np.nan
         view = np.arange(24.0).reshape(4, 6)[:, ::2]
         for t in (table, view):
-            store.write_csv(tmp_path / "t.csv", ["a", "b", "c"], t)
+            store.write_csv(tmp_path / "t.csv", list(zip(["a", "b", "c"], t.T)))
             assert (tmp_path / "t.csv").read_bytes() == per_cell_csv(["a", "b", "c"], t)
+
+    @pytest.mark.parametrize("columns", [
+        pytest.param([("a", [1.0, 2.0]), ("b", [1, 2, 3])], id="lengths"),
+        pytest.param([("a", np.zeros((2, 1))), ("b", np.zeros(2))], id="2-d"),
+    ])
+    def test_unequal_columns_raise_and_write_nothing(self, tmp_path, columns):
+        with pytest.raises(ValueError, match=r"a \(2.*\), b \([23],\)"):
+            store.write_csv(tmp_path / "t.csv", columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cells_of_other_columns(self, tmp_path):
+        columns = [("n", [1, 2]), ("size", [3, None]), ("tag", ["", "max_atoms"])]
+        store.write_csv(tmp_path / "t.csv", columns)
+        assert (tmp_path / "t.csv").read_text() == "n,size,tag\n1,3,\n2,-,max_atoms\n"
 
 
 class TestGridMismatch:
@@ -1166,6 +1194,13 @@ class TestGreedyReport:
         report = self.make_report()
         getattr(report, column).pop()
         with pytest.raises(ValueError, match=column):
+            store.save_report(tmp_path / store.REPORT_NAME, report)
+        assert not (tmp_path / store.REPORT_NAME).exists()
+
+    def test_report_without_iterations_raises(self, tmp_path):
+        # its criterion column still holds the termination
+        report = greedy.GreedyReport(termination=greedy.TERM_MAX_ATOMS)
+        with pytest.raises(ValueError, match=r"n \(0,\).*criterion \(1,\)"):
             store.save_report(tmp_path / store.REPORT_NAME, report)
         assert not (tmp_path / store.REPORT_NAME).exists()
 

@@ -5,7 +5,7 @@ from scipy import ndimage
 from baryrom import diagnostics as dg
 from baryrom import simplexqp as sq, transport as tr
 
-from oracles import landscape_log10_w2
+from oracles import landscape_image, landscape_log10_w2
 
 
 def triangle_barycentric(verts, x):
@@ -36,7 +36,8 @@ class TestWachspress:
     def test_centroid_uniform(self):
         for n in range(3, 10):
             grid = polygon_landscape(n)
-            centre = np.flatnonzero(np.all(grid.pixel == grid.resolution // 2, axis=1))
+            # the middle of an odd linspace(-1, 1, r) is exactly 0.0
+            centre = np.flatnonzero(np.all(grid.xy == 0.0, axis=1))
             assert centre.size == 1
             np.testing.assert_allclose(grid.xy[centre[0]], 0.0, atol=1e-15)
             np.testing.assert_allclose(grid.weights[centre[0]], np.full(n, 1.0 / n), atol=1e-12)
@@ -147,7 +148,7 @@ class TestLandscape:
         atoms = synthetic_atoms([0.15, 0.45, 0.85])
         target = synthetic_atoms([0.3])[:, 0]
         grid = dg.energy_landscape(atoms, target, resolution=121)
-        img = grid.to_image()
+        img = landscape_image(grid, 121)
         inside = ~np.isnan(img)
         for q in (5, 10, 25, 50, 75, 90):
             thresh = np.percentile(grid.log10_w2, q)
