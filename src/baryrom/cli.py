@@ -61,12 +61,14 @@ def cmd_generate(args) -> int:
             print(f"FAILED {combo}: {err}", file=sys.stderr)
         print(f"{len(failures)} simulations failed; no snapshots written", file=sys.stderr)
         return EXIT_COMPUTE
-    # the rows step in lockstep, so the wall time goes with the largest count
+    # the rows step in lockstep, so the wall time goes with the largest count;
+    # a single step, at or near an event, costs more than one in a block
     row_steps, lockstep = int(res.steps.sum()), int(res.steps.max())
     if row_steps:
         print(
             f"flow batch: {wall:.2f} s for {len(combos)} simulations, {row_steps} row-steps, "
             f"{wall / row_steps * 1e6:.1f} us per row-step, {lockstep} lockstep steps, "
+            f"{res.single_steps} of them single steps near events, "
             f"{wall / lockstep * 1e6:.1f} us per lockstep step"
         )
     store.save_store(

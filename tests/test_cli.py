@@ -301,12 +301,24 @@ class TestGenerate:
                     if ln.startswith("flow batch:"))
         match = re.fullmatch(r"flow batch: ([\d.]+) s for 4 simulations, (\d+) row-steps, "
                              r"([\d.]+) us per row-step, (\d+) lockstep steps, "
+                             r"(\d+) of them single steps near events, "
                              r"([\d.]+) us per lockstep step", line)
         assert match, line
         steps = store.load_store(out).steps
         assert int(match[2]) == int(steps.sum())
         assert int(match[4]) == int(steps.max())
-        assert float(match[3]) > 0.0 and float(match[5]) >= float(match[3])
+        assert float(match[3]) > 0.0 and float(match[6]) >= float(match[3])
+        # the sweep record's count: the steps that land a row, at least one
+        # per snapshot time, and those just before them, a small share of
+        # the lockstep steps
+        cfg = config.load_config(cfg_path)
+        combos = cfg.combos()
+        res = flow.simulate_batch(
+            cfg.grid, [cfg.rock_at(c) for c in combos], [cfg.fluids_at(c) for c in combos],
+            cfg.boundary, cfg.snapshot_times_yr, safety=cfg.cfl_safety,
+        )
+        assert int(match[5]) == res.single_steps
+        assert 3 <= res.single_steps < int(steps.max()) // 4
 
     def test_corrupt_manifest_exits_3(self, mini_run, tmp_path, capsys):
         _, cfg_path, _, _ = mini_run

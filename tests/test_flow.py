@@ -502,12 +502,14 @@ class TestBatch:
 
     @pytest.mark.parametrize("step, when", [
         (4, "0.448099 yr (target snapshot 0.5 yr)"),  # the step that lands on 0.5 yr
-        (7, "0.80722 yr (target snapshot 1.5 yr)"),  # the second step after it
+        (7, "0.80722 yr (target snapshot 1.5 yr)"),  # the third step after it
     ])
     def test_singular_row_fails_alone_mid_run(self, monkeypatch, step, when):
-        # a mobility denominator D of 0 in one row at a later step makes its
-        # total resistance infinite: it alone stops, naming the clock before
-        # that step, and the others run on as if alone
+        # a mobility denominator D of 0 in one row from a later step on makes
+        # its total resistance infinite: it alone stops, naming the clock
+        # before that step, and the others run on as if alone. A block may
+        # evaluate a step that it does not commit, so the zero holds from
+        # call `step` on while the row runs, not at that call alone
         n = 60
         grid, rock, _, bc = example1_setup(n)
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
@@ -519,7 +521,7 @@ class TestBatch:
         def patched(s, ratio, groups, out):
             wet, denom = original(s, ratio, groups, out)
             calls.append(s.shape[0])
-            if len(calls) == step:
+            if len(calls) >= step and s.shape[0] == 3:
                 denom[2, 10] = 0.0  # the rows run sorted by beta: fluids[1] is the last
             return wet, denom
 
@@ -594,6 +596,99 @@ class TestBatch:
         assert cli.main(argv) == cli.EXIT_OK
         assert store.load_store(out).count == 8
         assert sorted(p.name for p in out.iterdir()) == [store.MANIFEST_NAME, store.SNAPSHOTS_NAME]
+
+
+def assert_same_record(a, b):
+    """Two sweep records equal bit for bit, NaN where either took no
+    snapshot, with the same failure texts."""
+    for name in ("values", "masses", "fluxes", "steps", "min_dt_s", "mass_residual"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert [str(e) for e in a.errors] == [str(e) for e in b.errors]
+
+
+class TestBlocks:
+    """Speculative blocks commit what the per-step loop, which blocks of one
+    step leave, computes: every record array bit for bit and the same
+    failure texts, whether a block ends before a landing, at an overshoot
+    or at a failure."""
+
+    @staticmethod
+    def run(monkeypatch, *args, full=False):
+        """simulate_batch(*args) in blocks, checked against blocks of one
+        step; returns the record and the (span, committed steps) of each
+        block. With full, each block runs its longest span, past the
+        predicted landing."""
+        spans, original = [], flow._full_steps
+
+        def recorded(st, span, blocks, views, n):
+            done, ahead = original(st, len(blocks[0]) if full else span, blocks, views, n)
+            spans.append((len(blocks[0]) if full else span, done))
+            return done, ahead
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_full_steps", recorded)
+            out = flow.simulate_batch(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "BLOCK_STEPS", 1)
+            plain = flow.simulate_batch(*args)
+        assert plain.single_steps == plain.steps.max()  # every step on its own
+        assert out.single_steps < plain.single_steps
+        assert_same_record(out, plain)
+        return out, spans
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_rows_ten_times_apart_in_steps(self, monkeypatch, full):
+        # two ex2-like rows, one with a tenth of the other's permeability and
+        # so a tenth of its steps; snapshot times a fractional number of
+        # steps apart. Predicted blocks end before each landing; blocks
+        # run at full length are cut by landings inside them
+        n = 100
+        grid = flow.Grid1D(0.0, 1.0, n)
+        bc = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
+        fast = two_region_rock(grid, gamma=0.4)
+        slow = flow.RockField(fast.porosity, fast.permeability / 10)
+        fluids = flow.FluidParams(0.003, 0.03, 2.0)
+        step_yr = flow.simulate_batch(grid, [fast], [fluids], bc, [0.05]).min_dt_s[0] / (
+            flow.SECONDS_PER_YEAR)
+        times = [step_yr * x for x in (7.5, 16.0, 40.3, 41.0, 200.0, 333.3)]
+        out, spans = self.run(monkeypatch, grid, [fast, slow], [fluids] * 2, bc, times, full=full)
+        assert 9 * out.steps[1] < out.steps[0] < 11 * out.steps[1]
+        assert any(done == span for span, done in spans)
+        if full:
+            assert any(done < span for span, done in spans)
+
+    def test_most_steps_land(self, monkeypatch):
+        # ex1-like rows on a coarse grid with 25 snapshot times: most
+        # lockstep steps land some row
+        grid, rock, _, bc = example1_setup(60)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta)
+                  for mu, beta in [(1, 2.0), (6, 4.0), (3, 2.5), (12, 3.0)]]
+        times = np.linspace(0.2, 5.0, 25)
+        out, spans = self.run(monkeypatch, grid, [rock] * 4, fluids, bc, times)
+        assert 2 * out.single_steps > out.steps.max() and spans
+
+    @pytest.mark.parametrize("tol", [flow.MAX_PRINCIPLE_TOL, 10.0])
+    def test_overshoot_mid_block(self, monkeypatch, tol):
+        # a CFL step three times too long is stable in the porous left rock
+        # and overshoots once the front enters the tight right rock, in the
+        # middle of a block: at the default band that row fails alone, past
+        # a widened band the step clips
+        n = 100
+        grid = flow.Grid1D(0.0, 1.0, n)
+        bc = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
+                  [(1, 2.0), (6, 4.0), (3, 3.0)]]
+        _understate_cfl_bound(monkeypatch, fluids[0])
+        monkeypatch.setattr(flow, "MAX_PRINCIPLE_TOL", tol)
+        rocks = [two_region_rock(grid, gamma=0.3)] * 3
+        out, spans = self.run(monkeypatch, grid, rocks, fluids, bc, [0.5, 2.0, 4.0])
+        assert any(0 < done < span for span, done in spans)
+        if tol == 10.0:
+            assert out.errors == [None] * 3
+            assert out.values[0].min() >= 0.0 and out.values[0].max() <= 1.0
+        else:
+            assert isinstance(out.errors[0].__cause__, flow.CflViolationError)
+            assert out.errors[1:] == [None, None] and out.steps[0] == 0
 
 
 def textbook_bc(reverse):
