@@ -46,14 +46,18 @@ def cmd_generate(args) -> int:
     out = store.init_store_dir(args.out, cfg, force=args.force)
     print(f"{cfg.name}: {len(combos)} simulations x {len(times)} snapshot times")
     start = time.perf_counter()
-    res = flow.simulate_batch(
-        cfg.grid,
-        [cfg.rock_at(combo) for combo in combos],
-        [cfg.fluids_at(combo) for combo in combos],
-        cfg.boundary,
-        times,
-        safety=cfg.cfl_safety,
-    )
+    try:
+        res = flow.simulate_batch(
+            cfg.grid,
+            [cfg.rock_at(combo) for combo in combos],
+            [cfg.fluids_at(combo) for combo in combos],
+            cfg.boundary,
+            times,
+            safety=cfg.cfl_safety,
+        )
+    except flow.StepBoundError as err:  # raised before the first step
+        raise ConfigError(f"{combos[err.row]} may take {err}; check the units of the rock, "
+                          "fluid and time values") from err
     wall = time.perf_counter() - start
     failures = [(combo, err) for combo, err in zip(combos, res.errors) if err is not None]
     if failures:
@@ -71,6 +75,8 @@ def cmd_generate(args) -> int:
             f"{res.single_steps} of them single steps near events, "
             f"{wall / lockstep * 1e6:.1f} us per lockstep step"
         )
+    print(f"step bound: {row_steps} row-steps taken of at most {int(res.step_bound.sum())} "
+          f"bounded before the first step (limit {flow.MAX_ROW_STEPS:,})")
     store.save_store(
         out, cfg,
         values=res.values.reshape(-1, cfg.grid.n_cells),

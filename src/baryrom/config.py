@@ -169,8 +169,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     version = _require(raw, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1, but is a bool
+        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     name = _require(raw, "name", "config")
     if not isinstance(name, str):
         raise ConfigError(f"config name must be a string, got {name!r}")

@@ -14,10 +14,16 @@ snapshots and (C, T, 2) boundary fluxes it fills as the rows run, and
 per row the step count, smallest CFL step and mass-balance residual.
 Each row keeps its own CFL step and snapshot clock, and a row that fails
 stops alone, its FlowError in the record; `run_simulation` is the
-record's one-row view, which raises that error. The step writes into buffers
-allocated once per batch, and the rows are sorted by the exponent beta, so
-that a small integer exponent is a few multiplications over one group. The
-domain is in km, as the snapshots report it; Darcy computations are in SI.
+record's one-row view, which raises that error. A row leaves the batch
+through one exit, finished or failed, at set-up or mid-run, which records
+what it ran: its lockstep steps, the failing step included, and its
+smallest CFL step, inf when it took none. Before the first step, each
+row's steps are bounded (see below), and a batch bounded by more than
+MAX_ROW_STEPS row-steps is refused with StepBoundError. The step writes
+into buffers allocated once per batch, and the rows are sorted by the
+exponent beta, so that a small integer exponent is a few multiplications
+over one group. The domain is in km, as the snapshots report it; Darcy
+computations are in SI.
 
 The step runs at a fixed Courant number. With D = r s^beta + (1 - s)^beta
 (r = mu_nw / mu_w, D = mu_nw lambda_t), the total resistance is the
@@ -31,7 +37,10 @@ reaches a snapshot time within its 1e-9 relative slack is cut to land on
 it, its update scaled by the fraction of a full step it takes. As 0 < D <=
 max(1, r), R mu_nw is checked once; each step tests its totals for
 finiteness and its update for the maximum principle as one scalar test,
-and clips to [0, 1] only when a value left it.
+and clips to [0, 1] only when a value left it. The same bound on D makes
+every full step at least cfl_coef sum(R mu_nw) / max(1, r) long, so a row
+takes at most t_end max(1, r) / (cfl_coef sum(R mu_nw)) full steps, plus
+one cut step per snapshot.
 
 The lockstep steps run in speculative blocks of full steps. A block of up
 to BLOCK_STEPS steps, as many as keep its states within BLOCK_BYTES,
@@ -72,6 +81,9 @@ BLOCK_STEPS = 16
 BLOCK_BYTES = 1 << 19
 # the shortest block worth its bookkeeping; nearer a landing, single steps
 MIN_BLOCK_STEPS = 2
+# the most row-steps that a batch's step bound may reach: about 800 times
+# the bound of example2, 1,257,832 for the 189,707 row-steps its 35 rows take
+MAX_ROW_STEPS = 10**9
 
 
 class FlowError(Exception):
@@ -84,6 +96,17 @@ class CflViolationError(FlowError):
 
 class SingularSystemError(FlowError):
     pass
+
+
+class StepBoundError(ValueError):
+    """A batch whose step bound exceeds MAX_ROW_STEPS, raised before its
+    first step; `row` is the simulation of the largest bound."""
+
+    def __init__(self, bounds: np.ndarray):
+        self.row = int(bounds.argmax())
+        super().__init__(f"up to {bounds[self.row]:.3g} IMPES steps, the most of a batch "
+                         f"bounded by {bounds.sum():.3g} row-steps, above the limit of "
+                         f"{MAX_ROW_STEPS:,}")
 
 
 @dataclass(frozen=True)
@@ -276,13 +299,17 @@ class SweepResult:
     """The snapshots of a sweep's C simulations and what each run took.
 
     A row that failed has its FlowError in `errors`, None for a row that
-    ran, and NaN where it took no snapshot.
+    ran, and NaN where it took no snapshot. Its `steps` and `min_dt_s` are
+    what it ran: the lockstep steps up to and including the one that
+    failed, and the smallest CFL step among them; a row that failed at
+    set-up took no step, so 0 and inf.
     """
 
     values: np.ndarray  # (C, T, N) saturation per snapshot time
     masses: np.ndarray  # (C, T) saturation integral [km]
     fluxes: np.ndarray  # (C, T, 2) cumulative wetting flux [m], left and right face, along +x
     steps: np.ndarray  # (C,) IMPES steps
+    step_bound: np.ndarray  # (C,) at most this many steps, bounded before the first
     min_dt_s: np.ndarray  # (C,) smallest CFL step bound [s]; inf without steps
     mass_residual: np.ndarray  # (C,) max |pore mass change - net influx| / pore volume
     errors: list  # (C,) None, or the FlowError that stopped the row
@@ -446,18 +473,17 @@ def simulate_batch(
             k += 1
         st.k[a], st.reach[a] = k, targets[k] - slack[k]
 
-    def retire(done) -> None:
-        steps[st.index[done]] = taken
-        min_dt[st.index[done]] = st.min_dt[done]
-        st.keep(~done)
+    def leave() -> None:  # the rows done or failed stop, with what they ran
+        gone = (st.k == n_times) | np.array([errors[c] is not None for c in st.index], bool)
+        steps[st.index[gone]] = taken
+        min_dt[st.index[gone]] = st.min_dt[gone]
+        st.keep(~gone)
 
     order = np.argsort([fl.beta for fl in fluids], kind="stable")
     ghost, cells = _layout(bc)
-    s = _padded(np.full((n_rows, n), bc.s_initial), bc, bc.s_inflow)
     st = _Rows(
         index=order,
-        s=s,
-        s_next=s.copy(),
+        s=_padded(np.full((n_rows, n), bc.s_initial), bc, bc.s_inflow),
         t=np.zeros(n_rows),
         k=np.zeros(n_rows, dtype=int),
         # the clock reading from which the target snapshot counts as reached
@@ -475,25 +501,33 @@ def simulate_batch(
         denom=np.empty((n_rows, n + 1)),
         work=np.empty((n_rows, n + 1)),
     )
-    retire(st.k == n_times)
+    leave()
     for a, c in enumerate(st.index):
         try:
             st.cfl_coef[a] /= _max_flux_derivative(fluids[c])
         except FlowError as err:
             fail(a, err)
-            st.cfl_coef[a] = 0.0
-    st.keep(st.cfl_coef > 0.0)
+    leave()
     # q dt of a full step, and the update coefficient (q dt) / (phi dx)
     st.qdt = dp * st.cfl_coef[:, None]
     st.coef = st.qdt / _padded(phi_dx[st.index], bc, 1.0)
     if targets[0] <= slack[0]:
         for a in range(st.index.size):
             land(a)
-        retire(st.k == n_times)
-    singular = ~np.all((st.resist_mu > 0.0) & (st.resist_mu < np.inf), axis=1)
-    for a in np.flatnonzero(singular):
+        leave()
+    for a in np.flatnonzero(~np.all((st.resist_mu > 0.0) & (st.resist_mu < np.inf), axis=1)):
         fail(a, SingularSystemError("nonpositive or non-finite face resistance"))
-    st.keep(~singular)
+    leave()
+    # as 0 < D <= max(1, r), a full step takes at least cfl_coef times
+    # sum(resist_mu) / max(1, r), and a cut step lands at least one snapshot;
+    # a row that left took no step
+    r_max = np.maximum(1.0, [fluids[c].mu_nw / fluids[c].mu_w for c in st.index])
+    bound = np.zeros(n_rows)
+    with np.errstate(over="ignore", divide="ignore"):  # absurd inputs bound by inf
+        bound[st.index] = n_times + np.ceil(
+            targets[n_times - 1] * r_max / (st.cfl_coef * st.resist_mu.sum(axis=1)))
+    if bound.sum() > MAX_ROW_STEPS:
+        raise StepBoundError(bound)
 
     rows = 0  # the running rows that the block records are sized for
     single = 0  # lockstep steps taken one at a time
@@ -522,8 +556,8 @@ def simulate_batch(
             dt = np.minimum(cfl, targets[st.k] - st.t)
             scale = (dt / cfl)[:, None]  # the fraction of a full step
             np.multiply(st.work, scale, out=st.work)
-        out = np.subtract(st.s, st.work, out=st.s_next)
-        lo, hi = out.min(), out.max()
+        np.subtract(st.s, st.work, out=st.s)
+        lo, hi = st.s.min(), st.s.max()
         # every total finite and the update within the maximum-principle
         # band, as one test of the whole batch; only a failed test looks for
         # the rows at fault
@@ -531,36 +565,32 @@ def simulate_batch(
                       and hi - 1.0 <= MAX_PRINCIPLE_TOL and -lo <= MAX_PRINCIPLE_TOL)
         if failed:
             singular = ~np.isfinite(room)
-            worst = np.maximum(out.max(axis=1) - 1.0, -out.min(axis=1))
-            bad = singular | (worst > MAX_PRINCIPLE_TOL)
-            for a in np.flatnonzero(bad):
+            worst = np.maximum(st.s.max(axis=1) - 1.0, -st.s.min(axis=1))
+            for a in np.flatnonzero(singular | (worst > MAX_PRINCIPLE_TOL)):
                 fail(a, SingularSystemError("nonpositive or non-finite face resistance")
                      if singular[a] else
                      CflViolationError(f"saturation left [0,1] by {worst[a]:.3e}"))
         if not (lo >= 0.0 and hi <= 1.0):
-            np.clip(out, 0.0, 1.0, out=out)
-        st.s, st.s_next = out, st.s
+            np.clip(st.s, 0.0, 1.0, out=st.s)
         st.t += dt if landing else cfl
         st.flux_sum += st.wet[:, ::n] * (st.qdt * scale if landing else st.qdt)
         np.minimum(st.min_dt, cfl, out=st.min_dt)
         taken += 1
         single += 1
-        if landing:  # a failed row lands too, before it is dropped
+        if landing:  # a failed row lands too, before it leaves
             for a in np.flatnonzero(room <= 0.0):
                 land(a)
         # the full steps of the nearest row at this step's CFL step
         ahead = (float(((st.reach - st.t) / cfl).min())
                  if longest >= MIN_BLOCK_STEPS and not failed else 0.0)
-        if failed:
-            st.keep(~bad)
-        if landing:
-            retire(st.k == n_times)
+        if landing or failed:
+            leave()
     # mass balance: pore mass change minus net boundary influx
     pore_volume = phi_dx.sum(axis=1)
     gap = (np.sum(phi_dx[:, None] * values, axis=2) - pore_volume[:, None] * bc.s_initial
            - (fluxes[..., 0] - fluxes[..., 1]))
     return SweepResult(
-        values, values.sum(axis=2) * grid.dx, fluxes, steps, min_dt,
+        values, values.sum(axis=2) * grid.dx, fluxes, steps, bound, min_dt,
         np.max(np.abs(gap), axis=1, initial=0.0) / pore_volume, errors, single,
     )
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import transport
+from . import simplexqp, transport
 from .config import ConfigError, ExperimentConfig, parse_config
 from .greedy import Dictionary, GreedyReport
 from .online import ReducedModel
@@ -114,10 +114,9 @@ def _read_json(path):
 def _check_kind(payload, path, kind: str, schema: int) -> None:
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise StoreError(f"{path} does not describe a {kind}")
-    if payload.get("schema_version") != schema:
-        raise StoreError(
-            f"{kind} schema_version {payload.get('schema_version')!r} is not {schema}"
-        )
+    version = payload.get("schema_version")
+    if type(version) is not int or version != schema:  # true == 1, but is a bool
+        raise StoreError(f"{kind} schema_version {version!r} is not {schema}")
 
 
 def savez_atomic(path, **arrays) -> None:
@@ -155,7 +154,10 @@ def init_store_dir(directory, cfg: ExperimentConfig, force: bool = False) -> Pat
     man_path = directory / MANIFEST_NAME
     manifest = {"kind": STORE_KIND, "schema_version": STORE_SCHEMA, "config": cfg.raw}
     if man_path.exists() and not force:
-        if _read_json(man_path) != manifest:
+        existing = _read_json(man_path)
+        # refused as a load refuses it: a `true` version compares equal to 1
+        _check_kind(existing, man_path, STORE_KIND, STORE_SCHEMA)
+        if existing != manifest:
             raise StoreError(
                 f"{directory} holds a store for a different config; "
                 "use --force to overwrite"
@@ -288,6 +290,11 @@ def load_report(model_dir) -> GreedyReport:
         allowed = (math.inf,) if name == "condition" else ()
         if any(not math.isfinite(cell) and cell not in allowed for cell in cells):
             raise StoreError(f"report {path}: column {name!r} holds a non-finite value")
+        if min(cells) < 0:
+            raise StoreError(f"report {path}: column {name!r} holds a negative value")
+    # the greedy starts from two atoms and adds one per iteration
+    if num["n"] != list(range(2, 2 + len(rows))):
+        raise StoreError(f"report {path}: column 'n' does not run 2, 3, ... in steps of one")
     return GreedyReport(**num, termination=cols["criterion"][-1])
 
 
@@ -365,6 +372,14 @@ def load_model(directory) -> ReducedModel:
     # icdfs are nondecreasing; the bound forgives a rounding-level dip
     if (np.diff(data["atoms"], axis=0) < -1e-12 * (x_max - x_min)).any():
         raise StoreError("array 'atoms' has a decreasing column, which is not an icdf")
+    # every weight row on the simplex, by the solver's own rule
+    weights = data["weight_table"]
+    if not ((weights >= 0.0).all()
+            and (np.abs(weights.sum(axis=-1) - 1.0) <= simplexqp.SIMPLEX_SUM_TOL).all()):
+        raise StoreError("array 'weight_table' has a row off the simplex: a negative weight "
+                         f"or a sum more than {simplexqp.SIMPLEX_SUM_TOL:g} from 1")
+    if (data["mass_table"] < 0.0).any():
+        raise StoreError("array 'mass_table' holds a negative mass")
     return ReducedModel(
         dictionary=Dictionary(atoms=data["atoms"], atom_indices=data["atom_indices"]),
         axis_names=axis_names,

@@ -3,6 +3,7 @@
 from itertools import chain, combinations
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def simplex_ls_active_set(atoms: np.ndarray, target: np.ndarray):
@@ -136,3 +137,31 @@ def landscape_image(grid, resolution: int) -> np.ndarray:
     img = np.full((resolution, resolution), np.nan)
     img[row, col] = grid.log10_w2
     return img
+
+
+def f_w(s, fluids):
+    """Closed-form wetting fractional flow of the power-law mobilities."""
+    lam_w = s**fluids.beta / fluids.mu_w
+    return lam_w / (lam_w + (1.0 - s) ** fluids.beta / fluids.mu_nw)
+
+
+def f_w_derivative(s, fluids):
+    """Closed-form derivative of `f_w` in s."""
+    beta = fluids.beta
+    lam_w, lam_nw = s**beta / fluids.mu_w, (1.0 - s) ** beta / fluids.mu_nw
+    dlam_w = beta * s ** (beta - 1.0) / fluids.mu_w
+    dlam_nw = -beta * (1.0 - s) ** (beta - 1.0) / fluids.mu_nw
+    return (dlam_w * lam_nw - lam_w * dlam_nw) / (lam_w + lam_nw) ** 2
+
+
+def buckley_leverett(x_m, injected_m, porosity, fluids):
+    """Self-similar solution behind a Welge-tangent shock into s = 0, for
+    injected volume injected_m [m] per unit area at s = 1."""
+    f = lambda s: f_w(s, fluids)  # noqa: E731
+    df = lambda s: f_w_derivative(s, fluids)  # noqa: E731
+    sat = np.linspace(0.0, 1.0, 100001)[1:]
+    i = int(np.argmax(f(sat) / sat))  # tangent from the initial state
+    shock = brentq(lambda s: df(s) * s - f(s), sat[i - 1], sat[i + 1])
+    fan = np.linspace(shock, 1.0, 20001)
+    x_fan = injected_m / porosity * df(fan)  # decreasing along the fan
+    return np.where(x_m < x_fan[0], np.interp(x_m, x_fan[::-1], fan[::-1]), 0.0)

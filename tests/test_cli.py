@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,46 @@ class TestGenerate:
             == cli.EXIT_STORE
         )
 
+    def test_bool_schema_version_exits_2(self, tmp_path, capsys):
+        # true == 1 in Python, but a schema version is an int
+        raw = mini_config()
+        raw["schema_version"] = True
+        cfg_path = tmp_path / "bool.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "store"
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == (
+            cli.EXIT_CONFIG)
+        assert "unsupported schema_version True" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbounded_work_exits_2_before_stepping(self, tmp_path, capsys):
+        # a permeability of 0.5 m^2 (0.5 darcy written where m^2 is meant)
+        # bounds the sweep by about 4e15 row-steps: refused at set-up
+        raw = mini_config()
+        raw["rock"]["permeability_m2"] = 0.5
+        cfg_path = tmp_path / "darcy.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "store"
+        start = time.perf_counter()
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == (
+            cli.EXIT_CONFIG)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: {'mu': 6.0, 'beta': 4.0} may take up to ")
+        assert f"above the limit of {flow.MAX_ROW_STEPS:,}" in err
+        assert not (out / store.SNAPSHOTS_NAME).exists()
+
+    def test_summary_reports_the_step_bound(self, mini_run, tmp_path, capsys):
+        _, cfg_path, _, _ = mini_run
+        out = tmp_path / "store"
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("step bound:"))
+        match = re.fullmatch(r"step bound: (\d+) row-steps taken of at most (\d+) bounded "
+                             r"before the first step \(limit 1,000,000,000\)", line)
+        assert match, line
+        assert int(match[1]) == int(store.load_store(out).steps.sum()) < int(match[2])
+
 
 class TestStoreValidation:
     """load_store refuses every malformed store with StoreError (exit 3)."""
@@ -524,6 +565,28 @@ class TestStoreValidation:
         argv = ["offline", "--store", str(copy), "--out", str(tmp_path / "m")]
         assert cli.main(argv) == cli.EXIT_STORE
 
+    def test_bool_schema_version(self, mini_run, copy, tmp_path, capsys):
+        self._edit_manifest(copy, schema_version=True)
+        with pytest.raises(store.StoreError, match="schema_version True is not 1"):
+            store.load_store(copy)
+        out = tmp_path / "p"
+        assert cli.main(["pod", "--store", str(copy), "--out", str(out)]) == cli.EXIT_STORE
+        assert "schema_version True" in capsys.readouterr().err
+        assert not out.exists()
+        # a generate rerun does not take that manifest for its own
+        _, cfg_path, _, _ = mini_run
+        (copy / store.SNAPSHOTS_NAME).unlink()
+        argv = ["generate", "--config", str(cfg_path), "--out", str(copy)]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert not (copy / store.SNAPSHOTS_NAME).exists()
+
+
+def off_the_simplex(weights):
+    """Each weight row with its first weight less by 1 and its second more
+    by 1: every sum stays 1, and a weight turns negative."""
+    weights[..., 0] -= 1.0
+    weights[..., 1] += 1.0
+    return weights
 
 
 class TestModelValidation:
@@ -630,6 +693,53 @@ class TestModelValidation:
         self._edit_meta(copy, schema_version=2)
         with pytest.raises(store.StoreError, match="schema_version"):
             store.load_model(copy)
+
+    def test_bool_schema_version(self, copy, tmp_path, capsys):
+        self._edit_meta(copy, schema_version=True)
+        out = tmp_path / "o"
+        argv = ["online", "--model", str(copy), "--out", str(out), "--at", "t=2.5,mu=1,beta=2"]
+        assert cli.main(argv) == cli.EXIT_STORE
+        assert "schema_version True is not 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        pytest.param("weight_table", off_the_simplex, "'weight_table' has a row off "
+                     "the simplex", id="weight-row-off-the-simplex"),
+        pytest.param("mass_table", np.negative, "'mass_table' holds a negative mass",
+                     id="negated-mass-table"),
+        pytest.param("n", "-1", "column 'n' holds a negative value", id="report-n-negative"),
+        pytest.param("l1_mean", "-1", "column 'l1_mean' holds a negative value",
+                     id="report-l1-mean-negative"),
+    ])
+    def test_values_that_give_silent_answers(self, mini_run, copy, tmp_path, capsys, name,
+                                             edit, message):
+        # each once gave an answer and exit 0: a profile of saturation 5.45,
+        # an all-zero profile, n_gbar -1, and n_gbar 2 at every eps
+        _, _, store_dir, _ = mini_run
+        if name in store.REPORT_COLUMNS:
+            def first_row(lines):
+                row = lines[1].split(",")
+                row[store.REPORT_COLUMNS.index(name)] = edit
+                return lines[:1] + [",".join(row)] + lines[2:]
+
+            self._edit_report(copy, first_row)
+            argv = ["tables", "--store", str(store_dir), "--model", str(copy)]
+        else:
+            path = copy / store.MODEL_ARRAYS_NAME
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            arrays[name] = edit(arrays[name])
+            np.savez(path, **arrays)
+            argv = ["online", "--model", str(copy), "--at", "t=2.5,mu=1,beta=2"]
+        out = tmp_path / "o"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_STORE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_sizes_run_by_one(self, copy):
+        self._edit_report(copy, lambda lines: lines[:1] + lines[2:])
+        with pytest.raises(store.StoreError, match="'n' does not run 2, 3, ..."):
+            store.load_report(copy)
 
     @pytest.mark.parametrize("name", ["weight_table", "mass_table", "atoms"])
     def test_array_shape_mismatch(self, copy, name):

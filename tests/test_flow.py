@@ -3,10 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from baryrom import cli, flow, store
-from oracles import impes_textbook
+from oracles import buckley_leverett, f_w, impes_textbook
 
 
 def example1_setup(n=1002, mu=1.0, beta=2.0):
@@ -55,12 +54,6 @@ def mobilities(s, mu_w, mu_nw, beta):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     lam_w = powers(s, beta)[0] / mu_w
     return lam_w, lam_w + powers(1.0 - s, beta)[0] / mu_nw
-
-
-def f_w(s, fluids):
-    """Closed-form wetting fractional flow of the power-law mobilities."""
-    lam_w = s**fluids.beta / fluids.mu_w
-    return lam_w / (lam_w + (1.0 - s) ** fluids.beta / fluids.mu_nw)
 
 
 class TestMobility:
@@ -401,13 +394,17 @@ class TestBatch:
                   [(1, 2.0), (6, 4.0), (3, 3.0)]]
         times = [0.5, 1.5]
         expected = [flow.simulate_batch(grid, [rock], [fl], bc, times) for fl in fluids]
+        # the CFL step of the first step: a snapshot time within it cuts it
+        first = flow.simulate_batch(grid, [rock], fluids[:1], bc, [1e-6]).min_dt_s[0]
         _understate_cfl_bound(monkeypatch, fluids[0])
         out = flow.simulate_batch(grid, [rock] * 3, fluids, bc, times)
         assert isinstance(out.errors[0], flow.FlowError)
         assert "simulation failed at t = 0 yr (target snapshot 0.5 yr)" in str(out.errors[0])
         assert isinstance(out.errors[0].__cause__, flow.CflViolationError)
-        # the failed row took no snapshot: NaN, not uninitialized memory
-        assert np.isnan(out.values[0]).all() and np.isnan(out.min_dt_s[0])
+        # the failed row took no snapshot: NaN, not uninitialized memory; its
+        # record is what it ran, the one step at three times the stable step
+        assert np.isnan(out.values[0]).all() and out.steps[0] == 1
+        assert out.min_dt_s[0] == pytest.approx(3.0 * first, rel=1e-12)
         for c in (1, 2):
             assert out.errors[c] is None
             for name in ("values", "masses", "fluxes", "steps", "min_dt_s", "mass_residual"):
@@ -559,6 +556,24 @@ class TestBatch:
         for c in (1, 2):
             np.testing.assert_array_equal(out.values[c], expected[c].values[0])
 
+    def test_step_bound(self, monkeypatch):
+        # each row's bound holds its steps; a row that left at set-up, here
+        # on an unbounded f', is bounded by 0. A batch bounded by more than
+        # MAX_ROW_STEPS is refused before its first step, naming the row of
+        # the largest bound
+        grid, rock, _, bc = example1_setup(60)
+        fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
+                  [(1, 2.0), (6, 4.0), (3, 2.5), (1, 0.5)]]
+        times = [0.5, 1.5]
+        out = flow.simulate_batch(grid, [rock] * 4, fluids, bc, times)
+        assert np.all(out.steps[:3] > 0) and np.all(out.steps <= out.step_bound)
+        assert out.step_bound[3] == 0 and out.errors[3] is not None
+        monkeypatch.setattr(flow, "MAX_ROW_STEPS", int(out.step_bound.sum()) - 1)
+        monkeypatch.setattr(flow, "_full_step", None)  # a step would raise TypeError
+        with pytest.raises(flow.StepBoundError) as caught:
+            flow.simulate_batch(grid, [rock] * 4, fluids, bc, times)
+        assert caught.value.row == int(out.step_bound.argmax())
+
     def test_unbounded_flux_derivative_raises_without_warnings(self):
         # beta < 1 makes the fractional-flow derivative blow up at s = 0 and
         # s = 1; the FlowError is the one signal, no RuntimeWarning on the way
@@ -678,17 +693,26 @@ class TestBlocks:
         bc = flow.BoundaryConditions(4.137e7, 2.758e7, 1.0, 0.0)
         fluids = [flow.FluidParams(0.003, 0.003 * mu, beta) for mu, beta in
                   [(1, 2.0), (6, 4.0), (3, 3.0)]]
+        rocks = [two_region_rock(grid, gamma=0.3)] * 3
+        times = [0.5, 2.0, 4.0]
+        stable = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, times)
         _understate_cfl_bound(monkeypatch, fluids[0])
         monkeypatch.setattr(flow, "MAX_PRINCIPLE_TOL", tol)
-        rocks = [two_region_rock(grid, gamma=0.3)] * 3
-        out, spans = self.run(monkeypatch, grid, rocks, fluids, bc, [0.5, 2.0, 4.0])
+        out, spans = self.run(monkeypatch, grid, rocks, fluids, bc, times)
         assert any(0 < done < span for span, done in spans)
         if tol == 10.0:
             assert out.errors == [None] * 3
             assert out.values[0].min() >= 0.0 and out.values[0].max() <= 1.0
         else:
             assert isinstance(out.errors[0].__cause__, flow.CflViolationError)
-            assert out.errors[1:] == [None, None] and out.steps[0] == 0
+            assert out.errors[1:] == [None, None]
+            # the failed row's record is what it ran: its steps up to and
+            # including the one that overshot, as alone, and its smallest
+            # step, three times the stable run's. With mu_nw = mu_w, D <= 1
+            # peaks in the initial state, so both smallest steps are the first
+            alone = flow.simulate_batch(grid, rocks[:1], fluids[:1], bc, times)
+            assert out.steps[0] == alone.steps[0] == 179
+            assert out.min_dt_s[0] == pytest.approx(3.0 * stable.min_dt_s[0], rel=1e-12)
 
 
 def textbook_bc(reverse):
@@ -720,19 +744,6 @@ def _understate_cfl_bound(monkeypatch, target):
         return lf / 3.0 if fluids == target else lf
 
     monkeypatch.setattr(flow, "_max_flux_derivative", patched)
-
-
-def buckley_leverett(x_m, injected_m, porosity, fluids):
-    """Self-similar solution behind a Welge-tangent shock into s = 0, for
-    injected volume injected_m [m] per unit area at s = 1."""
-    f = lambda s: f_w(s, fluids)  # noqa: E731
-    df = lambda s: flow.fractional_flow_derivative(s, fluids)  # noqa: E731
-    sat = np.linspace(0.0, 1.0, 100001)[1:]
-    i = int(np.argmax(f(sat) / sat))  # tangent from the initial state
-    shock = brentq(lambda s: df(s) * s - f(s), sat[i - 1], sat[i + 1])
-    fan = np.linspace(shock, 1.0, 20001)
-    x_fan = injected_m / porosity * df(fan)  # decreasing along the fan
-    return np.where(x_m < x_fan[0], np.interp(x_m, x_fan[::-1], fan[::-1]), 0.0)
 
 
 class TestBuckleyLeverett:
