@@ -43,7 +43,7 @@ def cmd_generate(args) -> int:
     cfg = _load_config_arg(args.config)
     combos = cfg.combos()
     times = cfg.snapshot_times_yr
-    out = store.init_store_dir(args.out, cfg, force=args.force)
+    out = store.check_store_dir(args.out, cfg, force=args.force)
     print(f"{cfg.name}: {len(combos)} simulations x {len(times)} snapshot times")
     start = time.perf_counter()
     try:
@@ -326,8 +326,12 @@ def cmd_pod(args) -> int:
 
 def cmd_tables(args) -> int:
     st = store.load_store(args.store)
-    store.check_model_fits_store(store.load_model(args.model), st)
+    model = store.load_model(args.model)
+    store.check_model_fits_store(model, st)
     report = store.load_report(args.model)
+    if report.n[-1] != model.n_atoms:
+        raise StoreError(f"column 'n' of the report in {args.model} ends at {report.n[-1]}, "
+                         f"but the model holds {model.n_atoms} atoms")
     eps_list = _parse_eps(args.eps)
     _, pod_errors = _pod_artifacts(st, args.store)
     pod_means = pod_errors.mean(axis=1)

@@ -6,10 +6,13 @@ generated the store; every load validates that config with `parse_config`,
 and the sweep, grid and axis names are derived from the parsed config. The
 npz holds one row per snapshot (parameter components, saturation values,
 mass) and one entry per simulation (IMPES step count, smallest CFL step,
-relative mass-balance residual). Generation writes snapshots.npz once,
-after the whole sweep has run, through a temporary file and a rename: a
-reader sees either no snapshots.npz or a complete one. All floats are
-written with shortest round-trip formatting so reruns are byte-identical.
+relative mass-balance residual). `save_store` alone writes a store, once,
+after the whole sweep has run: it drops a stale manifest.json, writes
+snapshots.npz, then manifest.json, each through a temporary file and a
+rename, so a directory holds a manifest only beside a complete
+snapshots.npz; before the sweep, `check_store_dir` writes nothing. All
+floats are written with shortest round-trip formatting so reruns are
+byte-identical.
 
 A model directory states each fact once. model.json holds `kind`,
 `schema_version`, `axis_names` and the cell grid (`n_raw`, `x_min_km`,
@@ -147,25 +150,26 @@ def make_dir(directory) -> Path:
     return directory
 
 
-def init_store_dir(directory, cfg: ExperimentConfig, force: bool = False) -> Path:
-    """Create (or reuse, when its manifest matches) a store directory for
-    generation; a rewritten manifest drops the stale snapshots.npz."""
+def check_store_dir(directory, cfg: ExperimentConfig, force: bool = False) -> Path:
+    """Create a store directory for generation and check, writing nothing
+    in it, that it may take this config's store: StoreError when it holds
+    a manifest of another config, unless force."""
     directory = make_dir(directory)
     man_path = directory / MANIFEST_NAME
-    manifest = {"kind": STORE_KIND, "schema_version": STORE_SCHEMA, "config": cfg.raw}
     if man_path.exists() and not force:
         existing = _read_json(man_path)
         # refused as a load refuses it: a `true` version compares equal to 1
         _check_kind(existing, man_path, STORE_KIND, STORE_SCHEMA)
-        if existing != manifest:
+        if existing != _store_manifest(cfg):
             raise StoreError(
                 f"{directory} holds a store for a different config; "
                 "use --force to overwrite"
             )
-    else:
-        (directory / SNAPSHOTS_NAME).unlink(missing_ok=True)
-        _write_json(man_path, manifest)
     return directory
+
+
+def _store_manifest(cfg: ExperimentConfig) -> dict:
+    return {"kind": STORE_KIND, "schema_version": STORE_SCHEMA, "config": cfg.raw}
 
 
 def _read_npz(path, names) -> dict:
@@ -200,27 +204,42 @@ def _check_store_shapes(arrays: dict, cfg: ExperimentConfig) -> None:
 
 def _check_store_values(arrays: dict) -> None:
     """StoreError, naming the array, unless the params are finite, the
-    saturations lie in [0, 1] and the masses are finite and nonnegative;
-    NaN fails every comparison, so the reductions catch it too."""
+    saturations lie in [0, 1], the masses are finite and nonnegative, the
+    step counts are whole and nonnegative, the smallest steps positive (inf
+    for a row that took no step) and the mass-balance residuals finite and
+    nonnegative; NaN fails every comparison, so the reductions catch it too."""
     params, values, masses = arrays["params"], arrays["values"], arrays["masses"]
+    steps, min_dt, residual = arrays["steps"], arrays["min_dt_s"], arrays["mass_residual"]
+    finite_nonnegative = "a float array of finite, nonnegative values"
     checks = (
-        ("params", "of finite values", lambda: np.isfinite(params).all()),
-        ("values", "within [0, 1]", lambda: values.min() >= 0.0 and values.max() <= 1.0),
-        ("masses", "of finite, nonnegative values",
+        ("params", "f", "a float array of finite values", lambda: np.isfinite(params).all()),
+        ("values", "f", "a float array within [0, 1]",
+         lambda: values.min() >= 0.0 and values.max() <= 1.0),
+        ("masses", "f", finite_nonnegative,
          lambda: np.isfinite(masses).all() and masses.min() >= 0.0),
+        ("steps", "iu", "an integer array of nonnegative values", lambda: steps.min() >= 0),
+        ("min_dt_s", "f", "a float array of positive values", lambda: (min_dt > 0.0).all()),
+        ("mass_residual", "f", finite_nonnegative,
+         lambda: np.isfinite(residual).all() and residual.min() >= 0.0),
     )
-    for name, rule, holds in checks:
+    for name, kinds, rule, holds in checks:
         arr = arrays[name]
-        if arr.dtype.kind != "f" or (arr.size and not holds()):
-            raise StoreError(f"array {name!r} is not a float array {rule}")
+        if arr.dtype.kind not in kinds or (arr.size and not holds()):
+            raise StoreError(f"array {name!r} is not {rule}")
 
 
 def save_store(directory, cfg: ExperimentConfig, **arrays) -> None:
-    """Write a finished sweep as snapshots.npz: the sweep's params and the
-    other STORE_ARRAYS, after checking their shapes against the config."""
+    """Write a finished sweep as a store, after checking the shapes of its
+    arrays against the config: the sweep's params and the other
+    STORE_ARRAYS in snapshots.npz, then manifest.json. A stale manifest
+    goes first, so the directory holds a manifest only once its
+    snapshots.npz is complete."""
     arrays = {**arrays, "params": cfg.sweep_params()}
     _check_store_shapes(arrays, cfg)
-    savez_atomic(Path(directory) / SNAPSHOTS_NAME, **{name: arrays[name] for name in STORE_ARRAYS})
+    directory = Path(directory)
+    (directory / MANIFEST_NAME).unlink(missing_ok=True)
+    savez_atomic(directory / SNAPSHOTS_NAME, **{name: arrays[name] for name in STORE_ARRAYS})
+    _write_json(directory / MANIFEST_NAME, _store_manifest(cfg))
 
 
 def load_store(directory) -> SnapshotStore:
@@ -380,8 +399,12 @@ def load_model(directory) -> ReducedModel:
                          f"or a sum more than {simplexqp.SIMPLEX_SUM_TOL:g} from 1")
     if (data["mass_table"] < 0.0).any():
         raise StoreError("array 'mass_table' holds a negative mass")
+    indices = data["atom_indices"]
+    if (indices.dtype.kind not in "iu" or (indices < 0).any()
+            or np.unique(indices).size != n_atoms):
+        raise StoreError("array 'atom_indices' is not of distinct, nonnegative integers")
     return ReducedModel(
-        dictionary=Dictionary(atoms=data["atoms"], atom_indices=data["atom_indices"]),
+        dictionary=Dictionary(atoms=data["atoms"], atom_indices=indices),
         axis_names=axis_names,
         axes=axes,
         weight_table=data["weight_table"],
@@ -397,7 +420,7 @@ def check_model_fits_store(model: ReducedModel, st: SnapshotStore,
     """StoreError, naming both, when a store's snapshots live on another
     cell grid than the model's profiles, or were swept over other axes; with
     same_sweep, also when an axis of the store's sweep holds other values
-    than the model's."""
+    than the model's, or an atom index lies outside the store."""
     grid = st.config.grid
     model_grid = (model.n_raw, model.x_min, model.x_max)
     store_grid = (grid.n_cells, grid.x_min, grid.x_max)
@@ -418,3 +441,6 @@ def check_model_fits_store(model: ReducedModel, st: SnapshotStore,
         if not np.array_equal(values, ax):
             raise StoreError(f"the store's axis {name!r} sweeps {list(values)}, "
                              f"the model's {ax.tolist()}")
+    if model.dictionary.atom_indices.max() >= st.count:
+        raise StoreError(f"array 'atom_indices' of the model holds an index past the "
+                         f"store's {st.count} snapshots")

@@ -370,6 +370,48 @@ class TestGenerate:
         assert f"above the limit of {flow.MAX_ROW_STEPS:,}" in err
         assert not (out / store.SNAPSHOTS_NAME).exists()
 
+    def test_refused_run_writes_nothing(self, mini_run, tmp_path):
+        # the store's one writer runs after the sweep: a run refused before
+        # it leaves no manifest that would make the corrected config ask for
+        # --force, and a forced one leaves the store it was to replace whole
+        _, cfg_path, store_dir, _ = mini_run
+        raw = mini_config()
+        raw["rock"]["permeability_m2"] = 0.5
+        darcy = tmp_path / "darcy.json"
+        darcy.write_text(json.dumps(raw))
+        out = tmp_path / "store"
+        assert cli.main(["generate", "--config", str(darcy), "--out", str(out)]) == (
+            cli.EXIT_CONFIG)
+        assert list(out.iterdir()) == []
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        names = (store.MANIFEST_NAME, store.SNAPSHOTS_NAME)
+        before = {name: (out / name).read_bytes() for name in names}
+        assert before == {name: (store_dir / name).read_bytes() for name in names}
+        argv = ["generate", "--config", str(darcy), "--out", str(out), "--force"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert store.load_store(out).count == 12
+
+    def test_the_sweep_runs_before_any_write(self, mini_run, tmp_path, monkeypatch):
+        # what the directory holds when the sweep starts: nothing in a new
+        # one, and in a complete store its files as they were
+        _, cfg_path, store_dir, _ = mini_run
+        seen = []
+        simulate_batch = flow.simulate_batch
+
+        def listing_batch(*args, **kwargs):
+            seen.append({path.name: path.read_bytes() for path in out.iterdir()})
+            return simulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli.flow, "simulate_batch", listing_batch)
+        out = tmp_path / "store"
+        argv = ["generate", "--config", str(cfg_path), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+        complete = {path.name: path.read_bytes() for path in store_dir.iterdir()}
+        assert seen == [{}, complete]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == complete
+
     def test_summary_reports_the_step_bound(self, mini_run, tmp_path, capsys):
         _, cfg_path, _, _ = mini_run
         out = tmp_path / "store"
@@ -380,6 +422,16 @@ class TestGenerate:
                              r"before the first step \(limit 1,000,000,000\)", line)
         assert match, line
         assert int(match[1]) == int(store.load_store(out).steps.sum()) < int(match[2])
+
+
+def set_entry(index, value):
+    """An edit that sets one entry of a copy of an array."""
+    def edit(arr):
+        arr = arr.copy()
+        arr[index] = value
+        return arr
+
+    return edit
 
 
 class TestStoreValidation:
@@ -408,6 +460,10 @@ class TestStoreValidation:
     def test_valid_copy_loads(self, copy):
         st = store.load_store(copy)
         assert st.steps.shape == st.min_dt_s.shape == st.mass_residual.shape == (4,)
+        # the record of a row that took no step: 0 steps, and inf as its smallest
+        self._edit_arrays(copy, "steps", set_entry((0,), 0))
+        self._edit_arrays(copy, "min_dt_s", set_entry((0,), np.inf))
+        assert store.load_store(copy).min_dt_s[0] == np.inf
 
     def test_save_store_checks_shapes_before_writing(self, copy):
         st = store.load_store(copy)
@@ -466,21 +522,23 @@ class TestStoreValidation:
         with pytest.raises(store.StoreError, match="snapshots.npz"):
             store.load_store(copy)
 
-    @pytest.mark.parametrize("name, index, value", [
-        pytest.param("values", (0, 5), np.nan, id="values-nan"),
-        pytest.param("values", (1, 7), -0.5, id="values-negative"),
-        pytest.param("values", (2, 0), 1.5, id="values-above-one"),
-        pytest.param("masses", (3,), -1e-3, id="masses-negative"),
-        pytest.param("masses", (0,), np.inf, id="masses-infinite"),
-        pytest.param("params", (4, 1), np.nan, id="params-nan"),
+    @pytest.mark.parametrize("name, edit", [
+        pytest.param("values", set_entry((0, 5), np.nan), id="values-nan"),
+        pytest.param("values", set_entry((1, 7), -0.5), id="values-negative"),
+        pytest.param("values", set_entry((2, 0), 1.5), id="values-above-one"),
+        pytest.param("masses", set_entry((3,), -1e-3), id="masses-negative"),
+        pytest.param("masses", set_entry((0,), np.inf), id="masses-infinite"),
+        pytest.param("params", set_entry((4, 1), np.nan), id="params-nan"),
+        # the run record, which nothing but the generate summary reads
+        pytest.param("steps", np.negative, id="steps-negated"),
+        pytest.param("steps", lambda arr: arr + 0.5, id="steps-fractional"),
+        pytest.param("min_dt_s", set_entry((1,), np.nan), id="min-dt-nan"),
+        pytest.param("min_dt_s", set_entry((2,), 0.0), id="min-dt-zero"),
+        pytest.param("mass_residual", set_entry((0,), -1e-14), id="mass-residual-negative"),
+        pytest.param("mass_residual", set_entry((3,), np.nan), id="mass-residual-nan"),
     ])
-    def test_corrupt_array_entry(self, copy, tmp_path, capsys, name, index, value):
-        def corrupt(arr):
-            arr = arr.copy()
-            arr[index] = value
-            return arr
-
-        self._edit_arrays(copy, name, corrupt)
+    def test_corrupt_array_entry(self, copy, tmp_path, capsys, name, edit):
+        self._edit_arrays(copy, name, edit)
         with pytest.raises(store.StoreError, match=f"'{name}'"):
             store.load_store(copy)
         capsys.readouterr()
@@ -735,6 +793,40 @@ class TestModelValidation:
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_STORE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, commands, message", [
+        pytest.param(set_entry((0,), -1), ("tables", "landscape"),
+                     "'atom_indices' is not of distinct, nonnegative integers", id="negative"),
+        pytest.param(lambda arr: np.full_like(arr, 3), ("tables", "landscape"),
+                     "'atom_indices' is not of distinct, nonnegative integers", id="repeated"),
+        pytest.param(lambda arr: arr.astype(float), ("tables", "landscape"),
+                     "'atom_indices' is not of distinct, nonnegative integers", id="float"),
+        pytest.param(set_entry((-1,), 10**6), ("tables", "landscape"),
+                     "'atom_indices' of the model holds an index past the store's 12",
+                     id="past-the-store"),
+        pytest.param(None, ("tables",), "column 'n' of the report in", id="report-row-short"),
+    ])
+    def test_atom_indices_and_report_size(self, mini_run, copy, tmp_path, capsys, edit,
+                                          commands, message):
+        # each once gave exit 0: atom indices that name no snapshot of the
+        # store, and a joint table from a report that stops short of the model
+        _, _, store_dir, _ = mini_run
+        if edit is None:
+            self._edit_report(copy, lambda lines: lines[:-1])
+        else:
+            path = copy / store.MODEL_ARRAYS_NAME
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            arrays["atom_indices"] = edit(arrays["atom_indices"])
+            np.savez(path, **arrays)
+        extra = {"tables": [], "landscape": ["--target-index", "5", "--resolution", "11"]}
+        for command in commands:
+            out = tmp_path / command
+            argv = [command, "--store", str(store_dir), "--model", str(copy), "--out", str(out)]
+            assert cli.main(argv + extra[command]) == cli.EXIT_STORE
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err
+            assert not out.exists()
 
     def test_report_sizes_run_by_one(self, copy):
         self._edit_report(copy, lambda lines: lines[:1] + lines[2:])
